@@ -7,10 +7,10 @@ only with a lite family), schedule. Example::
 
     run.seed = 42
     run.steps = 200
-    landscape.kind = quadratic
-    landscape.eigenvalues = 100, 1, 0.01
+    landscape.kind = mlp
+    landscape.widths = 6, 8, 8, 4
     optimizer.family = muon_lite
-    optimizer.chi = 4.0
+    lite.chi = 4.0
     lite.beta2 = 1.0
     schedule.kind = constant
     schedule.lr_max = 0.01
@@ -26,13 +26,11 @@ import math
 
 import numpy as np
 
-from .landscapes import (Landscape, MlpLandscape, MlpSpec, RiverValleySpec,
-                         mlp_landscape, quadratic_landscape, river_valley_landscape)
-from .optim import (LitePolicy, OptimizerConfig, ScheduleSpec, init_states,
-                    lr_at, route_and_step)
+from .landscapes import (Landscape, MlpSpec, RiverValleySpec, mlp_landscape,
+                         quadratic_landscape, river_valley_landscape)
+from .optim import (LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
+                    init_states, lr_at, resolve_stepper, route_and_step)
 from .quadratic import QuadraticSpec
-
-_LITE_FAMILIES = ("muon_lite", "soap_lite")
 
 # Per-block telemetry columns; inapplicable entries render as nan so the
 # column set stays fixed for a whole run.
@@ -119,7 +117,6 @@ _SCHEMA = {
         "alpha_fast": _parse_float,
         "alpha_slow": _parse_float,
         "qr_refresh_every": _parse_int,
-        "chi": _parse_float,
     },
     "lite": {
         "chi": _parse_float,
@@ -205,15 +202,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key 'landscape.{key}' for kind '{kind}'")
 
     family = values[("optimizer", "family")]
-    is_lite = family in _LITE_FAMILIES
+    is_lite = family in LITE_FAMILIES
     lite_items = {key: value for (section, key), value in values.items() if section == "lite"}
-    if ("optimizer", "chi") in values:
-        if not is_lite:
-            raise ConfigError(f"line {lines[('optimizer', 'chi')]}: chi requires a lite family")
-        if "chi" in lite_items:
-            raise ConfigError(f"line {lines[('lite', 'chi')]}: duplicate key 'lite.chi' "
-                              f"(optimizer.chi set on line {lines[('optimizer', 'chi')]})")
-        lite_items["chi"] = values[("optimizer", "chi")]
     if lite_items and not is_lite:
         key = sorted(k for (s, k) in values if s == "lite")[0]
         raise ConfigError(f"line {lines[('lite', key)]}: {key} requires a lite family")
@@ -224,16 +214,20 @@ def parse_config(text: str) -> ExperimentConfig:
             family=family,
             lite=lite,
             **{key: value for (section, key), value in values.items()
-               if section == "optimizer" and key not in ("family", "chi")})
+               if section == "optimizer" and key != "family"})
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
+    total_steps = values.get(("schedule", "total_steps"), steps)
+    if total_steps < steps:
+        raise ConfigError(f"line {lines[('schedule', 'total_steps')]}: schedule.total_steps "
+                          f"{total_steps} is below run.steps {steps}")
     try:
         schedule = ScheduleSpec(
             kind=values[("schedule", "kind")],
             lr_max=values[("schedule", "lr_max")],
             warmup_steps=values.get(("schedule", "warmup_steps"), 0),
-            total_steps=values.get(("schedule", "total_steps"), steps))
+            total_steps=total_steps)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -299,13 +293,18 @@ def run_experiment(config: ExperimentConfig):
 
     Returns (records, summary). A non-finite loss stops the loop and sets
     summary["status"] = "diverged" with a "divergence at step N" message;
-    that is an outcome, not an error.
+    that is an outcome, not an error. A lite family that would accelerate no
+    block of the landscape raises ConfigError before any output is written.
     """
     land = build_landscape(config)
+    family = config.optimizer.family
+    if family in LITE_FAMILIES and all(resolve_stepper(family, layout.role) == "adamw"
+                                       for layout in land.blocks.values()):
+        raise ConfigError(f"{family} accelerates no block of landscape "
+                          f"'{config.landscape_kind}': every block would run plain adamw")
     blocks = land.matrix_blocks(land.initial_point)
     states = init_states(blocks, config.optimizer)
     names = sorted(blocks)
-    stochastic = isinstance(land, MlpLandscape)
 
     records = []
     summary = {"status": "ok", "steps_completed": 0, "final_loss": math.nan, "message": ""}
@@ -316,14 +315,8 @@ def run_experiment(config: ExperimentConfig):
             out.write(csv_header(names) + "\n")
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, config.steps + 1):
-                w = land.pack({name: blocks[name].matrix for name in names})
-                if stochastic:
-                    batch = land.fresh_batch(step)
-                    loss = land.loss_on_batch(w, batch)
-                    grads = land.block_grads_on_batch(w, batch)
-                else:
-                    loss = land.loss(w)
-                    grads = land.unpack(np.asarray(land.grad(w), dtype=float))
+                loss, grads = land.loss_and_block_grads(
+                    {name: blocks[name].matrix for name in names}, step)
                 if not math.isfinite(loss):
                     summary["status"] = "diverged"
                     summary["message"] = f"divergence at step {step}"

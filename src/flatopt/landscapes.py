@@ -30,15 +30,18 @@ class BlockLayout:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 class Landscape:
-    """Differentiable objective over a flat parameter vector.
+    """Differentiable objective over named 2-D parameter blocks.
 
-    ``loss`` and ``grad`` are callables of w; ``hvp(w, v)`` is analytic where
-    cheap and None otherwise (consumers fall back to finite differences).
-    ``blocks`` names 2-D segments of w for block-structured optimizers.
+    ``loss_and_block_grads(mats, step)`` is the entry point of a training
+    loop: the loss and per-block gradients at the block matrices ``mats``.
+    ``loss`` and ``grad`` are callables of the flat vector w, for the
+    dynamics and finite-difference Hessian code; ``hvp(w, v)`` is analytic
+    where cheap and None otherwise (consumers fall back to finite
+    differences). ``blocks`` names the 2-D segments of w.
     """
 
     def __init__(self, dim, loss, grad, hvp=None, blocks=None, initial_point=None):
@@ -60,6 +63,12 @@ class Landscape:
         for name, b in self.blocks.items():
             w[b.start:b.start + b.size] = np.asarray(mats[name], dtype=float).ravel()
         return w
+
+    def loss_and_block_grads(self, mats, step):
+        """Loss and per-block gradients at ``mats``; deterministic landscapes
+        ignore the step."""
+        w = self.pack(mats)
+        return self.loss(w), self.unpack(np.asarray(self.grad(w), dtype=float))
 
     def matrix_blocks(self, w):
         """Named MatrixBlock views (copies) at w, ready for the optimizer."""
@@ -243,17 +252,13 @@ class MlpLandscape(Landscape):
             acts.append(z if i == last else np.tanh(z))
         return acts
 
-    def loss_on_batch(self, w, batch) -> float:
-        x, y = batch
-        weights = [self.unpack(w)[f"layer{i}"] for i in range(self.spec.n_layers)]
-        pred = self._forward(weights, x)[-1]
-        r = pred - y
-        return float((r * r).mean())
+    def loss_and_block_grads(self, mats, step):
+        """Loss and gradients on the step's fresh minibatch."""
+        return self._loss_and_grads(mats, self.fresh_batch(step))
 
-    def block_grads_on_batch(self, w, batch):
-        """Reverse-mode gradients of the mean squared error, per block."""
+    def _loss_and_grads(self, mats, batch):
+        """Mean squared error and its reverse-mode gradients, per block."""
         x, y = batch
-        mats = self.unpack(w)
         weights = [mats[f"layer{i}"] for i in range(self.spec.n_layers)]
         acts = self._forward(weights, x)
         r = acts[-1] - y
@@ -264,7 +269,13 @@ class MlpLandscape(Landscape):
             if i > 0:
                 # tanh' = 1 - tanh^2, and acts[i] already holds tanh(z)
                 delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
-        return grads
+        return float((r * r).mean()), grads
+
+    def loss_on_batch(self, w, batch) -> float:
+        return self._loss_and_grads(self.unpack(w), batch)[0]
+
+    def block_grads_on_batch(self, w, batch):
+        return self._loss_and_grads(self.unpack(w), batch)[1]
 
     def grad_on_batch(self, w, batch):
         grads = self.block_grads_on_batch(w, batch)
@@ -375,32 +386,33 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
     {block: {"row": curve, "col": curve}}.
     """
     land = mlp_landscape(spec, seed)
-    w = land.initial_point.copy()
-    blocks = land.matrix_blocks(w)
+    blocks = land.matrix_blocks(land.initial_point)
     cfg = OptimizerConfig("adamw")
     sched = ScheduleSpec("constant", lr, 0, max(train_steps, 1))
     states = init_states(blocks, cfg)
     for step in range(1, train_steps + 1):
-        batch = land.fresh_batch(step)
-        grads = land.block_grads_on_batch(land.pack({n: b.matrix for n, b in blocks.items()}), batch)
+        _, grads = land.loss_and_block_grads({n: b.matrix for n, b in blocks.items()}, step)
         route_and_step(blocks, states, grads, step, sched, cfg)
-    w = land.pack({n: b.matrix for n, b in blocks.items()})
+    mats = {n: b.matrix for n, b in blocks.items()}
 
+    gram_r = {name: np.zeros((layout.shape[1],) * 2) for name, layout in land.blocks.items()}
+    gram_l = {name: np.zeros((layout.shape[0],) * 2) for name, layout in land.blocks.items()}
+    for b in range(n_batches):
+        _, grads = land.loss_and_block_grads(mats, train_steps + 1 + b)
+        for name, g in grads.items():
+            gram_r[name] += g.T @ g
+            gram_l[name] += g @ g.T
+
+    w = land.pack(mats)
     curves = {}
     for name, layout in land.blocks.items():
         m, n = layout.shape
-        gram_r = np.zeros((n, n))
-        gram_l = np.zeros((m, m))
-        for b in range(n_batches):
-            g = land.block_grads_on_batch(w, land.fresh_batch(train_steps + 1 + b))[name]
-            gram_r += g.T @ g
-            gram_l += g @ g.T
-        gram_r /= n_batches
-        gram_l /= n_batches
         row_ref = mean_row_hessian(land, name, w)
         col_ref = mean_col_hessian(land, name, w)
         curves[name] = {
-            "row": gram_alignment_curve(row_ref, gram_r, min(d_s, n), [min(int(k), n) for k in k_grid]),
-            "col": gram_alignment_curve(col_ref, gram_l, min(d_s, m), [min(int(k), m) for k in k_grid]),
+            "row": gram_alignment_curve(row_ref, gram_r[name] / n_batches, min(d_s, n),
+                                        [min(int(k), n) for k in k_grid]),
+            "col": gram_alignment_curve(col_ref, gram_l[name] / n_batches, min(d_s, m),
+                                        [min(int(k), m) for k in k_grid]),
         }
     return curves

@@ -1,4 +1,4 @@
-"""Dense linear algebra core: matmul, Householder QR, Jacobi eigensolver, SVD oracle.
+"""Dense linear algebra core: Householder QR, Jacobi eigensolver, SVD oracle.
 
 Everything operates on row-major float64 numpy arrays. The SVD here is the
 brute-force reference used by the projection and polar-factor tests; it is
@@ -27,13 +27,6 @@ def as_matrix(a):
 def frobenius(a):
     a = np.asarray(a, dtype=np.float64)
     return float(np.sqrt((a * a).sum()))
-
-
-def matmul(a, b):
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def qr_decompose(a):

@@ -30,7 +30,7 @@ FAMILIES = ("adamw", "n_adamw", "lion", "mars", "ademamix",
             "muon", "soap", "muon_lite", "soap_lite")
 
 _ELEMENTWISE = {"adamw", "n_adamw", "lion", "mars", "ademamix"}
-_LITE_FAMILIES = {"muon_lite", "soap_lite"}
+LITE_FAMILIES = {"muon_lite", "soap_lite"}
 
 
 @dataclasses.dataclass
@@ -142,7 +142,7 @@ class OptimizerConfig:
             raise ValueError("clip_norm must be positive")
         if self.qr_refresh_every < 1:
             raise ValueError("qr_refresh_every must be ≥ 1")
-        if self.family in _LITE_FAMILIES and self.lite is None:
+        if self.family in LITE_FAMILIES and self.lite is None:
             raise ValueError(f"family '{self.family}' requires a lite policy")
 
 

@@ -61,12 +61,3 @@ class SplitMix64:
         theta = 2.0 * np.pi * u[pairs:]
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
         return out.reshape(shape)
-
-    def permutation(self, n):
-        """Fisher-Yates shuffle of range(n)."""
-        perm = np.arange(n)
-        draws = self._raw(n - 1) if n > 1 else np.empty(0, dtype=np.uint64)
-        for i in range(n - 1, 0, -1):
-            j = int(draws[n - 1 - i] % np.uint64(i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm

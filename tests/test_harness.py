@@ -72,13 +72,6 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "schedule.total_steps = 100\n")
         assert cfg.schedule.total_steps == 100
 
-    def test_optimizer_chi_is_a_lite_alias(self):
-        text = MINIMAL.replace("optimizer.family = adamw",
-                               "optimizer.family = muon_lite\noptimizer.chi = 4.0\nlite.beta2 = 1.0")
-        cfg = parse_config(text)
-        assert cfg.optimizer.lite.chi == 4.0
-        assert cfg.optimizer.lite.beta2 == 1.0
-
     def test_lite_family_without_lite_keys_gets_trivial_policy(self):
         text = MINIMAL.replace("optimizer.family = adamw", "optimizer.family = soap_lite")
         cfg = parse_config(text)
@@ -96,9 +89,10 @@ class TestParseConfig:
         ("run.steps = 0", "steps must be >= 1"),
         ("run.log_every = 0", "log_every must be >= 1"),
         ("landscape.widths = 4, 4, 4", "not valid for landscape kind 'quadratic'"),
-        ("optimizer.chi = 2.0", "chi requires a lite family"),
+        ("optimizer.chi = 2.0", "unknown key 'optimizer.chi'"),
         ("lite.beta1 = 0.5", "beta1 requires a lite family"),
         ("optimizer.theta = 1.5", "theta must be in"),
+        ("schedule.total_steps = 10", "line 1: schedule.total_steps 10 is below run.steps 20"),
     ])
     def test_rejections(self, mutation, fragment):
         # Swap the mutated line in for its original when the key already
@@ -123,12 +117,6 @@ class TestParseConfig:
         text = MINIMAL + "run.seed = 43\n"
         with pytest.raises(ConfigError,
                            match="line 8: duplicate key 'run.seed' \\(first set on line 1\\)"):
-            parse_config(text)
-
-    def test_chi_given_twice_is_a_duplicate(self):
-        text = MINIMAL.replace("optimizer.family = adamw",
-                               "optimizer.family = muon_lite\noptimizer.chi = 2.0\nlite.chi = 2.0")
-        with pytest.raises(ConfigError, match="duplicate key 'lite.chi'"):
             parse_config(text)
 
     def test_missing_required_keys(self):
@@ -307,6 +295,23 @@ class TestCli:
         path = self.write(tmp_path, "run.sneed = 1\n" + MINIMAL)
         assert main(["run", "--config", path]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        # a lite family on a landscape whose blocks all stay on adamw
+        MINIMAL.replace("family = adamw", "family = muon_lite"),
+        MINIMAL.replace("family = adamw", "family = soap_lite").replace(
+            "landscape.kind = quadratic\nlandscape.eigenvalues = 2.0, 1.0",
+            "landscape.kind = river_valley\nlandscape.sharp_dim = 2\n"
+            "landscape.flat_dim = 2\nlandscape.sharp_curvature = 100.0"),
+        # a schedule that ends before the run does
+        MINIMAL.replace("run.steps = 20", "run.steps = 30") + "schedule.total_steps = 20\n",
+    ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "total_steps-below-steps"])
+    def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
+        csv = tmp_path / "out.csv"
+        path = self.write(tmp_path, config + f"run.output_path = {csv}\n")
+        assert main(["run", "--config", path]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_run_divergence_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", self.write(tmp_path, DIVERGENT)])

@@ -202,6 +202,42 @@ class TestMlp:
         assert final < 0.5 * initial
 
 
+class TestLossAndBlockGrads:
+    """The block entry point agrees bit for bit with the flat-vector routes."""
+
+    def mats_at(self, land, seed):
+        w = SplitMix64(seed).normal((land.dim,))
+        return {name: m.copy() for name, m in land.unpack(w).items()}
+
+    @pytest.mark.parametrize("widths", [(6, 8, 8, 4), (16, 8, 24, 4)])
+    def test_mlp_matches_flat_batch_routes(self, widths):
+        land = mlp_landscape(MlpSpec(widths=widths, batch_size=8), seed=7)
+        mats = self.mats_at(land, 3)
+        for step in (1, 2, 9):
+            loss, grads = land.loss_and_block_grads(mats, step)
+            w, batch = land.pack(mats), land.fresh_batch(step)
+            assert loss == land.loss_on_batch(w, batch)
+            flat = land.block_grads_on_batch(w, batch)
+            assert list(grads) == list(flat)
+            for name in grads:
+                assert np.array_equal(grads[name], flat[name])
+
+    @pytest.mark.parametrize("land", [
+        quadratic_landscape(QuadraticSpec(np.array([5.0, 2.0, 0.5]), np.array([1.0, 0.0, -1.0]))),
+        river_valley_landscape(RiverValleySpec(3, 3, 50.0)),
+    ], ids=["quadratic", "river_valley"])
+    def test_deterministic_matches_flat_loss_and_grad(self, land):
+        mats = self.mats_at(land, 5)
+        w = land.pack(mats)
+        for step in (1, 4):
+            loss, grads = land.loss_and_block_grads(mats, step)
+            assert loss == land.loss(w)
+            expected = land.unpack(land.grad(w))
+            assert list(grads) == list(expected)
+            for name in grads:
+                assert np.array_equal(grads[name], expected[name])
+
+
 class TestFdHessians:
     def test_quadratic_block_hessian_is_exact_diagonal(self):
         land = quadratic_landscape(QuadraticSpec(np.array([3.0, 1.0]), np.zeros(2)))

@@ -3,46 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatopt.linalg import as_matrix, frobenius, matmul, qr_decompose, svd_oracle, sym_eig
+from flatopt.linalg import as_matrix, frobenius, qr_decompose, svd_oracle, sym_eig
 
 
 def random_matrix(rng, m, n, lo=-1.0, hi=1.0):
     return lo + (hi - lo) * rng.random((m, n))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_diagonal_product(self):
-        out = matmul(np.diag([2.0, 3.0]), np.diag([4.0, 5.0]))
-        assert np.array_equal(out, np.diag([8.0, 15.0]))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = random_matrix(rng, 3, 4)
-        b = random_matrix(rng, 4, 2)
-        naive = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    naive[i, j] += a[i, k] * b[k, j]
-        assert np.abs(matmul(a, b) - naive).max() < 1e-12
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = random_matrix(rng, 3, 5)
-            b = random_matrix(rng, 5, 4)
-            c = random_matrix(rng, 4, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert frobenius(left - right) < 1e-10 * max(1.0, frobenius(left))
 
 
 class TestQr:

@@ -62,14 +62,6 @@ class TestStreams:
         assert vals.max() < 9
         assert set(np.unique(vals)) == set(range(3, 9))
 
-    def test_permutation(self):
-        perm = SplitMix64(5).permutation(8)
-        assert sorted(perm.tolist()) == list(range(8))
-        assert perm.tolist() == [0, 7, 3, 1, 4, 6, 5, 2]
-
-    def test_permutation_trivial(self):
-        assert SplitMix64(5).permutation(1).tolist() == [0]
-
 
 def test_child_streams_independent():
     # drawing from one derived stream must not perturb a sibling
