@@ -293,14 +293,15 @@ def run_experiment(config: ExperimentConfig):
 
     Returns (records, summary). A non-finite loss stops the loop and sets
     summary["status"] = "diverged" with a "divergence at step N" message;
-    that is an outcome, not an error. A lite family that would accelerate no
-    block of the landscape raises ConfigError before any output is written.
+    that is an outcome, not an error. A family other than adamw that would
+    run plain adamw on every block of the landscape raises ConfigError before
+    any output is written.
     """
     land = build_landscape(config)
     family = config.optimizer.family
-    if family in LITE_FAMILIES and all(resolve_stepper(family, layout.role) == "adamw"
-                                       for layout in land.blocks.values()):
-        raise ConfigError(f"{family} accelerates no block of landscape "
+    if family != "adamw" and all(resolve_stepper(family, layout.role) == "adamw"
+                                 for layout in land.blocks.values()):
+        raise ConfigError(f"{family} changes no block of landscape "
                           f"'{config.landscape_kind}': every block would run plain adamw")
     blocks = land.matrix_blocks(land.initial_point)
     states = init_states(blocks, config.optimizer)

@@ -358,7 +358,7 @@ def step_muon_lite(block, state, g, lr, cfg):
     u = _muon_momentum(state, g, cfg)
     u_o, wide = _oriented(u)
     polar_m = ns_polar(u_o)
-    proj, _ = composite_sharp_projection(u_o, state.rank_ctrl)
+    proj, _ = composite_sharp_projection(u_o, state.rank_ctrl, polar=polar_m)
     p_frob = frobenius(proj)
     state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
     state.last_sharp_mass = float(p_frob * p_frob)

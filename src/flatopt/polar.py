@@ -86,13 +86,15 @@ def ns_polar(a, schedule=None):
     return x.T if transposed else x
 
 
-def composite_sharp_projection(m_tilde, controller, schedule=None):
+def composite_sharp_projection(m_tilde, controller, schedule=None, polar=None):
     """Sharp-direction projector P = TᵀT from the two-pass NS step function.
 
     T = ½ NS(M) + ½ NS(M/tau - NS(M)) keeps singular directions with
     sigma > tau = scale_l*‖M‖_F and suppresses the rest; P projects onto
     the corresponding right-singular subspace. Requires rows >= cols
-    (callers pre-transpose wide blocks).
+    (callers pre-transpose wide blocks). A caller that already holds
+    NS(M), computed with the same schedule, may pass it as ``polar`` to
+    skip the first pass; the result is then bitwise the same.
     """
     m_tilde = as_matrix(m_tilde)
     m, n = m_tilde.shape
@@ -102,7 +104,7 @@ def composite_sharp_projection(m_tilde, controller, schedule=None):
     if fro == 0.0:
         return np.zeros((n, n)), np.zeros_like(m_tilde)
     tau = controller.scale_l * fro
-    first = ns_polar(m_tilde, schedule)
+    first = ns_polar(m_tilde, schedule) if polar is None else polar
     t = 0.5 * first + 0.5 * ns_polar(m_tilde / tau - first, schedule)
     return t.T @ t, t
 

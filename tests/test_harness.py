@@ -1,10 +1,15 @@
 """Config parsing, the experiment runner, CSV telemetry, and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flatopt
 from flatopt.cli import main
 from flatopt.harness import (
     BLOCK_COLUMNS,
@@ -26,6 +31,11 @@ optimizer.family = adamw
 schedule.kind = constant
 schedule.lr_max = 0.01
 """
+
+RIVER_VALLEY = MINIMAL.replace(
+    "landscape.kind = quadratic\nlandscape.eigenvalues = 2.0, 1.0",
+    "landscape.kind = river_valley\nlandscape.sharp_dim = 2\n"
+    "landscape.flat_dim = 2\nlandscape.sharp_curvature = 100.0")
 
 MLP_BASE = """\
 run.seed = 7
@@ -162,11 +172,7 @@ class TestBuildLandscape:
             build_landscape(cfg)
 
     def test_river_valley_and_mlp(self):
-        text = MINIMAL.replace(
-            "landscape.kind = quadratic\nlandscape.eigenvalues = 2.0, 1.0",
-            "landscape.kind = river_valley\nlandscape.sharp_dim = 2\n"
-            "landscape.flat_dim = 2\nlandscape.sharp_curvature = 100.0")
-        assert build_landscape(parse_config(text)).dim == 4
+        assert build_landscape(parse_config(RIVER_VALLEY)).dim == 4
         mlp = build_landscape(parse_config(MLP_BASE.format(family="adamw")))
         assert mlp.dim == 6 * 8 + 8 * 8 + 8 * 4
 
@@ -297,15 +303,15 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [
-        # a lite family on a landscape whose blocks all stay on adamw
+        # a matrix family on a landscape whose blocks all stay on adamw
         MINIMAL.replace("family = adamw", "family = muon_lite"),
-        MINIMAL.replace("family = adamw", "family = soap_lite").replace(
-            "landscape.kind = quadratic\nlandscape.eigenvalues = 2.0, 1.0",
-            "landscape.kind = river_valley\nlandscape.sharp_dim = 2\n"
-            "landscape.flat_dim = 2\nlandscape.sharp_curvature = 100.0"),
+        RIVER_VALLEY.replace("family = adamw", "family = soap_lite"),
+        MINIMAL.replace("family = adamw", "family = muon"),
+        RIVER_VALLEY.replace("family = adamw", "family = soap"),
         # a schedule that ends before the run does
         MINIMAL.replace("run.steps = 20", "run.steps = 30") + "schedule.total_steps = 20\n",
-    ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "total_steps-below-steps"])
+    ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
+            "soap-river_valley", "total_steps-below-steps"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")
@@ -360,3 +366,26 @@ class TestCli:
         assert lines[0] == "check,value,bound,status"
         assert len(lines) == 5
         assert all(line.endswith(",pass") for line in lines[1:])
+
+
+@pytest.mark.parametrize("family", ["muon_lite", "soap_lite"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, family):
+    # each run is a fresh process, so BLAS starts with the thread count set here
+    src = str(Path(flatopt.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        csv = tmp_path / f"{threads}.csv"
+        cfg = tmp_path / f"{threads}.cfg"
+        cfg.write_text(MLP_BASE.format(family=family)
+                       .replace("run.steps = 30", "run.steps = 10")
+                       .replace("6, 8, 8, 4", "32, 96, 96, 16")
+                       .replace("batch_size = 8", "batch_size = 32")
+                       + f"lite.chi = 4.0\nlite.beta2 = 1.0\nrun.output_path = {csv}\n")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "flatopt.cli", "run", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(csv.read_bytes())
+    assert outputs[0].count(b"\n") == 11
+    assert outputs[0] == outputs[1]

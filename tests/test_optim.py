@@ -381,7 +381,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None: (np.eye(a.shape[1]), None))
+                            lambda a, ctrl, schedule=None, polar=None: (np.eye(a.shape[1]), None))
         g = SplitMix64(71).normal((6, 4))
         pol = self.policy(chi=3.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
@@ -397,7 +397,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None: (np.zeros((a.shape[1],) * 2), None))
+                            lambda a, ctrl, schedule=None, polar=None: (np.zeros((a.shape[1],) * 2), None))
         g = SplitMix64(73).normal((6, 4))
         pol = self.policy(chi=2.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
@@ -416,7 +416,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None: (np.zeros((a.shape[1],) * 2), None))
+                            lambda a, ctrl, schedule=None, polar=None: (np.zeros((a.shape[1],) * 2), None))
         grads = gradient_stream(79, (8, 4), 20)
         cfg_m = cfg_for("muon", weight_decay=0.0)
         cfg_l = cfg_for("muon_lite", weight_decay=0.0,
@@ -428,6 +428,30 @@ class TestMuonLite:
             step_muon(b_m, s_m, g, 0.03, cfg_m)
             step_muon_lite(b_l, s_l, g, 0.03, cfg_l)
             assert np.array_equal(b_l.matrix, 4.0 * b_m.matrix)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 10)], ids=["square", "wide"])
+    def test_matches_four_pass_reference_bitwise(self, monkeypatch, shape):
+        # the reference step lets the projector recompute the momentum polar
+        # instead of reusing the one the stepper already has
+        import flatopt.optim as optim_mod
+        import flatopt.polar as polar_mod
+
+        grads = gradient_stream(89, shape, 20)
+        cfg = cfg_for("muon_lite", weight_decay=0.1,
+                      lite=self.policy(chi=4.0, beta1=-0.25, beta2=1.0))
+        b_new = MatrixBlock("b", np.ones(shape), "muon")
+        b_ref = MatrixBlock("b", np.ones(shape), "muon")
+        s_new, s_ref = init_state(b_new, cfg), init_state(b_ref, cfg)
+        for g in grads:
+            step_muon_lite(b_new, s_new, g, 0.02, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(optim_mod, "composite_sharp_projection",
+                              lambda a, ctrl, schedule=None, polar=None:
+                              polar_mod.composite_sharp_projection(a, ctrl, schedule))
+                step_muon_lite(b_ref, s_ref, g, 0.02, cfg)
+            assert np.array_equal(b_new.matrix, b_ref.matrix)
+            assert s_new.rank_ctrl == s_ref.rank_ctrl
+            assert s_new.last_sharp_mass == s_ref.last_sharp_mass
 
     def test_controller_and_telemetry_advance(self):
         grads = gradient_stream(83, (10, 5), 5)

@@ -135,6 +135,18 @@ class TestCompositeProjection:
         assert frobenius(p - p.T) < 5e-3
         assert frobenius(p @ p - p) < 5e-2
 
+    @pytest.mark.parametrize("a", [
+        np.random.default_rng(20).normal(size=(9, 4)),
+        np.random.default_rng(21).normal(size=(5, 5)),
+        np.zeros((6, 3)),
+    ], ids=["tall", "square", "zero"])
+    def test_supplied_polar_is_bitwise_the_same(self, a):
+        ctrl = RankController(scale_l=0.5 / np.sqrt(a.shape[1]), target_dim=2)
+        p, t = composite_sharp_projection(a, ctrl)
+        p_s, t_s = composite_sharp_projection(a, ctrl, polar=ns_polar(a))
+        assert np.array_equal(p_s, p)
+        assert np.array_equal(t_s, t)
+
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             composite_sharp_projection(np.ones((2, 5)),
