@@ -28,7 +28,7 @@ import numpy as np
 
 from .landscapes import (Landscape, MlpSpec, RiverValleySpec, mlp_landscape,
                          quadratic_landscape, river_valley_landscape)
-from .optim import (LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
+from .optim import (FAMILIES, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
                     init_states, lr_at, resolve_stepper, route_and_step)
 from .quadratic import QuadraticSpec
 
@@ -125,7 +125,6 @@ _SCHEMA = {
         "r_s": _parse_float,
         "d_smooth_ratio": _parse_float,
         "chi_embedding": _parse_float,
-        "chi_norm": _parse_float,
     },
     "schedule": {
         "kind": _parse_str,
@@ -137,6 +136,18 @@ _SCHEMA = {
 
 _REQUIRED = (("run", "seed"), ("run", "steps"), ("landscape", "kind"),
              ("optimizer", "family"), ("schedule", "kind"), ("schedule", "lr_max"))
+
+# optimizer keys that only some families read; any other family rejects them,
+# as every family but the lite ones rejects the lite section
+_FAMILY_KEYS = {
+    "nesterov_beta": ("n_adamw",),
+    "mars_gamma": ("mars",),
+    "ademamix_kappa": ("ademamix",),
+    "alpha_fast": ("ademamix",),
+    "alpha_slow": ("ademamix",),
+    "theta_shampoo": ("soap", "soap_lite"),
+    "qr_refresh_every": ("soap", "soap_lite"),
+}
 
 _LANDSCAPE_KEYS = {
     "quadratic": {"required": ("eigenvalues",), "optional": ("offsets",)},
@@ -203,10 +214,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     family = values[("optimizer", "family")]
     is_lite = family in LITE_FAMILIES
+    for section, key in values:
+        if section == "lite" and not is_lite:
+            raise ConfigError(f"line {lines[(section, key)]}: {key} requires a lite family")
+        if section == "optimizer" and family not in _FAMILY_KEYS.get(key, FAMILIES):
+            raise ConfigError(f"line {lines[(section, key)]}: optimizer.{key} is read only by "
+                              f"{' and '.join(_FAMILY_KEYS[key])}, not by family '{family}'")
     lite_items = {key: value for (section, key), value in values.items() if section == "lite"}
-    if lite_items and not is_lite:
-        key = sorted(k for (s, k) in values if s == "lite")[0]
-        raise ConfigError(f"line {lines[('lite', key)]}: {key} requires a lite family")
 
     try:
         lite = LitePolicy(**lite_items) if is_lite else None

@@ -2,15 +2,20 @@
 
 Families: elementwise baselines (adamw, n_adamw, lion, mars, ademamix),
 matrix-preconditioned baselines (muon, soap), and their flat-direction
-accelerated variants (muon_lite, soap_lite) plus the elementwise accelerated
-stepper used for embedding/norm blocks.
+accelerated variants (muon_lite, soap_lite).
 
-Bit-exactness constraint: the accelerated steppers with chi=1 and
-beta1=beta2=0 must reproduce their baselines entrywise over whole
-trajectories. Every sub-expression the two share (momentum recurrences, the
-polar call, denominators, the final apply) therefore lives in exactly one
-place, and the trivial-policy branch short-circuits to the baseline
-expression rather than multiplying by an assembled, rounded identity.
+LITE is a stage of the baseline steppers, not a stepper of its own.
+step_muon, step_soap and step_adamw run it when the block's state holds a
+controller, which init_state allocates for the stepper kinds muon_lite,
+soap_lite and adam_lite (a lite family's embedding blocks). The stage splits
+the base update into sharp and flat parts, by the composite projector or by
+the smoothed second-moment mask, and reweights them by chi and (beta1,
+beta2).
+
+Bit-exactness: with chi=1 and beta1=beta2=0 a lite family reproduces its
+baseline entrywise over whole trajectories, because both run the one base
+path and the trivial policy skips the reweighting instead of multiplying by
+an assembled, rounded identity. The controllers still advance for telemetry.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .linalg import as_matrix, frobenius, qr_decompose
 from .polar import RankController, composite_sharp_projection, ns_polar, update_rank_controller
 from .subspace import SoapMaskController, smoothed_sharp_mask, update_soap_controller
 
-ROLES = ("muon", "adam", "embedding", "norm", "output")
+ROLES = ("muon", "adam", "embedding", "output")
 
 FAMILIES = ("adamw", "n_adamw", "lion", "mars", "ademamix",
             "muon", "soap", "muon_lite", "soap_lite")
@@ -53,7 +58,7 @@ class LitePolicy:
     beta1 may be negative (the matrix variant is run that way in practice);
     only beta2 >= beta1 is enforced. r_s sets the sharp-subspace size as a
     fraction of the block dimension, d_smooth_ratio the ramp band width for
-    the elementwise masks. Embedding/norm blocks may carry their own chi.
+    the elementwise masks. Embedding blocks may carry their own chi.
     """
 
     chi: float = 1.0
@@ -62,7 +67,6 @@ class LitePolicy:
     r_s: float = 0.5
     d_smooth_ratio: float = 0.1
     chi_embedding: float | None = None
-    chi_norm: float | None = None
 
     def __post_init__(self):
         if self.chi < 1.0:
@@ -73,15 +77,12 @@ class LitePolicy:
             raise ValueError(f"r_s must be in (0, 1], got {self.r_s}")
         if not 0.0 <= self.d_smooth_ratio < 1.0:
             raise ValueError(f"d_smooth_ratio must be in [0, 1), got {self.d_smooth_ratio}")
-        for label, value in (("chi_embedding", self.chi_embedding), ("chi_norm", self.chi_norm)):
-            if value is not None and value < 1.0:
-                raise ValueError(f"{label} must be ≥ 1")
+        if self.chi_embedding is not None and self.chi_embedding < 1.0:
+            raise ValueError("chi_embedding must be ≥ 1")
 
     def chi_for(self, role: str) -> float:
         if role == "embedding" and self.chi_embedding is not None:
             return self.chi_embedding
-        if role == "norm" and self.chi_norm is not None:
-            return self.chi_norm
         return self.chi
 
     def is_trivial(self, role: str) -> bool:
@@ -142,6 +143,8 @@ class OptimizerConfig:
             raise ValueError("clip_norm must be positive")
         if self.qr_refresh_every < 1:
             raise ValueError("qr_refresh_every must be ≥ 1")
+        if self.mars_gamma == 1.0:
+            raise ValueError("mars_gamma = 1 discards the current gradient; rejected")
         if self.family in LITE_FAMILIES and self.lite is None:
             raise ValueError(f"family '{self.family}' requires a lite policy")
 
@@ -169,9 +172,9 @@ def resolve_stepper(family: str, role: str) -> str:
     """Stepper kind for a (family, role) pair.
 
     Matrix families precondition only muon-role blocks and fall back to adamw
-    elsewhere. The accelerated families route embedding/norm to the masked
-    elementwise stepper and keep output (and generic adam) blocks on plain
-    adamw: the output block is excluded from acceleration by policy.
+    elsewhere. The accelerated families route embedding blocks to adamw with
+    the mask stage (adam_lite) and keep output (and generic adam) blocks on
+    plain adamw: the output block is excluded from acceleration by policy.
     """
     if role not in ROLES:
         raise ValueError(f"unknown role '{role}'")
@@ -184,11 +187,11 @@ def resolve_stepper(family: str, role: str) -> str:
     if family == "muon_lite":
         if role == "muon":
             return "muon_lite"
-        return "adam_lite" if role in ("embedding", "norm") else "adamw"
+        return "adam_lite" if role == "embedding" else "adamw"
     if family == "soap_lite":
         if role == "muon":
             return "soap_lite"
-        return "adam_lite" if role in ("embedding", "norm") else "adamw"
+        return "adam_lite" if role == "embedding" else "adamw"
     raise ValueError(f"no stepper for family '{family}' with role '{role}'")
 
 
@@ -270,11 +273,40 @@ def _ema_mv(state: BlockOptState, g, cfg: OptimizerConfig):
     return np.sqrt(state.v) + cfg.epsilon
 
 
+def _lite_weights(pol: LitePolicy, role: str, sharp, identity):
+    """(momentum, gradient) weights of the LITE blend, sharp + chi*flat and
+    beta1*sharp + chi*beta2*flat with flat = identity - sharp; sharp is the
+    composite projector (identity the eye) or a mask (identity 1.0)."""
+    chi = pol.chi_for(role)
+    flat = identity - sharp
+    return sharp + chi * flat, pol.beta1 * sharp + chi * pol.beta2 * flat
+
+
+def _mask_and_update(state: BlockOptState, pol: LitePolicy, role: str, g, denom, core):
+    """LITE stage of the elementwise-preconditioned steppers: mask the second
+    moment, advance the threshold controller, record the sharp mass, and
+    reweight core = momentum/denom unless the policy is trivial."""
+    ctrl = state.mask_ctrl
+    mask = smoothed_sharp_mask(state.v, ctrl)
+    mean = float(state.v.mean())
+    count_s = int((state.v > ctrl.l_s * mean).sum())
+    count_smooth = int((state.v > ctrl.l_smooth * mean).sum())
+    state.mask_ctrl = update_soap_controller(ctrl, count_s, count_smooth)
+    state.last_sharp_mass = float(mask.sum())
+    if pol.is_trivial(role):
+        return core
+    w_m, w_g = _lite_weights(pol, role, mask, 1.0)
+    return w_g * (g / denom) + w_m * core
+
+
 def step_adamw(block, state, g, lr, cfg):
+    """AdamW; a mask controller (adam_lite) adds the LITE stage."""
     state.step += 1
     denom = _ema_mv(state, g, cfg)
-    _apply(block, state.m / denom, lr, cfg.weight_decay)
-    return block, state
+    direction = state.m / denom
+    if state.mask_ctrl is not None:
+        direction = _mask_and_update(state, cfg.lite, block.role, g, denom, direction)
+    _apply(block, direction, lr, cfg.weight_decay)
 
 
 def step_n_adamw(block, state, g, lr, cfg):
@@ -282,7 +314,6 @@ def step_n_adamw(block, state, g, lr, cfg):
     state.step += 1
     denom = _ema_mv(state, g, cfg)
     _apply(block, (state.m + cfg.nesterov_beta * g) / denom, lr, cfg.weight_decay)
-    return block, state
 
 
 def step_lion(block, state, g, lr, cfg):
@@ -291,19 +322,15 @@ def step_lion(block, state, g, lr, cfg):
     u = cfg.theta * state.m + (1.0 - cfg.theta) * g
     state.m = cfg.beta_v * state.m + (1.0 - cfg.beta_v) * g
     _apply(block, np.sign(u), lr, cfg.weight_decay)
-    return block, state
 
 
 def step_mars(block, state, g, lr, cfg):
     """AdamW on the variance-reduced gradient c = g + gamma*theta/(1-theta)*(g - prev_g)."""
-    if cfg.mars_gamma == 1.0:
-        raise ValueError("mars_gamma = 1 discards the current gradient; rejected")
     state.step += 1
     c = g + cfg.mars_gamma * cfg.theta / (1.0 - cfg.theta) * (g - state.prev_g)
     denom = _ema_mv(state, c, cfg)
     state.prev_g = g.copy()
     _apply(block, state.m / denom, lr, cfg.weight_decay)
-    return block, state
 
 
 def step_ademamix(block, state, g, lr, cfg):
@@ -315,142 +342,56 @@ def step_ademamix(block, state, g, lr, cfg):
     state.v = cfg.beta_v * state.v + (1.0 - cfg.beta_v) * g * g
     denom = np.sqrt(state.v) + cfg.epsilon
     _apply(block, (state.m + cfg.ademamix_kappa * state.m_slow) / denom, lr, cfg.weight_decay)
-    return block, state
-
-
-def _oriented(a):
-    """The rows >= cols orientation the polar formulas assume."""
-    if a.shape[0] >= a.shape[1]:
-        return a, False
-    return a.T, True
-
-
-def _muon_momentum(state: BlockOptState, g, cfg: OptimizerConfig):
-    state.m = cfg.theta * state.m + g
-    return cfg.theta * state.m + g
-
-
-def _muon_scale(shape) -> float:
-    return 0.2 * math.sqrt(max(shape))
 
 
 def step_muon(block, state, g, lr, cfg):
-    """Polar-factor update on the accumulate-then-blend momentum u = theta*m + g."""
-    state.step += 1
-    u = _muon_momentum(state, g, cfg)
-    u_o, wide = _oriented(u)
-    polar = ns_polar(u_o)
-    direction = polar.T if wide else polar
-    _apply(block, _muon_scale(block.matrix.shape) * direction, lr, cfg.weight_decay)
-    return block, state
+    """Polar-factor update on the accumulate-then-blend momentum u = theta*m + g.
 
-
-def step_muon_lite(block, state, g, lr, cfg):
-    """Muon with the composite sharp projector splitting the update.
-
-    Both polar factors and the projector are computed from u = theta*m + g,
-    a positive multiple of the blended momentum m + g/theta; every consumer
-    is scale-invariant, so the two conventions define the same update while
-    u keeps the baseline's exact arithmetic.
+    A rank controller (muon_lite) adds the LITE stage: the composite sharp
+    projector of u, built on the polar factor already in hand, splits the
+    update, and the flat part and the gradient's polar factor are reweighted.
+    u is a positive multiple of the blended momentum m + g/theta and every
+    consumer is scale-invariant, so the two conventions define one update.
     """
     state.step += 1
-    pol = cfg.lite
-    u = _muon_momentum(state, g, cfg)
-    u_o, wide = _oriented(u)
-    polar_m = ns_polar(u_o)
-    proj, _ = composite_sharp_projection(u_o, state.rank_ctrl, polar=polar_m)
-    p_frob = frobenius(proj)
-    state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
-    state.last_sharp_mass = float(p_frob * p_frob)
-    if pol.is_trivial("muon"):
-        core = polar_m
-    else:
-        chi = pol.chi_for("muon")
-        g_o = g.T if wide else g
-        flat = np.eye(proj.shape[0]) - proj
-        core = polar_m @ (proj + chi * flat) \
-            + ns_polar(g_o) @ (pol.beta1 * proj + chi * pol.beta2 * flat)
+    state.m = cfg.theta * state.m + g
+    u = cfg.theta * state.m + g
+    wide = u.shape[0] < u.shape[1]
+    u_o = u.T if wide else u  # the rows >= cols orientation the polar formulas assume
+    core = ns_polar(u_o)
+    if state.rank_ctrl is not None:
+        pol = cfg.lite
+        proj, _ = composite_sharp_projection(u_o, state.rank_ctrl, polar=core)
+        p_frob = frobenius(proj)
+        state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
+        state.last_sharp_mass = float(p_frob * p_frob)
+        if not pol.is_trivial(block.role):
+            w_m, w_g = _lite_weights(pol, block.role, proj, np.eye(proj.shape[0]))
+            core = core @ w_m + ns_polar(g.T if wide else g) @ w_g
     direction = core.T if wide else core
-    _apply(block, _muon_scale(block.matrix.shape) * direction, lr, cfg.weight_decay)
-    return block, state
+    _apply(block, 0.2 * math.sqrt(max(block.matrix.shape)) * direction, lr, cfg.weight_decay)
 
 
-def _soap_moments(state: BlockOptState, g, cfg: OptimizerConfig):
-    """Shared first half of a SOAP step: rotate, update moments, precondition."""
+def step_soap(block, state, g, lr, cfg):
+    """Adam moments in the eigenbasis of the Gram EMAs, refreshed by QR every
+    qr_refresh_every steps; a mask controller (soap_lite) adds the LITE stage
+    on the rotated update."""
+    state.step += 1
     g_rot = state.q_l.T @ g @ state.q_r
     state.m = cfg.theta * state.m + (1.0 - cfg.theta) * g
     state.v = cfg.beta_v * state.v + (1.0 - cfg.beta_v) * g_rot * g_rot
     m_rot = state.q_l.T @ state.m @ state.q_r
     denom = np.sqrt(state.v) + cfg.epsilon
-    return g_rot, m_rot, denom
-
-
-def _soap_gram_refresh(state: BlockOptState, g, cfg: OptimizerConfig):
-    """Shared tail: Gram EMAs, and an eigenbasis refresh every k-th step."""
+    core = m_rot / denom
+    if state.mask_ctrl is not None:
+        core = _mask_and_update(state, cfg.lite, block.role, g_rot, denom, core)
+    _apply(block, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
     th = cfg.theta_shampoo
     state.gram_l = th * state.gram_l + (1.0 - th) * (g @ g.T)
     state.gram_r = th * state.gram_r + (1.0 - th) * (g.T @ g)
     if state.step % cfg.qr_refresh_every == 0:
         state.q_l, _ = qr_decompose(state.gram_l @ state.q_l)
         state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
-
-
-def step_soap(block, state, g, lr, cfg):
-    state.step += 1
-    _, m_rot, denom = _soap_moments(state, g, cfg)
-    core = m_rot / denom
-    _apply(block, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
-    _soap_gram_refresh(state, g, cfg)
-    return block, state
-
-
-def _mask_and_update(state: BlockOptState):
-    """Mask the second moment, advance the threshold controller, record the
-    sharp mass diagnostic. Returns the mask."""
-    ctrl = state.mask_ctrl
-    mask = smoothed_sharp_mask(state.v, ctrl)
-    mean = float(state.v.mean())
-    count_s = int((state.v > ctrl.l_s * mean).sum())
-    count_smooth = int((state.v > ctrl.l_smooth * mean).sum())
-    state.mask_ctrl = update_soap_controller(ctrl, count_s, count_smooth)
-    state.last_sharp_mass = float(mask.sum())
-    return mask
-
-
-def step_soap_lite(block, state, g, lr, cfg):
-    """SOAP with the smoothed sharp/flat mask reweighting the rotated update."""
-    state.step += 1
-    pol = cfg.lite
-    g_rot, m_rot, denom = _soap_moments(state, g, cfg)
-    mask = _mask_and_update(state)
-    if pol.is_trivial("muon"):
-        core = m_rot / denom
-    else:
-        chi = pol.chi_for("muon")
-        flat = 1.0 - mask
-        core = (pol.beta1 * mask + chi * pol.beta2 * flat) * (g_rot / denom) \
-            + (mask + chi * flat) * (m_rot / denom)
-    _apply(block, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
-    _soap_gram_refresh(state, g, cfg)
-    return block, state
-
-
-def step_adam_lite(block, state, g, lr, cfg):
-    """Masked elementwise stepper for embedding/norm blocks: the accelerated
-    update with identity rotations and no Gram state."""
-    state.step += 1
-    pol = cfg.lite
-    denom = _ema_mv(state, g, cfg)
-    mask = _mask_and_update(state)
-    if pol.is_trivial(block.role):
-        direction = state.m / denom
-    else:
-        chi = pol.chi_for(block.role)
-        flat = 1.0 - mask
-        direction = (pol.beta1 * mask + chi * pol.beta2 * flat) * (g / denom) \
-            + (mask + chi * flat) * (state.m / denom)
-    _apply(block, direction, lr, cfg.weight_decay)
-    return block, state
 
 
 _STEPPERS = {
@@ -461,9 +402,9 @@ _STEPPERS = {
     "ademamix": step_ademamix,
     "muon": step_muon,
     "soap": step_soap,
-    "muon_lite": step_muon_lite,
-    "soap_lite": step_soap_lite,
-    "adam_lite": step_adam_lite,
+    "muon_lite": step_muon,
+    "soap_lite": step_soap,
+    "adam_lite": step_adamw,
 }
 
 
@@ -483,4 +424,3 @@ def route_and_step(blocks, states, grads, step, schedule: ScheduleSpec,
     for name, g in zip(order, clipped):
         kind = resolve_stepper(cfg.family, blocks[name].role)
         _STEPPERS[kind](blocks[name], states[name], g, lr, cfg)
-    return blocks, states

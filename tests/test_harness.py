@@ -21,6 +21,7 @@ from flatopt.harness import (
     record_to_row,
     run_experiment,
 )
+from flatopt.optim import FAMILIES
 
 MINIMAL = """\
 run.seed = 42
@@ -103,6 +104,11 @@ class TestParseConfig:
         ("lite.beta1 = 0.5", "beta1 requires a lite family"),
         ("optimizer.theta = 1.5", "theta must be in"),
         ("schedule.total_steps = 10", "line 1: schedule.total_steps 10 is below run.steps 20"),
+        ("optimizer.family = mars\noptimizer.mars_gamma = 1.0",
+         "mars_gamma = 1 discards the current gradient"),
+        ("lite.chi_norm = 50.0", "line 1: unknown key 'lite.chi_norm'"),
+        ("optimizer.nesterov_beta = 0.9",
+         "line 1: optimizer.nesterov_beta is read only by n_adamw, not by family 'adamw'"),
     ])
     def test_rejections(self, mutation, fragment):
         # Swap the mutated line in for its original when the key already
@@ -117,6 +123,25 @@ class TestParseConfig:
             text = "\n".join(lines) + "\n"
         with pytest.raises(ConfigError, match=fragment.replace("[", "\\[").replace("(", "\\(")):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nesterov_beta", "0.9"), ("mars_gamma", "0.5"), ("ademamix_kappa", "7.0"),
+        ("alpha_fast", "0.2"), ("alpha_slow", "0.01"), ("theta_shampoo", "0.5"),
+        ("qr_refresh_every", "3"),
+    ])
+    def test_family_keys_only_for_their_families(self, key, value):
+        readers = {"nesterov_beta": {"n_adamw"}, "mars_gamma": {"mars"},
+                   "ademamix_kappa": {"ademamix"}, "alpha_fast": {"ademamix"},
+                   "alpha_slow": {"ademamix"}, "theta_shampoo": {"soap", "soap_lite"},
+                   "qr_refresh_every": {"soap", "soap_lite"}}[key]
+        for family in FAMILIES:
+            text = MINIMAL.replace("family = adamw", f"family = {family}") \
+                + f"optimizer.{key} = {value}\n"
+            if family in readers:
+                assert getattr(parse_config(text).optimizer, key) == float(value)
+            else:
+                with pytest.raises(ConfigError, match=f"line 8: optimizer.{key} is read only by"):
+                    parse_config(text)
 
     def test_line_numbers_in_errors(self):
         text = MINIMAL + "optimizer.weight_decay = nope\n"
@@ -310,8 +335,13 @@ class TestCli:
         RIVER_VALLEY.replace("family = adamw", "family = soap"),
         # a schedule that ends before the run does
         MINIMAL.replace("run.steps = 20", "run.steps = 30") + "schedule.total_steps = 20\n",
+        # a mars_gamma that discards the gradient, and knobs the run would not read
+        MINIMAL.replace("family = adamw", "family = mars") + "optimizer.mars_gamma = 1.0\n",
+        MLP_BASE.format(family="muon_lite") + "lite.chi_norm = 50.0\n",
+        MINIMAL + "optimizer.nesterov_beta = 0.9\n",
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
-            "soap-river_valley", "total_steps-below-steps"])
+            "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
+            "chi_norm", "nesterov_beta-adamw"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")

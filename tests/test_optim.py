@@ -14,6 +14,7 @@ import pytest
 
 from flatopt.optim import (
     FAMILIES,
+    LITE_FAMILIES,
     ROLES,
     LitePolicy,
     MatrixBlock,
@@ -27,14 +28,11 @@ from flatopt.optim import (
     route_and_step,
     step_adamw,
     step_ademamix,
-    step_adam_lite,
     step_lion,
     step_mars,
     step_muon,
-    step_muon_lite,
     step_n_adamw,
     step_soap,
-    step_soap_lite,
 )
 from flatopt.polar import ns_polar
 from flatopt.rng import SplitMix64
@@ -249,11 +247,8 @@ class TestMars:
         assert np.array_equal(b_m.matrix, b_a.matrix)
 
     def test_gamma_one_rejected(self):
-        block = scalar_block(0.0)
-        cfg = cfg_for("mars", mars_gamma=1.0)
-        state = init_state(block, cfg)
         with pytest.raises(ValueError, match="discards the current gradient"):
-            step_mars(block, state, np.ones((1, 1)), 0.01, cfg)
+            cfg_for("mars", mars_gamma=1.0)
 
 
 class TestAdemamix:
@@ -374,7 +369,7 @@ class TestMuonLite:
         s_m, s_l = init_state(b_m, cfg_m), init_state(b_l, cfg_l)
         for g in grads:
             step_muon(b_m, s_m, g, 0.02, cfg_m)
-            step_muon_lite(b_l, s_l, g, 0.02, cfg_l)
+            step_muon(b_l, s_l, g, 0.02, cfg_l)
             assert np.array_equal(b_m.matrix, b_l.matrix)
 
     def test_identity_projector_keeps_sharp_blend(self, monkeypatch):
@@ -387,7 +382,7 @@ class TestMuonLite:
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
         block = MatrixBlock("b", np.zeros((6, 4)), "muon")
         state = init_state(block, cfg)
-        step_muon_lite(block, state, g, 1.0, cfg)
+        step_muon(block, state, g, 1.0, cfg)
         u = cfg.theta * g + g
         expected = ns_polar(u) + pol.beta1 * ns_polar(g)
         np.testing.assert_allclose(block.matrix, -0.2 * math.sqrt(6) * expected,
@@ -403,7 +398,7 @@ class TestMuonLite:
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
         block = MatrixBlock("b", np.zeros((6, 4)), "muon")
         state = init_state(block, cfg)
-        step_muon_lite(block, state, g, 1.0, cfg)
+        step_muon(block, state, g, 1.0, cfg)
         u = cfg.theta * g + g
         expected = 2.0 * ns_polar(u) + 2.0 * 0.5 * ns_polar(g)
         np.testing.assert_allclose(block.matrix, -0.2 * math.sqrt(6) * expected,
@@ -426,7 +421,7 @@ class TestMuonLite:
         s_m, s_l = init_state(b_m, cfg_m), init_state(b_l, cfg_l)
         for g in grads:
             step_muon(b_m, s_m, g, 0.03, cfg_m)
-            step_muon_lite(b_l, s_l, g, 0.03, cfg_l)
+            step_muon(b_l, s_l, g, 0.03, cfg_l)
             assert np.array_equal(b_l.matrix, 4.0 * b_m.matrix)
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 10)], ids=["square", "wide"])
@@ -443,12 +438,12 @@ class TestMuonLite:
         b_ref = MatrixBlock("b", np.ones(shape), "muon")
         s_new, s_ref = init_state(b_new, cfg), init_state(b_ref, cfg)
         for g in grads:
-            step_muon_lite(b_new, s_new, g, 0.02, cfg)
+            step_muon(b_new, s_new, g, 0.02, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(optim_mod, "composite_sharp_projection",
                               lambda a, ctrl, schedule=None, polar=None:
                               polar_mod.composite_sharp_projection(a, ctrl, schedule))
-                step_muon_lite(b_ref, s_ref, g, 0.02, cfg)
+                step_muon(b_ref, s_ref, g, 0.02, cfg)
             assert np.array_equal(b_new.matrix, b_ref.matrix)
             assert s_new.rank_ctrl == s_ref.rank_ctrl
             assert s_new.last_sharp_mass == s_ref.last_sharp_mass
@@ -461,7 +456,7 @@ class TestMuonLite:
         initial_scale = state.rank_ctrl.scale_l
         assert initial_scale == 1.0 / math.sqrt(5)
         for g in grads:
-            step_muon_lite(block, state, g, 0.02, cfg)
+            step_muon(block, state, g, 0.02, cfg)
         assert state.rank_ctrl.scale_l != initial_scale
         assert isinstance(state.last_sharp_mass, float)
         assert state.last_sharp_mass >= 0.0
@@ -521,7 +516,7 @@ class TestSoapLite:
         s_s, s_l = init_state(b_s, cfg_s), init_state(b_l, cfg_l)
         for g in grads:
             step_soap(b_s, s_s, g, 0.01, cfg_s)
-            step_soap_lite(b_l, s_l, g, 0.01, cfg_l)
+            step_soap(b_l, s_l, g, 0.01, cfg_l)
             assert np.array_equal(b_s.matrix, b_l.matrix)
 
     def test_full_sharp_mask_blends_gradient(self):
@@ -534,7 +529,7 @@ class TestSoapLite:
                       qr_refresh_every=10 ** 6, lite=pol)
         block = MatrixBlock("b", np.zeros((4, 4)), "muon")
         state = init_state(block, cfg)
-        step_soap_lite(block, state, g, 0.25, cfg)
+        step_soap(block, state, g, 0.25, cfg)
         m = (1.0 - cfg.theta) * g
         denom = np.sqrt((1.0 - cfg.beta_v) * g * g) + cfg.epsilon
         expected = -0.25 * (pol.beta1 * g / denom + m / denom)
@@ -550,7 +545,7 @@ class TestSoapLite:
         b_s = MatrixBlock("b", np.zeros((4, 4)), "muon")
         s_l, s_s = init_state(b_l, cfg_l), init_state(b_s, cfg_s)
         force_flat_mask(s_l)
-        step_soap_lite(b_l, s_l, g, 0.1, cfg_l)
+        step_soap(b_l, s_l, g, 0.1, cfg_l)
         step_soap(b_s, s_s, g, 0.1, cfg_s)
         assert np.array_equal(b_l.matrix, 2.0 * b_s.matrix)
         assert s_l.last_sharp_mass == 0.0
@@ -566,7 +561,7 @@ class TestAdamLite:
         s_a, s_l = init_state(b_a, cfg_a), init_state(b_l, cfg_l)
         for g in grads:
             step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_adam_lite(b_l, s_l, g, 0.01, cfg_l)
+            step_adamw(b_l, s_l, g, 0.01, cfg_l)
             assert np.array_equal(b_a.matrix, b_l.matrix)
 
     def test_flat_mask_amplifies_chi_times_over_trajectory(self):
@@ -579,16 +574,14 @@ class TestAdamLite:
         force_flat_mask(s_l)
         for g in grads:
             step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_adam_lite(b_l, s_l, g, 0.01, cfg_l)
+            step_adamw(b_l, s_l, g, 0.01, cfg_l)
             assert np.array_equal(b_l.matrix, 4.0 * b_a.matrix)
 
     def test_per_role_chi_override(self):
         pol = LitePolicy(chi=1.0, chi_embedding=2.0)
         assert pol.chi_for("embedding") == 2.0
-        assert pol.chi_for("norm") == 1.0
         assert pol.chi_for("muon") == 1.0
         assert not pol.is_trivial("embedding")
-        assert pol.is_trivial("norm")
         assert pol.is_trivial("muon")
 
 
@@ -604,11 +597,35 @@ class TestRouting:
         for family, matrix_kind in (("muon_lite", "muon_lite"), ("soap_lite", "soap_lite")):
             expected[(family, "muon")] = matrix_kind
             expected[(family, "embedding")] = "adam_lite"
-            expected[(family, "norm")] = "adam_lite"
             expected[(family, "adam")] = "adamw"
             expected[(family, "output")] = "adamw"
         for (family, role), kind in expected.items():
             assert resolve_stepper(family, role) == kind
+
+    def test_controllers_follow_stepper_labels(self):
+        # a controller in the state is what switches on the LITE stage of
+        # step_muon, step_soap and step_adamw, so it must exist exactly for
+        # the lite labels; a lite family's output block is plain adamw
+        lite = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
+        cfg_a = cfg_for("adamw")
+        grads = gradient_stream(131, (3, 2), 30)
+        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=30)
+        for family in FAMILIES:
+            cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
+            for role in ROLES:
+                kind = resolve_stepper(family, role)
+                state = init_state(MatrixBlock("b", np.ones((3, 2)), role), cfg)
+                assert (state.rank_ctrl is not None) == (kind == "muon_lite")
+                assert (state.mask_ctrl is not None) == (kind in ("soap_lite", "adam_lite"))
+            if family in LITE_FAMILIES:
+                blocks = {"head": MatrixBlock("head", np.ones((3, 2)), "output")}
+                ref = MatrixBlock("head", np.ones((3, 2)), "output")
+                states = init_states(blocks, cfg)
+                ref_state = init_state(ref, cfg_a)
+                for k, g in enumerate(grads, start=1):
+                    route_and_step(blocks, states, {"head": g}, k, sched, cfg)
+                    step_adamw(ref, ref_state, g, 0.01, cfg_a)
+                    assert np.array_equal(blocks["head"].matrix, ref.matrix)
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown role"):
