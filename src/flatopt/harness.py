@@ -28,7 +28,7 @@ import numpy as np
 
 from .landscapes import (Landscape, MlpSpec, RiverValleySpec, mlp_landscape,
                          quadratic_landscape, river_valley_landscape)
-from .optim import (FAMILIES, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
+from .optim import (FAMILY_KEYS, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
                     init_states, lr_at, resolve_stepper, route_and_step)
 from .quadratic import QuadraticSpec
 
@@ -137,18 +137,6 @@ _SCHEMA = {
 _REQUIRED = (("run", "seed"), ("run", "steps"), ("landscape", "kind"),
              ("optimizer", "family"), ("schedule", "kind"), ("schedule", "lr_max"))
 
-# optimizer keys that only some families read; any other family rejects them,
-# as every family but the lite ones rejects the lite section
-_FAMILY_KEYS = {
-    "nesterov_beta": ("n_adamw",),
-    "mars_gamma": ("mars",),
-    "ademamix_kappa": ("ademamix",),
-    "alpha_fast": ("ademamix",),
-    "alpha_slow": ("ademamix",),
-    "theta_shampoo": ("soap", "soap_lite"),
-    "qr_refresh_every": ("soap", "soap_lite"),
-}
-
 _LANDSCAPE_KEYS = {
     "quadratic": {"required": ("eigenvalues",), "optional": ("offsets",)},
     "river_valley": {"required": ("sharp_dim", "flat_dim", "sharp_curvature"), "optional": ()},
@@ -217,9 +205,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for section, key in values:
         if section == "lite" and not is_lite:
             raise ConfigError(f"line {lines[(section, key)]}: {key} requires a lite family")
-        if section == "optimizer" and family not in _FAMILY_KEYS.get(key, FAMILIES):
+        if section == "optimizer" and key in FAMILY_KEYS and family not in FAMILY_KEYS[key]:
             raise ConfigError(f"line {lines[(section, key)]}: optimizer.{key} is read only by "
-                              f"{' and '.join(_FAMILY_KEYS[key])}, not by family '{family}'")
+                              f"{' and '.join(FAMILY_KEYS[key])}, not by family '{family}'")
     lite_items = {key: value for (section, key), value in values.items() if section == "lite"}
 
     try:

@@ -37,6 +37,18 @@ FAMILIES = ("adamw", "n_adamw", "lion", "mars", "ademamix",
 _ELEMENTWISE = {"adamw", "n_adamw", "lion", "mars", "ademamix"}
 LITE_FAMILIES = {"muon_lite", "soap_lite"}
 
+# OptimizerConfig fields that only some families' steppers read; parse_config
+# rejects them for any other family
+FAMILY_KEYS = {
+    "nesterov_beta": ("n_adamw",),
+    "mars_gamma": ("mars",),
+    "ademamix_kappa": ("ademamix",),
+    "alpha_fast": ("ademamix",),
+    "alpha_slow": ("ademamix",),
+    "theta_shampoo": ("soap", "soap_lite"),
+    "qr_refresh_every": ("soap", "soap_lite"),
+}
+
 
 @dataclasses.dataclass
 class MatrixBlock:

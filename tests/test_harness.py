@@ -21,7 +21,7 @@ from flatopt.harness import (
     record_to_row,
     run_experiment,
 )
-from flatopt.optim import FAMILIES
+from flatopt.optim import FAMILIES, FAMILY_KEYS
 
 MINIMAL = """\
 run.seed = 42
@@ -107,6 +107,7 @@ class TestParseConfig:
         ("optimizer.family = mars\noptimizer.mars_gamma = 1.0",
          "mars_gamma = 1 discards the current gradient"),
         ("lite.chi_norm = 50.0", "line 1: unknown key 'lite.chi_norm'"),
+        ("optimizer.family = sgd", "unknown family 'sgd'"),
         ("optimizer.nesterov_beta = 0.9",
          "line 1: optimizer.nesterov_beta is read only by n_adamw, not by family 'adamw'"),
     ])
@@ -130,14 +131,10 @@ class TestParseConfig:
         ("qr_refresh_every", "3"),
     ])
     def test_family_keys_only_for_their_families(self, key, value):
-        readers = {"nesterov_beta": {"n_adamw"}, "mars_gamma": {"mars"},
-                   "ademamix_kappa": {"ademamix"}, "alpha_fast": {"ademamix"},
-                   "alpha_slow": {"ademamix"}, "theta_shampoo": {"soap", "soap_lite"},
-                   "qr_refresh_every": {"soap", "soap_lite"}}[key]
         for family in FAMILIES:
             text = MINIMAL.replace("family = adamw", f"family = {family}") \
                 + f"optimizer.{key} = {value}\n"
-            if family in readers:
+            if family in FAMILY_KEYS[key]:
                 assert getattr(parse_config(text).optimizer, key) == float(value)
             else:
                 with pytest.raises(ConfigError, match=f"line 8: optimizer.{key} is read only by"):
@@ -339,9 +336,11 @@ class TestCli:
         MINIMAL.replace("family = adamw", "family = mars") + "optimizer.mars_gamma = 1.0\n",
         MLP_BASE.format(family="muon_lite") + "lite.chi_norm = 50.0\n",
         MINIMAL + "optimizer.nesterov_beta = 0.9\n",
+        # a family with no stepper, with a family-specific key set beside it
+        MINIMAL.replace("family = adamw", "family = sgd") + "optimizer.mars_gamma = 0.5\n",
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
-            "chi_norm", "nesterov_beta-adamw"])
+            "chi_norm", "nesterov_beta-adamw", "unknown-family"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")

@@ -14,6 +14,7 @@ import pytest
 
 from flatopt.optim import (
     FAMILIES,
+    FAMILY_KEYS,
     LITE_FAMILIES,
     ROLES,
     LitePolicy,
@@ -626,6 +627,32 @@ class TestRouting:
                     route_and_step(blocks, states, {"head": g}, k, sched, cfg)
                     step_adamw(ref, ref_state, g, 0.01, cfg_a)
                     assert np.array_equal(blocks["head"].matrix, ref.matrix)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nesterov_beta", 0.9), ("mars_gamma", 0.5), ("ademamix_kappa", 7.0),
+        ("alpha_fast", 0.2), ("alpha_slow", 0.01), ("theta_shampoo", 0.5),
+        ("qr_refresh_every", 3),
+    ])
+    def test_family_keys_name_what_the_steppers_read(self, key, value):
+        # parse_config rejects a FAMILY_KEYS entry for every family outside
+        # its readers, so the key must move exactly the readers' trajectories
+        lite = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
+        shapes = {"muon": (4, 3), "adam": (3, 2), "embedding": (5, 3), "output": (3, 2)}
+        grads = {role: gradient_stream(137 + i, shape, 12) for i, (role, shape) in enumerate(shapes.items())}
+        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=12)
+
+        def run(cfg):
+            blocks = {role: MatrixBlock(role, np.ones(shape), role) for role, shape in shapes.items()}
+            states = init_states(blocks, cfg)
+            for k in range(12):
+                route_and_step(blocks, states, {role: grads[role][k] for role in shapes}, k + 1, sched, cfg)
+            return np.concatenate([blocks[role].matrix.ravel() for role in shapes])
+
+        for family in FAMILIES:
+            extra = {"lite": lite} if family in LITE_FAMILIES else {}
+            moved = not np.array_equal(run(cfg_for(family, **extra)),
+                                       run(cfg_for(family, **extra, **{key: value})))
+            assert moved == (family in FAMILY_KEYS[key]), family
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown role"):
