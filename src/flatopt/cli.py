@@ -4,8 +4,8 @@ Subcommands: run (execute a config file), quadratic-report (per-curvature
 regime table as CSV), align (gradient-Gram coverage curves), dynamics-check
 (flow-discretization consistency suite), version.
 
-Exit statuses: 0 success, 2 usage, 3 config, 4 numerical error,
-10 diverged-by-design.
+Exit statuses: 0 success, 2 usage, 3 config or I/O error, 4 numerical
+error, 10 diverged-by-design; ``main`` maps every error to its status.
 """
 
 from __future__ import annotations
@@ -30,6 +30,24 @@ EXIT_NUMERICAL = 4
 EXIT_DIVERGED = 10
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _k_grid(raw: str) -> list:
+    """argparse type: a non-empty comma-separated list of integers."""
+    sizes = [int(part) for part in raw.split(",") if part.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one subspace size")
+    return sizes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flatopt",
                                      description="flat-direction optimizer experiments")
@@ -45,40 +63,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--eta", type=float, required=True)
     p_q.add_argument("--lambda-min", type=float, required=True)
     p_q.add_argument("--lambda-max", type=float, required=True)
-    p_q.add_argument("--points", type=int, required=True)
+    p_q.add_argument("--points", type=_int_at_least(1), required=True)
 
     p_a = sub.add_parser("align", help="gradient-Gram coverage curves for an MLP config")
     p_a.add_argument("--config", required=True)
-    p_a.add_argument("--train-steps", type=int, default=100)
-    p_a.add_argument("--d-s", type=int, default=4)
-    p_a.add_argument("--k-grid", default="4,8,16",
-                     help="comma-separated subspace sizes")
+    p_a.add_argument("--train-steps", type=_int_at_least(0), default=100)
+    p_a.add_argument("--d-s", type=_int_at_least(1), default=4)
+    p_a.add_argument("--k-grid", type=_k_grid, default="4,8,16",
+                     help="comma-separated subspace sizes, each >= --d-s")
 
     sub.add_parser("dynamics-check", help="flow and discretization consistency suite")
     sub.add_parser("version", help="print the version")
     return parser
 
 
+def _load_config(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_config(f.read())
+
+
 def _cmd_run(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(text)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        _, summary = run_experiment(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ArithmeticError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _, summary = run_experiment(_load_config(args.config))
     if summary["status"] == "diverged":
         print(summary["message"])
         return EXIT_DIVERGED
@@ -87,46 +92,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_quadratic_report(args) -> int:
-    if args.points < 1:
-        print("error: --points must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     print("lambda,T,D,discriminant,regime,dominant_modulus")
-    try:
-        for lam in np.linspace(args.lambda_min, args.lambda_max, args.points):
-            r = analyze_mode(float(lam), args.alpha, args.beta, args.eta)
-            print(f"{r.lam:.17g},{r.T:.17g},{r.D:.17g},{r.discriminant:.17g},"
-                  f"{r.regime},{r.dominant_modulus:.17g}")
-    except (ValueError, ArithmeticError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    for lam in np.linspace(args.lambda_min, args.lambda_max, args.points):
+        r = analyze_mode(float(lam), args.alpha, args.beta, args.eta)
+        print(f"{r.lam:.17g},{r.T:.17g},{r.D:.17g},{r.discriminant:.17g},"
+              f"{r.regime},{r.dominant_modulus:.17g}")
     return EXIT_OK
 
 
 def _cmd_align(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            config = parse_config(f.read())
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(args.config)
     if config.landscape_kind != "mlp":
-        print("config error: align requires landscape.kind = mlp", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        k_grid = [int(part) for part in args.k_grid.split(",") if part.strip()]
-    except ValueError:
-        print(f"error: malformed --k-grid '{args.k_grid}'", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("align requires landscape.kind = mlp")
     land = build_landscape(config)
-    try:
-        curves = alignment_experiment(land.spec, config.seed, args.train_steps,
-                                      args.d_s, k_grid)
-    except (ValueError, ArithmeticError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    curves = alignment_experiment(land.spec, config.seed, args.train_steps,
+                                  args.d_s, args.k_grid)
     print("block,side,k,coverage")
     for block in sorted(curves):
         for side in ("row", "col"):
@@ -135,7 +115,7 @@ def _cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dynamics_check() -> int:
+def _cmd_dynamics_check(args) -> int:
     checks = []
 
     quad = QuadraticSpec(np.array([4.0, 1.0]), np.zeros(2))
@@ -187,25 +167,38 @@ def _cmd_dynamics_check() -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _cmd_version(args) -> int:
+    print(__version__)
+    return EXIT_OK
+
+
+_COMMANDS = {"run": _cmd_run, "quadratic-report": _cmd_quadratic_report,
+             "align": _cmd_align, "dynamics-check": _cmd_dynamics_check,
+             "version": _cmd_version}
+
+
 def main(argv=None) -> int:
+    """Dispatch one subcommand; the only place an error becomes an exit status."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        if args.command == "align" and min(args.k_grid) < args.d_s:
+            parser.error(f"every --k-grid size must be >= --d-s {args.d_s}, got {args.k_grid}")
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "quadratic-report":
-        return _cmd_quadratic_report(args)
-    if args.command == "align":
-        return _cmd_align(args)
-    if args.command == "dynamics-check":
-        return _cmd_dynamics_check()
-    print(__version__)
-    return EXIT_OK
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, ArithmeticError) as err:
+        print(f"numerical error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -69,7 +69,10 @@ def _parse_int(raw: str) -> int:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"{raw!r} is not a number")
+    return value
 
 
 def _parse_str(raw: str) -> str:
@@ -77,7 +80,7 @@ def _parse_str(raw: str) -> str:
 
 
 def _parse_floats(raw: str):
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+    return tuple(_parse_float(part.strip()) for part in raw.split(",") if part.strip())
 
 
 def _parse_ints(raw: str):

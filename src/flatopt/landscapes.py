@@ -103,7 +103,7 @@ class RiverValleySpec:
     nearly flat profile along the floor itself.
 
     The default floor is c(x_f) = 0.1*sin(x_f) coordinatewise (requires
-    sharp_dim == flat_dim) and the default along-floor profile is a weak
+    sharp_dim == flat_dim); the along-floor profile is a weak
     quadratic with curvature sharp_curvature / 1e4.
     """
 
@@ -112,8 +112,6 @@ class RiverValleySpec:
     sharp_curvature: float
     center_fn: object = None
     center_jac: object = None
-    valley_fn: object = None
-    valley_grad: object = None
 
     def __post_init__(self):
         if self.sharp_dim < 1 or self.flat_dim < 1:
@@ -131,8 +129,6 @@ def river_valley_landscape(spec: RiverValleySpec) -> Landscape:
 
     center = spec.center_fn or (lambda xf: 0.1 * np.sin(xf))
     center_jac = spec.center_jac or (lambda xf: np.diag(0.1 * np.cos(xf)))
-    valley = spec.valley_fn or (lambda xf: float(0.5 * mu * (xf * xf).sum()))
-    valley_grad = spec.valley_grad or (lambda xf: mu * xf)
 
     s, f = spec.sharp_dim, spec.flat_dim
 
@@ -143,13 +139,13 @@ def river_valley_landscape(spec: RiverValleySpec) -> Landscape:
     def loss(w):
         xs, xf = split(w)
         r = xs - center(xf)
-        return float(0.5 * ls * (r * r).sum() + valley(xf))
+        return float(0.5 * ls * (r * r).sum() + 0.5 * mu * (xf * xf).sum())
 
     def grad(w):
         xs, xf = split(w)
         r = xs - center(xf)
         gs = ls * r
-        gf = -ls * (center_jac(xf).T @ r) + valley_grad(xf)
+        gf = -ls * (center_jac(xf).T @ r) + mu * xf
         return np.concatenate([gs, gf])
 
     blocks = {
@@ -293,19 +289,18 @@ def mlp_landscape(spec: MlpSpec, seed: int) -> MlpLandscape:
     return MlpLandscape(spec, seed)
 
 
-def _fd_hessian_on_coords(grad_fn, w, coords, rows=None):
+def _fd_hessian_on_coords(grad_fn, w, coords):
     """Central differences of grad_fn over the given coordinates.
 
-    Returns the |coords| x |coords| matrix of d(grad[rows])/d(w[coords]) with
-    rows defaulting to coords. Step 1e-5*(1+|w_i|) per coordinate.
+    Returns the |coords| x |coords| matrix of d(grad[coords])/d(w[coords]).
+    Step 1e-5*(1+|w_i|) per coordinate.
     """
-    rows = coords if rows is None else rows
     h_cols = []
     for j in coords:
         h = 1e-5 * (1.0 + abs(float(w[j])))
         wp = w.copy(); wp[j] += h
         wm = w.copy(); wm[j] -= h
-        h_cols.append((grad_fn(wp)[rows] - grad_fn(wm)[rows]) / (2.0 * h))
+        h_cols.append((grad_fn(wp)[coords] - grad_fn(wm)[coords]) / (2.0 * h))
     return np.stack(h_cols, axis=1)
 
 
@@ -376,19 +371,19 @@ def gram_alignment_curve(reference, gram, d_s: int, k_grid):
 
 
 def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
-                         k_grid, n_batches: int = 32, lr: float = 1e-3):
+                         k_grid, n_batches: int = 32):
     """Train briefly, then ask whether the top curvature directions of each
     block are covered by the top eigenspaces of the gradient Gram estimates.
 
-    Trains with adamw on fresh minibatches, accumulates mean G^T G and
-    G G^T over n_batches fresh gradients at the trained point, and compares
-    their top-k eigenspaces against the mean row/column Hessians. Returns
-    {block: {"row": curve, "col": curve}}.
+    Trains with adamw (constant lr 1e-3) on fresh minibatches, accumulates
+    mean G^T G and G G^T over n_batches fresh gradients at the trained
+    point, and compares their top-k eigenspaces against the mean row/column
+    Hessians. Returns {block: {"row": curve, "col": curve}}.
     """
     land = mlp_landscape(spec, seed)
     blocks = land.matrix_blocks(land.initial_point)
     cfg = OptimizerConfig("adamw")
-    sched = ScheduleSpec("constant", lr, 0, max(train_steps, 1))
+    sched = ScheduleSpec("constant", 1e-3, 0, max(train_steps, 1))
     states = init_states(blocks, cfg)
     for step in range(1, train_steps + 1):
         _, grads = land.loss_and_block_grads({n: b.matrix for n, b in blocks.items()}, step)

@@ -68,7 +68,7 @@ def qr_decompose(a):
     return q, r
 
 
-def sym_eig(a, sym_tol=1e-12):
+def sym_eig(a):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues descending, eigenvector matrix with matching columns).
@@ -80,7 +80,7 @@ def sym_eig(a, sym_tol=1e-12):
     if n != n2:
         raise ValueError(f"sym_eig needs a square matrix, got {a.shape}")
     asym = np.abs(a - a.T).max()
-    if asym > sym_tol * max(1.0, frobenius(a)):
+    if asym > 1e-12 * max(1.0, frobenius(a)):
         raise ValueError(f"sym_eig input is not symmetric (max |a - aᵀ| = {asym:.3e})")
     w = 0.5 * (a + a.T)
     v = np.eye(n)

@@ -29,23 +29,20 @@ NS_COEFFS = (
 
 @dataclass(frozen=True)
 class NsSchedule:
-    """Iteration count plus per-iteration coefficient triples (a, b, c).
+    """Iteration count; iteration k uses row k of NS_COEFFS, or its last row.
 
     The map x -> ax + bx³ + cx⁵ is odd, so mixed-sign spectra keep their
-    signs; any injected table must preserve that property.
+    signs.
     """
 
     iterations: int = 6
-    coefficients: tuple = NS_COEFFS
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if len(self.coefficients) < 1:
-            raise ValueError("coefficient table must not be empty")
 
     def row(self, k):
-        return self.coefficients[min(k, len(self.coefficients) - 1)]
+        return NS_COEFFS[min(k, len(NS_COEFFS) - 1)]
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,6 @@ class RankController:
 
     scale_l: float
     target_dim: int
-    up_factor: float = 1.05
-    down_factor: float = 0.95
 
     def __post_init__(self):
         if self.scale_l <= 0:
@@ -86,14 +81,14 @@ def ns_polar(a, schedule=None):
     return x.T if transposed else x
 
 
-def composite_sharp_projection(m_tilde, controller, schedule=None, polar=None):
+def composite_sharp_projection(m_tilde, controller, polar=None):
     """Sharp-direction projector P = TᵀT from the two-pass NS step function.
 
     T = ½ NS(M) + ½ NS(M/tau - NS(M)) keeps singular directions with
     sigma > tau = scale_l*‖M‖_F and suppresses the rest; P projects onto
     the corresponding right-singular subspace. Requires rows >= cols
     (callers pre-transpose wide blocks). A caller that already holds
-    NS(M), computed with the same schedule, may pass it as ``polar`` to
+    NS(M), computed with the default schedule, may pass it as ``polar`` to
     skip the first pass; the result is then bitwise the same.
     """
     m_tilde = as_matrix(m_tilde)
@@ -104,8 +99,8 @@ def composite_sharp_projection(m_tilde, controller, schedule=None, polar=None):
     if fro == 0.0:
         return np.zeros((n, n)), np.zeros_like(m_tilde)
     tau = controller.scale_l * fro
-    first = ns_polar(m_tilde, schedule) if polar is None else polar
-    t = 0.5 * first + 0.5 * ns_polar(m_tilde / tau - first, schedule)
+    first = ns_polar(m_tilde) if polar is None else polar
+    t = 0.5 * first + 0.5 * ns_polar(m_tilde / tau - first)
     return t.T @ t, t
 
 
@@ -114,5 +109,5 @@ def update_rank_controller(controller, p_frob):
     if p_frob < 0:
         raise ValueError("p_frob must be non-negative")
     if p_frob >= np.sqrt(controller.target_dim):
-        return replace(controller, scale_l=controller.scale_l * controller.up_factor)
-    return replace(controller, scale_l=controller.scale_l * controller.down_factor)
+        return replace(controller, scale_l=controller.scale_l * 1.05)
+    return replace(controller, scale_l=controller.scale_l * 0.95)

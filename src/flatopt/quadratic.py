@@ -33,8 +33,8 @@ class QuadraticSpec:
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         b = np.asarray(self.offsets, dtype=float)
-        if lam.ndim != 1 or b.shape != lam.shape:
-            raise ValueError(f"eigenvalues and offsets must be matching 1-D arrays, got {lam.shape} and {b.shape}")
+        if lam.ndim != 1 or lam.size == 0 or b.shape != lam.shape:
+            raise ValueError(f"eigenvalues and offsets must be matching non-empty 1-D arrays, got {lam.shape} and {b.shape}")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", lam)

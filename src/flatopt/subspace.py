@@ -84,7 +84,7 @@ def update_soap_controller(ctrl: SoapMaskController, count_above_s: int,
     return dataclasses.replace(ctrl, l_s=l_s, l_smooth=l_smooth)
 
 
-def coverage_score(basis_a, basis_b, orth_tol=1e-8) -> float:
+def coverage_score(basis_a, basis_b) -> float:
     """Fraction of span(basis_a) captured by span(basis_b).
 
     Computed as the nuclear norm of the cross-Gram basis_a^T basis_b divided
@@ -101,7 +101,7 @@ def coverage_score(basis_a, basis_b, orth_tol=1e-8) -> float:
         raise ValueError(f"basis_a has more columns than basis_b ({k_a} > {k_b})")
     for name, q in (("basis_a", a), ("basis_b", b)):
         gram_err = np.abs(q.T @ q - np.eye(q.shape[1])).max()
-        if gram_err > orth_tol:
+        if gram_err > 1e-8:
             raise ValueError(f"{name} columns not orthonormal (|QᵀQ − I| up to {gram_err:.3e})")
     _, sigma, _ = svd_oracle(a.T @ b)
     return float(np.clip(sigma.sum() / k_a, 0.0, 1.0))

@@ -89,6 +89,11 @@ class TestParseConfig:
         assert cfg.optimizer.lite.chi == 1.0
         assert cfg.optimizer.lite.beta1 == 0.0
 
+    def test_infinite_clip_norm_is_accepted(self):
+        cfg = parse_config(MINIMAL + "optimizer.clip_norm = inf\n")
+        assert cfg.optimizer.clip_norm == math.inf
+        assert run_experiment(cfg)[1]["status"] == "ok"
+
     @pytest.mark.parametrize("mutation,fragment", [
         ("garbage line", "line 1: expected 'section.key = value'"),
         ("runseed = 1", "must be 'section.key'"),
@@ -110,6 +115,14 @@ class TestParseConfig:
         ("optimizer.family = sgd", "unknown family 'sgd'"),
         ("optimizer.nesterov_beta = 0.9",
          "line 1: optimizer.nesterov_beta is read only by n_adamw, not by family 'adamw'"),
+        # NaN passes every range check, so the parser refuses it outright
+        ("schedule.lr_max = nan", "line 7: malformed value 'nan' for 'schedule.lr_max'"),
+        ("optimizer.epsilon = nan", "line 1: malformed value 'nan' for 'optimizer.epsilon'"),
+        ("lite.chi = NaN", "line 1: malformed value 'NaN' for 'lite.chi'"),
+        ("landscape.noise_sigma = nan",
+         "line 1: malformed value 'nan' for 'landscape.noise_sigma'"),
+        ("landscape.eigenvalues = 1, nan",
+         "line 4: malformed value '1, nan' for 'landscape.eigenvalues'"),
     ])
     def test_rejections(self, mutation, fragment):
         # Swap the mutated line in for its original when the key already
@@ -338,15 +351,54 @@ class TestCli:
         MINIMAL + "optimizer.nesterov_beta = 0.9\n",
         # a family with no stepper, with a family-specific key set beside it
         MINIMAL.replace("family = adamw", "family = sgd") + "optimizer.mars_gamma = 0.5\n",
+        # NaN values and an empty spectrum
+        MINIMAL.replace("lr_max = 0.01", "lr_max = nan"),
+        MINIMAL + "optimizer.epsilon = nan\n",
+        MLP_BASE.format(family="muon_lite") + "lite.chi = nan\n",
+        MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
+        MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1, nan"),
+        MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = ,"),
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
-            "chi_norm", "nesterov_beta-adamw", "unknown-family"])
+            "chi_norm", "nesterov_beta-adamw", "unknown-family", "lr_max-nan",
+            "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")
         assert main(["run", "--config", path]) == 3
         assert "config error" in capsys.readouterr().err
         assert not csv.exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["align", "--config", "{big_mlp}"], 3,
+         "config error: parameter count 40800 exceeds the 20000 budget"),
+        (["run", "--config", "{missing_dir}"], 3, "error: [Errno 2] No such file or directory"),
+        (["align", "--config", "{mlp}", "--d-s", "0"], 2, "argument --d-s: must be >= 1"),
+        (["align", "--config", "{mlp}", "--d-s", "2", "--k-grid", "1"], 2,
+         "every --k-grid size must be >= --d-s 2"),
+        (["align", "--config", "{mlp}", "--train-steps", "-3"], 2,
+         "argument --train-steps: must be >= 0"),
+        (["align", "--config", "{mlp}", "--k-grid", ","], 2,
+         "argument --k-grid: needs at least one subspace size"),
+    ], ids=["align-over-budget", "run-output-in-missing-dir", "align-d_s-zero",
+            "align-k-below-d_s", "align-negative-train-steps", "align-empty-k-grid"])
+    def test_rejected_without_traceback(self, tmp_path, capsys, monkeypatch, argv, code, message):
+        # none of these may reach the alignment training loop
+        monkeypatch.setattr("flatopt.cli.alignment_experiment",
+                            lambda *a, **kw: pytest.fail("alignment_experiment was called"))
+        missing = tmp_path / "missing" / "out.csv"
+        paths = {
+            "big_mlp": self.write(tmp_path, MLP_BASE.format(family="adamw")
+                                  .replace("6, 8, 8, 4", "200, 200, 4"), "big.cfg"),
+            "missing_dir": self.write(tmp_path, MINIMAL + f"run.output_path = {missing}\n",
+                                      "missing.cfg"),
+            "mlp": self.write(tmp_path, MLP_BASE.format(family="adamw")),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not missing.parent.exists()
 
     def test_run_divergence_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", self.write(tmp_path, DIVERGENT)])

@@ -443,7 +443,7 @@ class TestMuonLite:
             with monkeypatch.context() as patch:
                 patch.setattr(optim_mod, "composite_sharp_projection",
                               lambda a, ctrl, schedule=None, polar=None:
-                              polar_mod.composite_sharp_projection(a, ctrl, schedule))
+                              polar_mod.composite_sharp_projection(a, ctrl))
                 step_muon(b_ref, s_ref, g, 0.02, cfg)
             assert np.array_equal(b_new.matrix, b_ref.matrix)
             assert s_new.rank_ctrl == s_ref.rank_ctrl
@@ -584,6 +584,35 @@ class TestAdamLite:
         assert pol.chi_for("muon") == 1.0
         assert not pol.is_trivial("embedding")
         assert pol.is_trivial("muon")
+
+
+class TestTrivialPolicySkip:
+    @pytest.mark.parametrize("family,role,stepper", [
+        ("muon_lite", "muon", step_muon),
+        ("soap_lite", "muon", step_soap),
+        ("soap_lite", "embedding", step_adamw),
+    ], ids=["muon_lite", "soap_lite", "adam_lite"])
+    @pytest.mark.parametrize("policy,blends_per_step", [
+        (LitePolicy(), 0),
+        (LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0), 1),
+    ], ids=["trivial", "chi4"])
+    def test_blend_runs_only_for_a_non_trivial_policy(self, monkeypatch, family, role,
+                                                      stepper, policy, blends_per_step):
+        # a trivial policy's weights are exactly identity and zero, so only
+        # this count shows whether the stage skipped the blend
+        import flatopt.optim as optim_mod
+
+        calls = []
+        lite_weights = optim_mod._lite_weights
+        monkeypatch.setattr(optim_mod, "_lite_weights",
+                            lambda *args: calls.append(args) or lite_weights(*args))
+        cfg = cfg_for(family, qr_refresh_every=3, lite=policy)
+        block = MatrixBlock("b", np.ones((6, 4)), role)
+        state = init_state(block, cfg)
+        for g in gradient_stream(113, (6, 4), 10):
+            stepper(block, state, g, 0.01, cfg)
+        assert len(calls) == 10 * blends_per_step
+        assert state.last_sharp_mass is not None
 
 
 class TestRouting:

@@ -95,8 +95,6 @@ class TestScheduleContraction:
     def test_validation(self):
         with pytest.raises(ValueError):
             NsSchedule(iterations=0)
-        with pytest.raises(ValueError):
-            NsSchedule(coefficients=())
 
 
 class TestCompositeProjection:
@@ -170,7 +168,6 @@ class TestRankController:
         before = RankController(scale_l=0.7, target_dim=5)
         after = update_rank_controller(before, 10.0)
         assert after.target_dim == before.target_dim
-        assert after.up_factor == before.up_factor
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             QuadraticSpec(np.array([1.0, 2.0]), np.zeros(2))
 
+    def test_empty_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            QuadraticSpec(np.array([]), np.array([]))
+
     def test_stationary_point(self):
         spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([4.0, -3.0]))
         assert np.allclose(spec.stationary_point(), [-2.0, 3.0])
