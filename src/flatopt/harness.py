@@ -250,12 +250,8 @@ def build_landscape(config: ExperimentConfig) -> Landscape:
             b = np.array(params.get("offsets", np.zeros(lam.size)), dtype=float)
             return quadratic_landscape(QuadraticSpec(lam, b))
         if config.landscape_kind == "river_valley":
-            return river_valley_landscape(RiverValleySpec(
-                params["sharp_dim"], params["flat_dim"], params["sharp_curvature"]))
-        spec = MlpSpec(tuple(params["widths"]),
-                       batch_size=params.get("batch_size", 32),
-                       noise_sigma=params.get("noise_sigma", 0.01))
-        return mlp_landscape(spec, config.seed)
+            return river_valley_landscape(RiverValleySpec(**params))
+        return mlp_landscape(MlpSpec(**params), config.seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 

@@ -378,7 +378,8 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
     Trains with adamw (constant lr 1e-3) on fresh minibatches, accumulates
     mean G^T G and G G^T over n_batches fresh gradients at the trained
     point, and compares their top-k eigenspaces against the mean row/column
-    Hessians. Returns {block: {"row": curve, "col": curve}}.
+    Hessians. Each k is clamped to the side's dimension and a size repeated
+    by the clamp is dropped. Returns {block: {"row": curve, "col": curve}}.
     """
     land = mlp_landscape(spec, seed)
     blocks = land.matrix_blocks(land.initial_point)
@@ -398,6 +399,10 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
             gram_r[name] += g.T @ g
             gram_l[name] += g @ g.T
 
+    def sizes(side):
+        # k above the side collapses onto it; each size is kept once, in grid order
+        return list(dict.fromkeys(min(int(k), side) for k in k_grid))
+
     w = land.pack(mats)
     curves = {}
     for name, layout in land.blocks.items():
@@ -405,9 +410,7 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
         row_ref = mean_row_hessian(land, name, w)
         col_ref = mean_col_hessian(land, name, w)
         curves[name] = {
-            "row": gram_alignment_curve(row_ref, gram_r[name] / n_batches, min(d_s, n),
-                                        [min(int(k), n) for k in k_grid]),
-            "col": gram_alignment_curve(col_ref, gram_l[name] / n_batches, min(d_s, m),
-                                        [min(int(k), m) for k in k_grid]),
+            "row": gram_alignment_curve(row_ref, gram_r[name] / n_batches, min(d_s, n), sizes(n)),
+            "col": gram_alignment_curve(col_ref, gram_l[name] / n_batches, min(d_s, m), sizes(m)),
         }
     return curves

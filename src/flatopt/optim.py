@@ -4,13 +4,15 @@ Families: elementwise baselines (adamw, n_adamw, lion, mars, ademamix),
 matrix-preconditioned baselines (muon, soap), and their flat-direction
 accelerated variants (muon_lite, soap_lite).
 
-LITE is a stage of the baseline steppers, not a stepper of its own.
-step_muon, step_soap and step_adamw run it when the block's state holds a
-controller, which init_state allocates for the stepper kinds muon_lite,
-soap_lite and adam_lite (a lite family's embedding blocks). The stage splits
-the base update into sharp and flat parts, by the composite projector or by
-the smoothed second-moment mask, and reweights them by chi and (beta1,
-beta2).
+Two tables are the one place that decides routing, state and the LITE
+stage: FAMILIES gives each family's stepper kind per block role, and KINDS
+gives each kind its stepper, the state arrays it keeps beside m, its LITE
+controller and the config keys only it reads.
+
+LITE is a stage of step_muon, step_soap and step_adamw, not a stepper of its
+own: it runs when the block's state holds a controller, splits the base
+update into sharp and flat parts (composite projector or smoothed
+second-moment mask) and reweights them by chi and (beta1, beta2).
 
 Bit-exactness: with chi=1 and beta1=beta2=0 a lite family reproduces its
 baseline entrywise over whole trajectories, because both run the one base
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,22 +34,18 @@ from .subspace import SoapMaskController, smoothed_sharp_mask, update_soap_contr
 
 ROLES = ("muon", "adam", "embedding", "output")
 
-FAMILIES = ("adamw", "n_adamw", "lion", "mars", "ademamix",
-            "muon", "soap", "muon_lite", "soap_lite")
-
-_ELEMENTWISE = {"adamw", "n_adamw", "lion", "mars", "ademamix"}
-LITE_FAMILIES = {"muon_lite", "soap_lite"}
-
-# OptimizerConfig fields that only some families' steppers read; parse_config
-# rejects them for any other family
-FAMILY_KEYS = {
-    "nesterov_beta": ("n_adamw",),
-    "mars_gamma": ("mars",),
-    "ademamix_kappa": ("ademamix",),
-    "alpha_fast": ("ademamix",),
-    "alpha_slow": ("ademamix",),
-    "theta_shampoo": ("soap", "soap_lite"),
-    "qr_refresh_every": ("soap", "soap_lite"),
+# family -> stepper kind per role, in ROLES order. The lite families put the
+# mask stage (adam_lite) on embedding blocks only; output blocks stay plain.
+FAMILIES = {
+    "adamw": ("adamw",) * 4,
+    "n_adamw": ("n_adamw",) * 4,
+    "lion": ("lion",) * 4,
+    "mars": ("mars",) * 4,
+    "ademamix": ("ademamix",) * 4,
+    "muon": ("muon", "adamw", "adamw", "adamw"),
+    "soap": ("soap", "adamw", "adamw", "adamw"),
+    "muon_lite": ("muon_lite", "adamw", "adam_lite", "adamw"),
+    "soap_lite": ("soap_lite", "adamw", "adam_lite", "adamw"),
 }
 
 
@@ -157,8 +156,9 @@ class OptimizerConfig:
             raise ValueError("qr_refresh_every must be ≥ 1")
         if self.mars_gamma == 1.0:
             raise ValueError("mars_gamma = 1 discards the current gradient; rejected")
-        if self.family in LITE_FAMILIES and self.lite is None:
-            raise ValueError(f"family '{self.family}' requires a lite policy")
+        if (self.lite is None) == (self.family in LITE_FAMILIES):
+            need = "requires a lite policy" if self.lite is None else "takes no lite policy"
+            raise ValueError(f"family '{self.family}' {need}")
 
 
 @dataclasses.dataclass
@@ -181,59 +181,34 @@ class BlockOptState:
 
 
 def resolve_stepper(family: str, role: str) -> str:
-    """Stepper kind for a (family, role) pair.
-
-    Matrix families precondition only muon-role blocks and fall back to adamw
-    elsewhere. The accelerated families route embedding blocks to adamw with
-    the mask stage (adam_lite) and keep output (and generic adam) blocks on
-    plain adamw: the output block is excluded from acceleration by policy.
-    """
+    """Stepper kind for a (family, role) pair, read from FAMILIES."""
     if role not in ROLES:
         raise ValueError(f"unknown role '{role}'")
-    if family in _ELEMENTWISE:
-        return family
-    if family == "muon":
-        return "muon" if role == "muon" else "adamw"
-    if family == "soap":
-        return "soap" if role == "muon" else "adamw"
-    if family == "muon_lite":
-        if role == "muon":
-            return "muon_lite"
-        return "adam_lite" if role == "embedding" else "adamw"
-    if family == "soap_lite":
-        if role == "muon":
-            return "soap_lite"
-        return "adam_lite" if role == "embedding" else "adamw"
-    raise ValueError(f"no stepper for family '{family}' with role '{role}'")
+    if family not in FAMILIES:
+        raise ValueError(f"no stepper for family '{family}' with role '{role}'")
+    return FAMILIES[family][ROLES.index(role)]
 
 
 def init_state(block: MatrixBlock, cfg: OptimizerConfig) -> BlockOptState:
     shape = block.matrix.shape
     rows, cols = shape
-    kind = resolve_stepper(cfg.family, block.role)
-    state = BlockOptState(m=np.zeros(shape))
-    if kind in ("adamw", "n_adamw", "mars", "ademamix", "adam_lite", "soap", "soap_lite"):
-        state.v = np.zeros(shape)
-    if kind == "mars":
-        state.prev_g = np.zeros(shape)
-    if kind == "ademamix":
-        state.m_slow = np.zeros(shape)
-    if kind in ("soap", "soap_lite"):
+    kind = KINDS[resolve_stepper(cfg.family, block.role)]
+    state = BlockOptState(m=np.zeros(shape), **{name: np.zeros(shape) for name in kind.arrays})
+    if kind.step is step_soap:
         state.gram_l = np.zeros((rows, rows))
         state.gram_r = np.zeros((cols, cols))
         state.q_l = np.eye(rows)
         state.q_r = np.eye(cols)
-    if kind == "muon_lite":
+    if kind.controller == "rank":
         n = min(rows, cols)
         d_s = math.ceil(cfg.lite.r_s * n)
         # 1/sqrt(n) puts the initial threshold at the RMS singular value; the
         # feedback loop takes it from there.
         state.rank_ctrl = RankController(scale_l=1.0 / math.sqrt(n), target_dim=d_s)
-    if kind in ("adam_lite", "soap_lite"):
+    if kind.controller == "mask":
         count = rows * cols
-        d_s = math.ceil(cfg.lite.r_s * count)
-        d_smooth = math.ceil(cfg.lite.d_smooth_ratio * count)
-        state.mask_ctrl = SoapMaskController(d_s=d_s, d_smooth=d_smooth)
+        state.mask_ctrl = SoapMaskController(d_s=math.ceil(cfg.lite.r_s * count),
+                                             d_smooth=math.ceil(cfg.lite.d_smooth_ratio * count))
     return state
 
 
@@ -406,18 +381,34 @@ def step_soap(block, state, g, lr, cfg):
         state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
 
 
-_STEPPERS = {
-    "adamw": step_adamw,
-    "n_adamw": step_n_adamw,
-    "lion": step_lion,
-    "mars": step_mars,
-    "ademamix": step_ademamix,
-    "muon": step_muon,
-    "soap": step_soap,
-    "muon_lite": step_muon,
-    "soap_lite": step_soap,
-    "adam_lite": step_adamw,
+class StepperKind(NamedTuple):
+    step: Callable
+    arrays: tuple  # state arrays of the block's shape kept beside m
+    controller: str | None  # LITE controller: "rank", "mask" or None
+    keys: tuple = ()  # OptimizerConfig fields that only this kind reads
+
+
+KINDS = {
+    "adamw": StepperKind(step_adamw, ("v",), None),
+    "n_adamw": StepperKind(step_n_adamw, ("v",), None, ("nesterov_beta",)),
+    "lion": StepperKind(step_lion, (), None),
+    "mars": StepperKind(step_mars, ("v", "prev_g"), None, ("mars_gamma",)),
+    "ademamix": StepperKind(step_ademamix, ("v", "m_slow"), None,
+                            ("ademamix_kappa", "alpha_fast", "alpha_slow")),
+    "muon": StepperKind(step_muon, (), None),
+    "soap": StepperKind(step_soap, ("v",), None, ("theta_shampoo", "qr_refresh_every")),
+    "muon_lite": StepperKind(step_muon, (), "rank"),
+    "soap_lite": StepperKind(step_soap, ("v",), "mask", ("theta_shampoo", "qr_refresh_every")),
+    "adam_lite": StepperKind(step_adamw, ("v",), "mask"),
 }
+
+LITE_FAMILIES = {family for family, kinds in FAMILIES.items()
+                 if any(KINDS[k].controller for k in kinds)}
+
+# key -> the families that read it, in FAMILIES order; parse_config rejects others
+FAMILY_KEYS = {key: tuple(family for family, kinds in FAMILIES.items()
+                          if any(key in KINDS[k].keys for k in kinds))
+               for kind in KINDS.values() for key in kind.keys}
 
 
 def route_and_step(blocks, states, grads, step, schedule: ScheduleSpec,
@@ -434,5 +425,5 @@ def route_and_step(blocks, states, grads, step, schedule: ScheduleSpec,
     lr = lr_at(schedule, step)
     clipped = clip_global_norm([grads[name] for name in order], cfg.clip_norm)
     for name, g in zip(order, clipped):
-        kind = resolve_stepper(cfg.family, blocks[name].role)
-        _STEPPERS[kind](blocks[name], states[name], g, lr, cfg)
+        kind = KINDS[resolve_stepper(cfg.family, blocks[name].role)]
+        kind.step(blocks[name], states[name], g, lr, cfg)

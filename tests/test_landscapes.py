@@ -306,6 +306,20 @@ class TestAlignmentCurves:
         with pytest.raises(ValueError, match="below the reference dimension"):
             gram_alignment_curve(ref, ref, d_s=2, k_grid=[1])
 
+    def test_clamped_sizes_appear_once(self):
+        # 8 exceeds the 6- and 4-sized sides; the clamp must not repeat a size
+        spec = MlpSpec(widths=(6, 8, 4), batch_size=8)
+        sides = {name: {"row": layout.shape[1], "col": layout.shape[0]}
+                 for name, layout in mlp_landscape(spec, 29).blocks.items()}
+        curves = alignment_experiment(spec, seed=29, train_steps=2, d_s=2,
+                                      k_grid=(2, 4, 8, 8), n_batches=4)
+        assert set(curves) == set(sides)
+        for name, by_side in curves.items():
+            for side, curve in by_side.items():
+                ks = [k for k, _ in curve]
+                assert all(a < b for a, b in zip(ks, ks[1:])), (name, side, ks)
+                assert ks[-1] == min(8, sides[name][side]), (name, side, ks)
+
     def test_experiment_produces_valid_curves(self):
         spec = MlpSpec(widths=(6, 8, 4), batch_size=8, noise_sigma=0.01)
         curves = alignment_experiment(spec, seed=29, train_steps=5, d_s=2,

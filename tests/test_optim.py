@@ -683,6 +683,25 @@ class TestRouting:
                                        run(cfg_for(family, **extra, **{key: value})))
             assert moved == (family in FAMILY_KEYS[key]), family
 
+    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_allocated_array_is_used(self, family, role):
+        # init_state allocates the arrays KINDS lists for the routed kind; one
+        # step with a non-zero gradient (and a QR refresh) must move each of
+        # them, or the table lists state its stepper never reads
+        extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family in LITE_FAMILIES else {}
+        cfg = cfg_for(family, qr_refresh_every=1, **extra)
+        blocks = {"b": MatrixBlock("b", np.ones((4, 3)), role)}
+        states = init_states(blocks, cfg)
+        initial = init_state(MatrixBlock("b", np.ones((4, 3)), role), cfg)
+        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=1)
+        route_and_step(blocks, states, {"b": gradient_stream(149, (4, 3), 1)[0]}, 1, sched, cfg)
+        arrays = [f.name for f in dataclasses.fields(initial)
+                  if isinstance(getattr(initial, f.name), np.ndarray)]
+        assert "m" in arrays
+        for name in arrays:
+            assert not np.array_equal(getattr(states["b"], name), getattr(initial, name)), name
+
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown role"):
             resolve_stepper("adamw", "conv")
@@ -828,6 +847,12 @@ class TestConfigValidation:
     def test_lite_families_require_policy(self):
         with pytest.raises(ValueError, match="requires a lite policy"):
             OptimizerConfig(family="muon_lite")
+
+    @pytest.mark.parametrize("family", ["adamw", "n_adamw", "lion", "mars", "ademamix", "muon", "soap"])
+    def test_policy_rejected_without_lite_stage(self, family):
+        # a family with no LITE stage would run as if the policy were absent
+        with pytest.raises(ValueError, match="takes no lite policy"):
+            OptimizerConfig(family=family, lite=LitePolicy(chi=4.0))
 
     def test_policy_chi_at_least_one(self):
         with pytest.raises(ValueError, match="chi"):
