@@ -333,7 +333,7 @@ def run_experiment(config: ExperimentConfig):
                     per_block = {}
                     for name in names:
                         delta = blocks[name].matrix - before[name]
-                        rms = math.sqrt(float((delta * delta).mean()))
+                        rms = math.sqrt(float((delta * delta).sum()) / delta.size)
                         per_block[name] = _block_telemetry(name, states[name], rms)
                     record = TrajectoryRecord(step=step, lr=lr_at(config.schedule, step),
                                               loss=loss, global_grad_norm=grad_norm, blocks=per_block)

@@ -265,7 +265,7 @@ class MlpLandscape(Landscape):
             if i > 0:
                 # tanh' = 1 - tanh^2, and acts[i] already holds tanh(z)
                 delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
-        return float((r * r).mean()), grads
+        return float((r * r).sum()) / r.size, grads
 
     def loss_on_batch(self, w, batch) -> float:
         return self._loss_and_grads(self.unpack(w), batch)[0]

@@ -275,7 +275,7 @@ def _mask_and_update(state: BlockOptState, pol: LitePolicy, role: str, g, denom,
     reweight core = momentum/denom unless the policy is trivial."""
     ctrl = state.mask_ctrl
     mask = smoothed_sharp_mask(state.v, ctrl)
-    mean = float(state.v.mean())
+    mean = float(state.v.sum()) / state.v.size
     count_s = int((state.v > ctrl.l_s * mean).sum())
     count_smooth = int((state.v > ctrl.l_smooth * mean).sum())
     state.mask_ctrl = update_soap_controller(ctrl, count_s, count_smooth)

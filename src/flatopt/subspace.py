@@ -56,7 +56,7 @@ def smoothed_sharp_mask(v, ctrl: SoapMaskController):
     v = as_matrix(v)
     if (v < 0).any():
         raise ValueError("mask input must be non-negative")
-    mean = float(v.mean())
+    mean = float(v.sum()) / v.size
     tau_s = ctrl.l_s * mean
     tau_smooth = ctrl.l_smooth * mean
     if tau_s == tau_smooth:

@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,118 @@ def test_child_streams_independent():
     SplitMix64(derive_seed(seed, "b")).normal(1000)
     a_again = SplitMix64(derive_seed(seed, "a")).normal(10)
     assert np.array_equal(a_then, a_again)
+
+
+class TestRejections:
+    def test_empty_integer_range(self):
+        with pytest.raises(ValueError, match="empty integer range"):
+            SplitMix64(1).integers(4, 4)
+
+    def test_inverted_integer_range(self):
+        with pytest.raises(ValueError, match="empty integer range"):
+            SplitMix64(1).integers(9, 3, 5)
+
+    @pytest.mark.parametrize("draw", [
+        lambda r: r.normal(-2),
+        lambda r: r.normal((3, -1)),
+        lambda r: r.uniform(-1),
+        lambda r: r.integers(0, 3, -1),
+    ], ids=["normal_int", "normal_tuple", "uniform", "integers"])
+    def test_negative_size(self, draw):
+        r = SplitMix64(1)
+        with pytest.raises(ValueError, match="draw size must be >= 0"):
+            draw(r)
+        assert r.state == 1
+
+
+_MASK = (1 << 64) - 1
+
+
+# The numpy-scalar implementation the Python-int and uint64-array fast path
+# replaced; the fast path must reproduce it bit for bit.
+def _reference_mix(z):
+    with np.errstate(over="ignore"):
+        z = np.uint64(z) if np.isscalar(z) or isinstance(z, int) else z
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _reference_derive_seed(seed, label):
+    h = 0xCBF29CE484222325
+    for byte in label.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK
+    return int(_reference_mix(np.uint64((seed ^ h) & _MASK)))
+
+
+class _ReferenceStream:
+    def __init__(self, seed):
+        self.state = int(seed) & _MASK
+
+    def _raw(self, n):
+        with np.errstate(over="ignore"):
+            ks = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            zs = _reference_mix(np.uint64(self.state) + ks)
+        self.state = (self.state + n * 0x9E3779B97F4A7C15) & _MASK
+        return zs
+
+    def uniform(self, n):
+        return ((self._raw(n) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+
+    def normal(self, shape):
+        count = int(np.prod(shape))
+        pairs = (count + 1) // 2
+        u = self.uniform(2 * pairs)
+        r = np.sqrt(-2.0 * np.log(u[:pairs]))
+        theta = 2.0 * np.pi * u[pairs:]
+        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+        return out.reshape(shape)
+
+
+EDGE_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1]
+_SEED_SOURCE = random.Random(2024)
+RANDOM_SEEDS = [_SEED_SOURCE.getrandbits(64) for _ in range(6)]
+LABELS = ["", "data/x", "batch/12345/noise", "teacher/l0/ÿ-é→σ"]
+SHAPES = [7, np.int64(5), (3, 5), [1, 9], (np.int64(3), 3), (1,), (0,), (3, 1, 3)]
+
+
+class TestFastPathMatchesReference:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
+    def test_derive_seed(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for label in LABELS:
+                got = derive_seed(seed, label)
+                assert type(got) is int
+                assert got == _reference_derive_seed(seed, label)
+                from_numpy = derive_seed(np.uint64(seed), label)
+                assert type(from_numpy) is int and from_numpy == got
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
+    def test_consecutive_draws_and_state(self, seed):
+        fast, ref = SplitMix64(seed), _ReferenceStream(seed)
+        for n, shape in zip([1, 4, 0, 33, 2, 5, 8, 3], SHAPES):
+            a, b = fast.uniform(n), ref.uniform(n)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert fast.state == ref.state
+            a, b = fast.normal(shape), ref.normal(shape)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert fast.state == ref.state
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=repr)
+    def test_normal_shapes(self, shape):
+        a, b = SplitMix64(77).normal(shape), _ReferenceStream(77).normal(shape)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_wraparound_raises_no_warning(self):
+        # no errstate guard is left: uint64 array arithmetic must wrap silently
+        seed = 2 ** 64 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            derive_seed(seed, "batch/1/x")
+            r = SplitMix64(seed)
+            r.uniform(9)
+            r.normal((3, 3))
+            r.integers(0, 7, 5)
+            assert r.state == (seed + 9 * 0x9E3779B97F4A7C15 + 10 * 0x9E3779B97F4A7C15
+                               + 5 * 0x9E3779B97F4A7C15) & _MASK
