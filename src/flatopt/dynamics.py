@@ -1,8 +1,9 @@
 """Continuous-time views of the optimizers: the damped second-order system,
-its first-order momentum form, the split-direction flow with a sharp
-projector, a semi-implicit Euler discretization that reproduces the discrete
-update at h = 1, the two Nesterov formulations traced side by side, and the
-third-order identity satisfied by the two-timescale momentum flow.
+its first-order momentum flow (one flow that splits into a sharp part and a
+chi-amplified flat part when a sharp projector is set), a semi-implicit
+Euler discretization that reproduces the discrete update at h = 1, an RK4
+reference integrator, the two Nesterov formulations traced side by side, and
+the third-order identity satisfied by the two-timescale momentum flow.
 
 All flows live on flat parameter vectors; the metric, when present, is a
 constant SPD matrix (the regime where the curvature-correction terms vanish
@@ -48,7 +49,8 @@ class FlowParams:
     split flow where the chi-amplified complement uses beta2. eta_of_t is a
     float or a callable of time. projector_sharp maps w to the sharp-subspace
     projector P; metric maps w to a constant SPD matrix F (None means
-    identity).
+    identity). Without a projector P = I, so chi != 1 or beta1 != beta2
+    would have no effect and is rejected.
     """
 
     alpha: float
@@ -63,6 +65,9 @@ class FlowParams:
             raise ValueError("alpha must be >= 0")
         if isinstance(self.beta, tuple) and len(self.beta) != 2:
             raise ValueError("beta pair must have exactly two entries")
+        b1, b2 = self.beta_pair()
+        if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
+            raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
 
     def beta_pair(self):
         if isinstance(self.beta, tuple):
@@ -108,39 +113,36 @@ def hessian_vector_product(landscape, w, v):
     return (gp - gm) / (2.0 * s)
 
 
-def first_order_rhs(state: DynamicsState, landscape, params: FlowParams):
-    """wdot = -eta F^{-1}(m + beta grad f), mdot = -alpha m + grad f."""
-    g = np.asarray(landscape.grad(state.w), dtype=float)
-    beta, _ = params.beta_pair()
-    eta = params.eta_at(state.t)
-    wdot = -eta * _apply_inverse_metric(params, state.w, state.m + beta * g)
-    mdot = -params.alpha * state.m + g
-    return wdot, mdot
-
-
-def lite_flow_rhs(state: DynamicsState, landscape, params: FlowParams):
-    """Split flow: the sharp projection moves at the base rate with damping
-    beta1, the complement is amplified by chi and damped with beta2.
-
-    wdot = -eta F^{-1} P (m + beta1 g) - chi eta F^{-1} (I-P)(m + beta2 g).
-    """
-    g = np.asarray(landscape.grad(state.w), dtype=float)
+def _direction(params: FlowParams, w, m, g):
+    """F^{-1} u for the velocity wdot = -eta F^{-1} u. With a sharp projector P,
+    u = P(m + beta1 g) + chi((m + beta2 g) - P(m + beta2 g)); without one,
+    u = m + beta1 g."""
     b1, b2 = params.beta_pair()
-    eta = params.eta_at(state.t)
-    p = _checked_projector(params, state.w)
-    sharp = p @ (state.m + b1 * g)
-    flat = (state.m + b2 * g) - p @ (state.m + b2 * g)
-    wdot = (-eta * _apply_inverse_metric(params, state.w, sharp)
-            - params.chi * eta * _apply_inverse_metric(params, state.w, flat))
+    if params.projector_sharp is None:
+        u = m + b1 * g
+    else:
+        p = _checked_projector(params, w)
+        u = p @ (m + b1 * g) + params.chi * ((m + b2 * g) - p @ (m + b2 * g))
+    return _apply_inverse_metric(params, w, u)
+
+
+def flow_rhs(state: DynamicsState, landscape, params: FlowParams):
+    """wdot = -eta F^{-1} u, mdot = -alpha m + grad f. Without a projector
+    u = m + beta grad f; with one, the sharp projection keeps rate eta and
+    damping beta1 while the flat complement is amplified by chi and damped
+    with beta2."""
+    g = np.asarray(landscape.grad(state.w), dtype=float)
+    wdot = -params.eta_at(state.t) * _direction(params, state.w, state.m, g)
     mdot = -params.alpha * state.m + g
     return wdot, mdot
 
 
 def semi_implicit_step(state: DynamicsState, landscape, params: FlowParams,
                        h: float) -> DynamicsState:
-    """One semi-implicit Euler step: momentum first, then the parameters with
-    the fresh momentum. At h = 1 with identity metric this is entrywise the
-    discrete update m <- (1-alpha) m + g, w <- w - eta (m + beta g).
+    """One semi-implicit Euler step of flow_rhs: momentum first, then the
+    parameters with the fresh momentum. At h = 1 with identity metric this is
+    entrywise the discrete update m <- (1-alpha) m + g, w <- w - eta u, with
+    u the direction of flow_rhs at the fresh momentum.
 
     The momentum update is written multiplicatively, (1 - h alpha) m + h g,
     so the h = 1 correspondence is exact in floating point.
@@ -149,40 +151,42 @@ def semi_implicit_step(state: DynamicsState, landscape, params: FlowParams,
         raise ValueError("h must be positive")
     g = np.asarray(landscape.grad(state.w), dtype=float)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
-    b1, b2 = params.beta_pair()
-    if params.projector_sharp is not None:
-        p = _checked_projector(params, state.w)
-        u = p @ (m_new + b1 * g) + params.chi * ((m_new + b2 * g) - p @ (m_new + b2 * g))
-    else:
-        u = m_new + b1 * g
     eta = params.eta_at(state.t)
-    w_new = state.w - (h * eta) * _apply_inverse_metric(params, state.w, u)
+    w_new = state.w - (h * eta) * _direction(params, state.w, m_new, g)
     return DynamicsState(w_new, m_new, state.t + h)
 
 
+def _rk4(rhs, y, t: float, t_end: float, h: float):
+    """Classical 4-stage integration of y' = rhs(t, y) from t to t_end in
+    ceil((t_end - t) / h) equal steps."""
+    span = t_end - t
+    if span <= 0:
+        return y
+    n_steps = max(1, int(math.ceil(span / h - 1e-12)))
+    step = span / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = rhs(t + step, y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+    return y
+
+
 def rk4_flow(state: DynamicsState, landscape, params: FlowParams, t_end: float,
-             h: float = FINE_STEP, rhs=first_order_rhs) -> DynamicsState:
-    """Classical 4-stage one-step integration of a (wdot, mdot) system up to
-    t_end; the reference trajectory for discretization-order checks."""
+             h: float = FINE_STEP) -> DynamicsState:
+    """RK4 integration of flow_rhs up to t_end; the reference trajectory for
+    discretization-order checks."""
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
-    w, m, t = state.w.copy(), state.m.copy(), state.t
-    remaining = t_end - t
-    n_steps = max(1, int(math.ceil(remaining / h - 1e-12))) if remaining > 0 else 0
-    if n_steps:
-        step = remaining / n_steps
-        for _ in range(n_steps):
-            k1w, k1m = rhs(DynamicsState(w, m, t), landscape, params)
-            k2w, k2m = rhs(DynamicsState(w + 0.5 * step * k1w, m + 0.5 * step * k1m,
-                                         t + 0.5 * step), landscape, params)
-            k3w, k3m = rhs(DynamicsState(w + 0.5 * step * k2w, m + 0.5 * step * k2m,
-                                         t + 0.5 * step), landscape, params)
-            k4w, k4m = rhs(DynamicsState(w + step * k3w, m + step * k3m,
-                                         t + step), landscape, params)
-            w = w + (step / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            m = m + (step / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-            t += step
-    return DynamicsState(w, m, t_end)
+    d = state.w.size
+
+    def rhs(t, y):
+        return np.concatenate(flow_rhs(DynamicsState(y[:d], y[d:], t), landscape, params))
+
+    y = _rk4(rhs, np.concatenate([state.w, state.m]), state.t, t_end, h)
+    return DynamicsState(y[:d], y[d:], t_end)
 
 
 def ishd_acceleration(w, wdot, landscape, alpha_t: float, beta_t: float,
@@ -276,41 +280,18 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     d = quadratic.dim
     if state0 is None:
-        w = quadratic.stationary_point() + 1.0
-        mf = np.zeros(d)
-        ms = np.zeros(d)
-    else:
-        w, mf, ms = (np.asarray(v, dtype=float).copy() for v in state0)
+        state0 = (quadratic.stationary_point() + 1.0, np.zeros(d), np.zeros(d))
 
-    def rhs(y):
+    def rhs(_t, y):
         yw, yf, ys = y[:d], y[d:2 * d], y[2 * d:]
         g = lam * yw + b
         return np.concatenate([-eta * (yf + kap * ys), -a1 * yf + a1 * g, -a2 * ys + a2 * g])
 
-    y = np.concatenate([w, mf, ms])
-    t = t_grid[0]
-    out_w, out_f, out_s = [], [], []
-
-    def record():
-        out_w.append(y[:d].copy())
-        out_f.append(y[d:2 * d].copy())
-        out_s.append(y[2 * d:].copy())
-
-    record()
-    for t_next in t_grid[1:]:
-        span = t_next - t
-        n_steps = max(1, int(math.ceil(span / FINE_STEP - 1e-12))) if span > 0 else 0
-        if n_steps:
-            step = span / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * step * k1)
-                k3 = rhs(y + 0.5 * step * k2)
-                k4 = rhs(y + step * k3)
-                y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_next
-        record()
-    return np.array(out_w), np.array(out_f), np.array(out_s)
+    traj = [np.concatenate([np.asarray(v, dtype=float) for v in state0])]
+    for t, t_next in zip(t_grid[:-1], t_grid[1:]):
+        traj.append(_rk4(rhs, traj[-1], t, t_next, FINE_STEP))
+    traj = np.array(traj)
+    return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 
 def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,

@@ -75,10 +75,6 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_floats(raw: str):
     return tuple(_parse_float(part.strip()) for part in raw.split(",") if part.strip())
 
@@ -93,10 +89,10 @@ _SCHEMA = {
         "seed": _parse_int,
         "steps": _parse_int,
         "log_every": _parse_int,
-        "output_path": _parse_str,
+        "output_path": str,
     },
     "landscape": {
-        "kind": _parse_str,
+        "kind": str,
         "eigenvalues": _parse_floats,
         "offsets": _parse_floats,
         "sharp_dim": _parse_int,
@@ -107,7 +103,7 @@ _SCHEMA = {
         "noise_sigma": _parse_float,
     },
     "optimizer": {
-        "family": _parse_str,
+        "family": str,
         "theta": _parse_float,
         "beta_v": _parse_float,
         "theta_shampoo": _parse_float,
@@ -130,7 +126,7 @@ _SCHEMA = {
         "chi_embedding": _parse_float,
     },
     "schedule": {
-        "kind": _parse_str,
+        "kind": str,
         "lr_max": _parse_float,
         "warmup_steps": _parse_int,
         "total_steps": _parse_int,
@@ -277,7 +273,7 @@ def record_to_row(record: TrajectoryRecord) -> str:
     return ",".join(cells)
 
 
-def _block_telemetry(name, state, update_rms):
+def _block_telemetry(state, update_rms):
     per = {col: None for col in BLOCK_COLUMNS}
     per["update_rms"] = update_rms
     per["sharp_mass"] = state.last_sharp_mass
@@ -334,7 +330,7 @@ def run_experiment(config: ExperimentConfig):
                     for name in names:
                         delta = blocks[name].matrix - before[name]
                         rms = math.sqrt(float((delta * delta).sum()) / delta.size)
-                        per_block[name] = _block_telemetry(name, states[name], rms)
+                        per_block[name] = _block_telemetry(states[name], rms)
                     record = TrajectoryRecord(step=step, lr=lr_at(config.schedule, step),
                                               loss=loss, global_grad_norm=grad_norm, blocks=per_block)
                     records.append(record)

@@ -1,7 +1,7 @@
 """Objective functions for the experiments: anisotropic quadratics, a
 valley-with-flat-floor surrogate, and a small tanh MLP with hand-rolled
-backpropagation, finite-difference block Hessians, and the gradient-Gram
-alignment experiment.
+backpropagation, finite-difference mean row and column Hessians, and the
+gradient-Gram alignment experiment.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .optim import MatrixBlock, OptimizerConfig, ScheduleSpec, init_states, rout
 from .quadratic import QuadraticSpec
 from .rng import SplitMix64, derive_seed
 from .subspace import coverage_score
-
-FD_HESSIAN_MAX_PARAMS = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,34 +100,28 @@ class RiverValleySpec:
     """Steep walls pulling the sharp coordinates onto a curved floor, with a
     nearly flat profile along the floor itself.
 
-    The default floor is c(x_f) = 0.1*sin(x_f) coordinatewise (requires
-    sharp_dim == flat_dim); the along-floor profile is a weak
-    quadratic with curvature sharp_curvature / 1e4.
+    The floor is c(x_f) = 0.1*sin(x_f) coordinatewise (so sharp_dim ==
+    flat_dim); the along-floor profile is a weak quadratic with curvature
+    sharp_curvature / 1e4.
     """
 
     sharp_dim: int
     flat_dim: int
     sharp_curvature: float
-    center_fn: object = None
-    center_jac: object = None
 
     def __post_init__(self):
         if self.sharp_dim < 1 or self.flat_dim < 1:
             raise ValueError("river valley needs at least one coordinate per group")
         if self.sharp_curvature <= 0.0:
             raise ValueError("sharp_curvature must be positive")
-        if self.center_fn is None and self.sharp_dim != self.flat_dim:
-            raise ValueError("default coordinatewise floor needs sharp_dim == flat_dim")
+        if self.sharp_dim != self.flat_dim:
+            raise ValueError("coordinatewise floor needs sharp_dim == flat_dim")
 
 
 def river_valley_landscape(spec: RiverValleySpec) -> Landscape:
     """f(x_s, x_f) = 1/2 L_sharp ||x_s - c(x_f)||^2 + g(x_f); sharp first."""
     ls = spec.sharp_curvature
     mu = ls / 1e4
-
-    center = spec.center_fn or (lambda xf: 0.1 * np.sin(xf))
-    center_jac = spec.center_jac or (lambda xf: np.diag(0.1 * np.cos(xf)))
-
     s, f = spec.sharp_dim, spec.flat_dim
 
     def split(w):
@@ -138,14 +130,14 @@ def river_valley_landscape(spec: RiverValleySpec) -> Landscape:
 
     def loss(w):
         xs, xf = split(w)
-        r = xs - center(xf)
+        r = xs - 0.1 * np.sin(xf)
         return float(0.5 * ls * (r * r).sum() + 0.5 * mu * (xf * xf).sum())
 
     def grad(w):
         xs, xf = split(w)
-        r = xs - center(xf)
+        r = xs - 0.1 * np.sin(xf)
         gs = ls * r
-        gf = -ls * (center_jac(xf).T @ r) + mu * xf
+        gf = -ls * (0.1 * np.cos(xf) * r) + mu * xf
         return np.concatenate([gs, gf])
 
     blocks = {
@@ -304,19 +296,15 @@ def _fd_hessian_on_coords(grad_fn, w, coords):
     return np.stack(h_cols, axis=1)
 
 
-def fd_block_hessian(landscape: Landscape, block_name: str, w):
-    """Symmetrized finite-difference Hessian of one named block."""
-    if block_name not in landscape.blocks:
-        raise KeyError(f"unknown block '{block_name}'")
-    layout = landscape.blocks[block_name]
-    if layout.size > FD_HESSIAN_MAX_PARAMS:
-        raise ValueError(
-            f"block '{block_name}' has {layout.size} parameters, over the "
-            f"finite-difference limit {FD_HESSIAN_MAX_PARAMS}")
+def _mean_fd_hessian(landscape: Landscape, w, coord_sets):
+    """Mean over coordinate sets of the symmetrized finite-difference Hessians."""
     w = np.asarray(w, dtype=float)
-    coords = np.arange(layout.start, layout.start + layout.size)
-    h = _fd_hessian_on_coords(landscape.grad, w, coords)
-    return 0.5 * (h + h.T)
+    size = len(coord_sets[0])
+    acc = np.zeros((size, size))
+    for coords in coord_sets:
+        h = _fd_hessian_on_coords(landscape.grad, w, coords)
+        acc += 0.5 * (h + h.T)
+    return acc / len(coord_sets)
 
 
 def mean_row_hessian(landscape: Landscape, block_name: str, w):
@@ -325,26 +313,14 @@ def mean_row_hessian(landscape: Landscape, block_name: str, w):
     parameters, extracted row by row."""
     layout = landscape.blocks[block_name]
     m, n = layout.shape
-    w = np.asarray(w, dtype=float)
-    acc = np.zeros((n, n))
-    for i in range(m):
-        coords = np.arange(layout.start + i * n, layout.start + (i + 1) * n)
-        h = _fd_hessian_on_coords(landscape.grad, w, coords)
-        acc += 0.5 * (h + h.T)
-    return acc / m
+    return _mean_fd_hessian(landscape, w, [layout.start + i * n + np.arange(n) for i in range(m)])
 
 
 def mean_col_hessian(landscape: Landscape, block_name: str, w):
     """Average over columns of the per-column Hessians (m x m)."""
     layout = landscape.blocks[block_name]
     m, n = layout.shape
-    w = np.asarray(w, dtype=float)
-    acc = np.zeros((m, m))
-    for j in range(n):
-        coords = layout.start + j + n * np.arange(m)
-        h = _fd_hessian_on_coords(landscape.grad, w, coords)
-        acc += 0.5 * (h + h.T)
-    return acc / n
+    return _mean_fd_hessian(landscape, w, [layout.start + j + n * np.arange(m) for j in range(n)])
 
 
 def top_eigenspace(matrix, k: int):

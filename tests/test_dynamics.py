@@ -13,10 +13,9 @@ from flatopt.dynamics import (
     FlowParams,
     ademamix_flow_trajectory,
     ademamix_ode_residual,
-    first_order_rhs,
+    flow_rhs,
     hessian_vector_product,
     ishd_acceleration,
-    lite_flow_rhs,
     nesterov_forms_trace,
     rk4_flow,
     semi_implicit_step,
@@ -44,7 +43,8 @@ class TestStateAndParams:
 
     def test_beta_pair_broadcasts_scalar(self):
         assert FlowParams(alpha=0.1, beta=0.3).beta_pair() == (0.3, 0.3)
-        assert FlowParams(alpha=0.1, beta=(0.1, 0.7)).beta_pair() == (0.1, 0.7)
+        split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=lambda w: np.eye(2))
+        assert split.beta_pair() == (0.1, 0.7)
 
     def test_eta_accepts_callable_of_time(self):
         params = FlowParams(alpha=0.0, eta_of_t=lambda t: 2.0 * t)
@@ -56,6 +56,15 @@ class TestStateAndParams:
             FlowParams(alpha=-0.1)
         with pytest.raises(ValueError, match="exactly two"):
             FlowParams(alpha=0.1, beta=(0.1, 0.2, 0.3))
+
+    def test_settings_without_effect_rejected(self):
+        # without a projector P = I, so chi and beta2 never reach the flow
+        with pytest.raises(ValueError, match="projector_sharp"):
+            FlowParams(alpha=0.1, chi=2.0)
+        with pytest.raises(ValueError, match="projector_sharp"):
+            FlowParams(alpha=0.1, beta=(0.1, 0.7))
+        assert FlowParams(alpha=0.1, beta=(0.4, 0.4)).beta_pair() == (0.4, 0.4)
+        assert FlowParams(alpha=0.1, chi=2.0, projector_sharp=lambda w: np.eye(1)).chi == 2.0
 
 
 class TestHessianVectorProduct:
@@ -82,7 +91,7 @@ class TestFirstOrderRhs:
         land = quad([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.array([0.5, 0.5]))
         params = FlowParams(alpha=0.3, beta=0.5, eta_of_t=0.1)
-        wdot, mdot = first_order_rhs(state, land, params)
+        wdot, mdot = flow_rhs(state, land, params)
         g = np.array([2.0, 1.0])
         assert np.array_equal(wdot, -0.1 * (state.m + 0.5 * g))
         assert np.array_equal(mdot, -0.3 * state.m + g)
@@ -92,14 +101,13 @@ class TestFirstOrderRhs:
         state = DynamicsState(np.ones(2), np.zeros(2))
         params = FlowParams(alpha=0.0, beta=1.0, eta_of_t=1.0,
                             metric=lambda w: np.diag([4.0, 1.0]))
-        wdot, _ = first_order_rhs(state, land, params)
+        wdot, _ = flow_rhs(state, land, params)
         np.testing.assert_allclose(wdot, [-2.0 / 4.0, -1.0], rtol=1e-13)
 
     def test_time_dependent_eta(self):
         land = quad([1.0])
         params = FlowParams(alpha=0.0, eta_of_t=lambda t: 3.0 * t)
-        wdot, _ = first_order_rhs(DynamicsState(np.ones(1), np.ones(1), t=2.0),
-                                  land, params)
+        wdot, _ = flow_rhs(DynamicsState(np.ones(1), np.ones(1), t=2.0), land, params)
         assert wdot[0] == -6.0
 
 
@@ -113,8 +121,8 @@ class TestLiteFlowRhs:
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=5.0,
                             projector_sharp=lambda w: np.eye(3))
         base = FlowParams(alpha=0.2, beta=0.4, eta_of_t=0.1)
-        wdot, mdot = lite_flow_rhs(self.state, self.land, params)
-        wdot_base, mdot_base = first_order_rhs(self.state, self.land, base)
+        wdot, mdot = flow_rhs(self.state, self.land, params)
+        wdot_base, mdot_base = flow_rhs(self.state, self.land, base)
         assert np.array_equal(wdot, wdot_base)
         assert np.array_equal(mdot, mdot_base)
 
@@ -122,15 +130,15 @@ class TestLiteFlowRhs:
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=2.0,
                             projector_sharp=lambda w: np.zeros((3, 3)))
         base = FlowParams(alpha=0.2, beta=0.9, eta_of_t=0.1)
-        wdot, _ = lite_flow_rhs(self.state, self.land, params)
-        wdot_base, _ = first_order_rhs(self.state, self.land, base)
+        wdot, _ = flow_rhs(self.state, self.land, params)
+        wdot_base, _ = flow_rhs(self.state, self.land, base)
         assert np.array_equal(wdot, 2.0 * wdot_base)
 
     def test_split_projector_mixes_both_rates(self):
         p = np.diag([1.0, 0.0, 0.0])
         params = FlowParams(alpha=0.0, beta=(0.25, 0.75), eta_of_t=0.5, chi=3.0,
                             projector_sharp=lambda w: p)
-        wdot, _ = lite_flow_rhs(self.state, self.land, params)
+        wdot, _ = flow_rhs(self.state, self.land, params)
         g = self.land.grad(self.state.w)
         m = self.state.m
         assert wdot[0] == pytest.approx(-0.5 * (m[0] + 0.25 * g[0]), rel=1e-15)
@@ -141,10 +149,10 @@ class TestLiteFlowRhs:
         skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         params = FlowParams(alpha=0.1, projector_sharp=lambda w: skew)
         with pytest.raises(ValueError, match="not symmetric"):
-            lite_flow_rhs(self.state, self.land, params)
+            flow_rhs(self.state, self.land, params)
         params = FlowParams(alpha=0.1, projector_sharp=lambda w: 0.5 * np.eye(3))
         with pytest.raises(ValueError, match="not idempotent"):
-            lite_flow_rhs(self.state, self.land, params)
+            flow_rhs(self.state, self.land, params)
 
 
 class TestSemiImplicitStep:
@@ -185,10 +193,11 @@ class TestSemiImplicitStep:
         with pytest.raises(ValueError, match="h must be positive"):
             semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), land, params, 0.0)
 
-    def test_first_order_convergence_rate(self):
-        # global error against the fine RK4 reference scales like h^1
+    @staticmethod
+    def order_slope(params):
+        """Slope of log global error against log h, semi-implicit Euler against
+        the fine RK4 reference on a 2-d quadratic over t in [0, 1]."""
         land = quad([2.0, 0.5])
-        params = FlowParams(alpha=0.5, beta=0.0, eta_of_t=0.3)
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
         reference = rk4_flow(start, land, params, t_end=1.0, h=1e-3)
         errors, steps = [], [0.2, 0.1, 0.05, 0.025]
@@ -197,8 +206,19 @@ class TestSemiImplicitStep:
             for _ in range(round(1.0 / h)):
                 state = semi_implicit_step(state, land, params, h)
             errors.append(np.abs(state.w - reference.w).max())
-        slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-        assert 0.8 <= slope <= 1.2
+        return np.polyfit(np.log(steps), np.log(errors), 1)[0]
+
+    def test_first_order_convergence_rate(self):
+        # global error against the fine RK4 reference scales like h^1
+        params = FlowParams(alpha=0.5, beta=0.0, eta_of_t=0.3)
+        assert 0.8 <= self.order_slope(params) <= 1.2
+
+    def test_split_flow_first_order_convergence_rate(self):
+        # the RK4 reference integrates the same split flow as the stepper
+        p = np.diag([1.0, 0.0])
+        params = FlowParams(alpha=0.5, beta=(0.2, 0.6), eta_of_t=0.3, chi=3.0,
+                            projector_sharp=lambda w: p)
+        assert 0.8 <= self.order_slope(params) <= 1.2
 
     def test_clock_advances(self):
         land = quad([1.0])
@@ -240,12 +260,13 @@ class TestRk4Flow:
         assert abs(out.m[0] - expected[1]) < 1e-9
 
     def test_custom_rhs_equivalence(self):
+        # an identity projector integrates exactly the unsplit flow
         land = quad([2.0, 1.0], [0.1, 0.0])
         split = FlowParams(alpha=0.3, beta=(0.4, 0.9), eta_of_t=0.2, chi=7.0,
                            projector_sharp=lambda w: np.eye(2))
         base = FlowParams(alpha=0.3, beta=0.4, eta_of_t=0.2)
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        out_split = rk4_flow(start, land, split, t_end=0.5, h=0.01, rhs=lite_flow_rhs)
+        out_split = rk4_flow(start, land, split, t_end=0.5, h=0.01)
         out_base = rk4_flow(start, land, base, t_end=0.5, h=0.01)
         assert np.array_equal(out_split.w, out_base.w)
         assert np.array_equal(out_split.m, out_base.m)

@@ -12,7 +12,6 @@ from flatopt.landscapes import (
     MlpSpec,
     RiverValleySpec,
     alignment_experiment,
-    fd_block_hessian,
     gram_alignment_curve,
     mean_col_hessian,
     mean_row_hessian,
@@ -96,18 +95,8 @@ class TestRiverValley:
     def test_sharp_block_curvature(self):
         spec = RiverValleySpec(sharp_dim=2, flat_dim=2, sharp_curvature=100.0)
         land = river_valley_landscape(spec)
-        h = fd_block_hessian(land, "sharp", np.ones(4))
+        h = mean_row_hessian(land, "sharp", np.ones(4))
         np.testing.assert_allclose(h, 100.0 * np.eye(2), rtol=1e-5, atol=1e-3)
-
-    def test_custom_center_allows_mismatched_dims(self):
-        a = np.array([[1.0, 0.0, -1.0], [0.5, 2.0, 0.0]])
-        spec = RiverValleySpec(
-            sharp_dim=2, flat_dim=3, sharp_curvature=10.0,
-            center_fn=lambda xf: a @ xf, center_jac=lambda xf: a)
-        land = river_valley_landscape(spec)
-        w = SplitMix64(13).normal((5,))
-        fd = fd_gradient(land.loss, w, range(5))
-        np.testing.assert_allclose(land.grad(w), fd, rtol=1e-5, atol=1e-8)
 
     def test_blocks_sharp_first(self):
         land = river_valley_landscape(RiverValleySpec(2, 2, 1.0))
@@ -241,17 +230,9 @@ class TestLossAndBlockGrads:
 class TestFdHessians:
     def test_quadratic_block_hessian_is_exact_diagonal(self):
         land = quadratic_landscape(QuadraticSpec(np.array([3.0, 1.0]), np.zeros(2)))
-        h = fd_block_hessian(land, "all", np.array([0.7, -0.2]))
+        h = mean_row_hessian(land, "all", np.array([0.7, -0.2]))
         np.testing.assert_allclose(h, np.diag([3.0, 1.0]), atol=1e-6)
         assert np.array_equal(h, h.T)
-
-    def test_unknown_block_and_size_limit(self):
-        land = quadratic_landscape(QuadraticSpec(np.array([1.0]), np.zeros(1)))
-        with pytest.raises(KeyError, match="unknown block"):
-            fd_block_hessian(land, "missing", np.zeros(1))
-        big = mlp_landscape(MlpSpec(widths=(40, 40, 40), batch_size=4), seed=1)
-        with pytest.raises(ValueError, match="finite-difference limit"):
-            fd_block_hessian(big, "layer0", big.initial_point)
 
     def block_quadratic(self, lam):
         """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2."""
