@@ -19,7 +19,7 @@ from . import __version__
 from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        ademamix_ode_residual, nesterov_forms_trace, rk4_flow,
                        semi_implicit_step)
-from .harness import ConfigError, build_landscape, parse_config, run_experiment
+from .harness import ConfigError, parse_config, run_experiment
 from .landscapes import alignment_experiment, quadratic_landscape
 from .quadratic import QuadraticSpec, analyze_mode
 
@@ -104,8 +104,7 @@ def _cmd_align(args) -> int:
     config = _load_config(args.config)
     if config.landscape_kind != "mlp":
         raise ConfigError("align requires landscape.kind = mlp")
-    land = build_landscape(config)
-    curves = alignment_experiment(land.spec, config.seed, args.train_steps,
+    curves = alignment_experiment(config.landscape, config.seed, args.train_steps,
                                   args.d_s, args.k_grid)
     print("block,side,k,coverage")
     for block in sorted(curves):

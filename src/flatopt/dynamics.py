@@ -47,18 +47,21 @@ class FlowParams:
 
     beta is a single Hessian-damping weight, or a (beta1, beta2) pair for the
     split flow where the chi-amplified complement uses beta2. eta_of_t is a
-    float or a callable of time. projector_sharp maps w to the sharp-subspace
-    projector P; metric maps w to a constant SPD matrix F (None means
-    identity). Without a projector P = I, so chi != 1 or beta1 != beta2
-    would have no effect and is rejected.
+    float or a callable of time. projector_sharp is the constant
+    sharp-subspace projector P; metric is a constant SPD matrix F (None means
+    identity). Both are checked once here, and F is eigendecomposed once.
+    Without a projector P = I, so chi != 1 or beta1 != beta2 would have no
+    effect and is rejected.
     """
 
     alpha: float
     beta: object = 0.0
     eta_of_t: object = 1.0
     chi: float = 1.0
-    projector_sharp: object = None
-    metric: object = None
+    projector_sharp: np.ndarray | None = None
+    metric: np.ndarray | None = None
+    _metric_eig: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -68,6 +71,21 @@ class FlowParams:
         b1, b2 = self.beta_pair()
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
+        if self.projector_sharp is not None:
+            p = np.asarray(self.projector_sharp, dtype=float)
+            scale = max(1.0, float(np.abs(p).max()))
+            if np.abs(p - p.T).max() > PROJECTOR_TOL * scale:
+                raise ValueError("projector_sharp is not symmetric")
+            if np.abs(p @ p - p).max() > PROJECTOR_TOL * scale:
+                raise ValueError("projector_sharp is not idempotent")
+            object.__setattr__(self, "projector_sharp", p)
+        if self.metric is not None:
+            f = np.asarray(self.metric, dtype=float)
+            evals, vecs = sym_eig(0.5 * (f + f.T))
+            if evals[-1] <= 0.0:
+                raise ValueError("metric must be symmetric positive definite")
+            object.__setattr__(self, "metric", f)
+            object.__setattr__(self, "_metric_eig", (evals, vecs))
 
     def beta_pair(self):
         if isinstance(self.beta, tuple):
@@ -78,26 +96,6 @@ class FlowParams:
         if callable(self.eta_of_t):
             return float(self.eta_of_t(t))
         return float(self.eta_of_t)
-
-
-def _apply_inverse_metric(params: FlowParams, w, u):
-    if params.metric is None:
-        return u
-    f = np.asarray(params.metric(w), dtype=float)
-    evals, vecs = sym_eig(0.5 * (f + f.T))
-    if evals[-1] <= 0.0:
-        raise ValueError("metric must be symmetric positive definite")
-    return vecs @ ((vecs.T @ u) / evals)
-
-
-def _checked_projector(params: FlowParams, w):
-    p = np.asarray(params.projector_sharp(w), dtype=float)
-    scale = max(1.0, float(np.abs(p).max()))
-    if np.abs(p - p.T).max() > PROJECTOR_TOL * scale:
-        raise ValueError("projector_sharp(w) is not symmetric")
-    if np.abs(p @ p - p).max() > PROJECTOR_TOL * scale:
-        raise ValueError("projector_sharp(w) is not idempotent")
-    return p
 
 
 def hessian_vector_product(landscape, w, v):
@@ -113,7 +111,7 @@ def hessian_vector_product(landscape, w, v):
     return (gp - gm) / (2.0 * s)
 
 
-def _direction(params: FlowParams, w, m, g):
+def _direction(params: FlowParams, m, g):
     """F^{-1} u for the velocity wdot = -eta F^{-1} u. With a sharp projector P,
     u = P(m + beta1 g) + chi((m + beta2 g) - P(m + beta2 g)); without one,
     u = m + beta1 g."""
@@ -121,9 +119,12 @@ def _direction(params: FlowParams, w, m, g):
     if params.projector_sharp is None:
         u = m + b1 * g
     else:
-        p = _checked_projector(params, w)
+        p = params.projector_sharp
         u = p @ (m + b1 * g) + params.chi * ((m + b2 * g) - p @ (m + b2 * g))
-    return _apply_inverse_metric(params, w, u)
+    if params.metric is None:
+        return u
+    evals, vecs = params._metric_eig
+    return vecs @ ((vecs.T @ u) / evals)
 
 
 def flow_rhs(state: DynamicsState, landscape, params: FlowParams):
@@ -132,7 +133,7 @@ def flow_rhs(state: DynamicsState, landscape, params: FlowParams):
     damping beta1 while the flat complement is amplified by chi and damped
     with beta2."""
     g = np.asarray(landscape.grad(state.w), dtype=float)
-    wdot = -params.eta_at(state.t) * _direction(params, state.w, state.m, g)
+    wdot = -params.eta_at(state.t) * _direction(params, state.m, g)
     mdot = -params.alpha * state.m + g
     return wdot, mdot
 
@@ -152,7 +153,7 @@ def semi_implicit_step(state: DynamicsState, landscape, params: FlowParams,
     g = np.asarray(landscape.grad(state.w), dtype=float)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
     eta = params.eta_at(state.t)
-    w_new = state.w - (h * eta) * _direction(params, state.w, m_new, g)
+    w_new = state.w - (h * eta) * _direction(params, m_new, g)
     return DynamicsState(w_new, m_new, state.t + h)
 
 

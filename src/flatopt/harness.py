@@ -3,7 +3,10 @@
 Config files are line-oriented ``section.key = value`` text with ``#``
 comments. Sections: run (seed, steps, log_every, output_path), landscape
 (kind plus kind-specific parameters), optimizer, lite (acceleration knobs,
-only with a lite family), schedule. Example::
+only with a lite family), schedule. Every key outside run.* and
+landscape.kind is a field of OptimizerConfig, LitePolicy, ScheduleSpec or
+the kind's spec (QuadraticSpec, RiverValleySpec, MlpSpec), parsed by its
+annotation; the spec is built, and checked, at parse time. Example::
 
     run.seed = 42
     run.steps = 200
@@ -48,7 +51,7 @@ class ExperimentConfig:
     log_every: int
     output_path: str
     landscape_kind: str
-    landscape_params: dict
+    landscape: QuadraticSpec | RiverValleySpec | MlpSpec
     optimizer: OptimizerConfig
     schedule: ScheduleSpec
 
@@ -83,64 +86,38 @@ def _parse_ints(raw: str):
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
+# field annotation -> value parser; an optional field ("X | None") parses as X
+_PARSERS = {"str": str, "int": _parse_int, "float": _parse_float,
+            "tuple": _parse_ints, "np.ndarray": _parse_floats}
+
+
+def _keys(cls, skip=()):
+    """Config key -> value parser for each field of the dataclass cls."""
+    keys = {}
+    for field in dataclasses.fields(cls):
+        if field.name in skip:
+            continue
+        annotation = field.type.removesuffix(" | None")
+        if annotation not in _PARSERS:
+            raise TypeError(f"no config parser for {cls.__name__}.{field.name}: {field.type}")
+        keys[field.name] = _PARSERS[annotation]
+    return keys
+
+
+_LANDSCAPE_SPECS = {"quadratic": QuadraticSpec, "river_valley": RiverValleySpec, "mlp": MlpSpec}
+
 # section -> key -> value parser
 _SCHEMA = {
-    "run": {
-        "seed": _parse_int,
-        "steps": _parse_int,
-        "log_every": _parse_int,
-        "output_path": str,
-    },
-    "landscape": {
-        "kind": str,
-        "eigenvalues": _parse_floats,
-        "offsets": _parse_floats,
-        "sharp_dim": _parse_int,
-        "flat_dim": _parse_int,
-        "sharp_curvature": _parse_float,
-        "widths": _parse_ints,
-        "batch_size": _parse_int,
-        "noise_sigma": _parse_float,
-    },
-    "optimizer": {
-        "family": str,
-        "theta": _parse_float,
-        "beta_v": _parse_float,
-        "theta_shampoo": _parse_float,
-        "epsilon": _parse_float,
-        "weight_decay": _parse_float,
-        "clip_norm": _parse_float,
-        "nesterov_beta": _parse_float,
-        "mars_gamma": _parse_float,
-        "ademamix_kappa": _parse_float,
-        "alpha_fast": _parse_float,
-        "alpha_slow": _parse_float,
-        "qr_refresh_every": _parse_int,
-    },
-    "lite": {
-        "chi": _parse_float,
-        "beta1": _parse_float,
-        "beta2": _parse_float,
-        "r_s": _parse_float,
-        "d_smooth_ratio": _parse_float,
-        "chi_embedding": _parse_float,
-    },
-    "schedule": {
-        "kind": str,
-        "lr_max": _parse_float,
-        "warmup_steps": _parse_int,
-        "total_steps": _parse_int,
-    },
+    "run": {"seed": _parse_int, "steps": _parse_int, "log_every": _parse_int, "output_path": str},
+    "landscape": {"kind": str, **{key: parse for spec in _LANDSCAPE_SPECS.values()
+                                  for key, parse in _keys(spec).items()}},
+    "optimizer": _keys(OptimizerConfig, skip=("lite",)),
+    "lite": _keys(LitePolicy),
+    "schedule": _keys(ScheduleSpec),
 }
 
 _REQUIRED = (("run", "seed"), ("run", "steps"), ("landscape", "kind"),
              ("optimizer", "family"), ("schedule", "kind"), ("schedule", "lr_max"))
-
-_LANDSCAPE_KEYS = {
-    "quadratic": {"required": ("eigenvalues",), "optional": ("offsets",)},
-    "river_valley": {"required": ("sharp_dim", "flat_dim", "sharp_curvature"), "optional": ()},
-    "mlp": {"required": ("widths",), "optional": ("batch_size", "noise_sigma")},
-}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -184,20 +161,21 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"line {lines[('run', 'log_every')]}: log_every must be >= 1")
 
     kind = values[("landscape", "kind")]
-    if kind not in _LANDSCAPE_KEYS:
+    if kind not in _LANDSCAPE_SPECS:
         raise ConfigError(f"line {lines[('landscape', 'kind')]}: unknown landscape kind '{kind}'")
-    allowed = set(_LANDSCAPE_KEYS[kind]["required"]) | set(_LANDSCAPE_KEYS[kind]["optional"])
+    spec_fields = dataclasses.fields(_LANDSCAPE_SPECS[kind])
+    spec_keys = {field.name for field in spec_fields}
     land_params = {}
     for (section, key), value in values.items():
         if section != "landscape" or key == "kind":
             continue
-        if key not in allowed:
+        if key not in spec_keys:
             raise ConfigError(f"line {lines[(section, key)]}: key 'landscape.{key}' "
                               f"is not valid for landscape kind '{kind}'")
         land_params[key] = value
-    for key in _LANDSCAPE_KEYS[kind]["required"]:
-        if key not in land_params:
-            raise ConfigError(f"missing required key 'landscape.{key}' for kind '{kind}'")
+    for field in spec_fields:
+        if field.default is dataclasses.MISSING and field.name not in land_params:
+            raise ConfigError(f"missing required key 'landscape.{field.name}' for kind '{kind}'")
 
     family = values[("optimizer", "family")]
     is_lite = family in LITE_FAMILIES
@@ -229,27 +207,22 @@ def parse_config(text: str) -> ExperimentConfig:
             lr_max=values[("schedule", "lr_max")],
             warmup_steps=values.get(("schedule", "warmup_steps"), 0),
             total_steps=total_steps)
+        landscape = _LANDSCAPE_SPECS[kind](**land_params)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
     return ExperimentConfig(seed=seed, steps=steps, log_every=log_every,
                             output_path=values.get(("run", "output_path"), ""),
-                            landscape_kind=kind, landscape_params=land_params,
+                            landscape_kind=kind, landscape=landscape,
                             optimizer=optimizer, schedule=schedule)
 
 
 def build_landscape(config: ExperimentConfig) -> Landscape:
-    params = config.landscape_params
-    try:
-        if config.landscape_kind == "quadratic":
-            lam = np.array(params["eigenvalues"], dtype=float)
-            b = np.array(params.get("offsets", np.zeros(lam.size)), dtype=float)
-            return quadratic_landscape(QuadraticSpec(lam, b))
-        if config.landscape_kind == "river_valley":
-            return river_valley_landscape(RiverValleySpec(**params))
-        return mlp_landscape(MlpSpec(**params), config.seed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    if config.landscape_kind == "quadratic":
+        return quadratic_landscape(config.landscape)
+    if config.landscape_kind == "river_valley":
+        return river_valley_landscape(config.landscape)
+    return mlp_landscape(config.landscape, config.seed)
 
 
 def _fmt(x) -> str:

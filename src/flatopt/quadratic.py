@@ -25,14 +25,15 @@ DIVERGENCE_CAP = 1e15
 
 @dataclasses.dataclass(frozen=True)
 class QuadraticSpec:
-    """f(w) = 1/2 sum_i lambda_i w_i^2 + b^T w with eigenvalues descending."""
+    """f(w) = 1/2 sum_i lambda_i w_i^2 + b^T w with eigenvalues descending;
+    offsets default to zeros."""
 
     eigenvalues: np.ndarray
-    offsets: np.ndarray
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
+        b = np.zeros(lam.size) if self.offsets is None else np.asarray(self.offsets, dtype=float)
         if lam.ndim != 1 or lam.size == 0 or b.shape != lam.shape:
             raise ValueError(f"eigenvalues and offsets must be matching non-empty 1-D arrays, got {lam.shape} and {b.shape}")
         if np.any(np.diff(lam) > 0):

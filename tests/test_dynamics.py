@@ -43,7 +43,7 @@ class TestStateAndParams:
 
     def test_beta_pair_broadcasts_scalar(self):
         assert FlowParams(alpha=0.1, beta=0.3).beta_pair() == (0.3, 0.3)
-        split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=lambda w: np.eye(2))
+        split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=np.eye(2))
         assert split.beta_pair() == (0.1, 0.7)
 
     def test_eta_accepts_callable_of_time(self):
@@ -57,6 +57,10 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="exactly two"):
             FlowParams(alpha=0.1, beta=(0.1, 0.2, 0.3))
 
+    def test_non_spd_metric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            FlowParams(alpha=0.1, metric=np.diag([1.0, -1.0]))
+
     def test_settings_without_effect_rejected(self):
         # without a projector P = I, so chi and beta2 never reach the flow
         with pytest.raises(ValueError, match="projector_sharp"):
@@ -64,7 +68,7 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="projector_sharp"):
             FlowParams(alpha=0.1, beta=(0.1, 0.7))
         assert FlowParams(alpha=0.1, beta=(0.4, 0.4)).beta_pair() == (0.4, 0.4)
-        assert FlowParams(alpha=0.1, chi=2.0, projector_sharp=lambda w: np.eye(1)).chi == 2.0
+        assert FlowParams(alpha=0.1, chi=2.0, projector_sharp=np.eye(1)).chi == 2.0
 
 
 class TestHessianVectorProduct:
@@ -100,7 +104,7 @@ class TestFirstOrderRhs:
         land = quad([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.zeros(2))
         params = FlowParams(alpha=0.0, beta=1.0, eta_of_t=1.0,
-                            metric=lambda w: np.diag([4.0, 1.0]))
+                            metric=np.diag([4.0, 1.0]))
         wdot, _ = flow_rhs(state, land, params)
         np.testing.assert_allclose(wdot, [-2.0 / 4.0, -1.0], rtol=1e-13)
 
@@ -119,7 +123,7 @@ class TestLiteFlowRhs:
 
     def test_identity_projector_reduces_to_base_flow(self):
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=5.0,
-                            projector_sharp=lambda w: np.eye(3))
+                            projector_sharp=np.eye(3))
         base = FlowParams(alpha=0.2, beta=0.4, eta_of_t=0.1)
         wdot, mdot = flow_rhs(self.state, self.land, params)
         wdot_base, mdot_base = flow_rhs(self.state, self.land, base)
@@ -128,7 +132,7 @@ class TestLiteFlowRhs:
 
     def test_zero_projector_amplifies_by_chi(self):
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=2.0,
-                            projector_sharp=lambda w: np.zeros((3, 3)))
+                            projector_sharp=np.zeros((3, 3)))
         base = FlowParams(alpha=0.2, beta=0.9, eta_of_t=0.1)
         wdot, _ = flow_rhs(self.state, self.land, params)
         wdot_base, _ = flow_rhs(self.state, self.land, base)
@@ -137,7 +141,7 @@ class TestLiteFlowRhs:
     def test_split_projector_mixes_both_rates(self):
         p = np.diag([1.0, 0.0, 0.0])
         params = FlowParams(alpha=0.0, beta=(0.25, 0.75), eta_of_t=0.5, chi=3.0,
-                            projector_sharp=lambda w: p)
+                            projector_sharp=p)
         wdot, _ = flow_rhs(self.state, self.land, params)
         g = self.land.grad(self.state.w)
         m = self.state.m
@@ -147,12 +151,10 @@ class TestLiteFlowRhs:
 
     def test_bad_projectors_rejected(self):
         skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        params = FlowParams(alpha=0.1, projector_sharp=lambda w: skew)
         with pytest.raises(ValueError, match="not symmetric"):
-            flow_rhs(self.state, self.land, params)
-        params = FlowParams(alpha=0.1, projector_sharp=lambda w: 0.5 * np.eye(3))
+            FlowParams(alpha=0.1, projector_sharp=skew)
         with pytest.raises(ValueError, match="not idempotent"):
-            flow_rhs(self.state, self.land, params)
+            FlowParams(alpha=0.1, projector_sharp=0.5 * np.eye(3))
 
 
 class TestSemiImplicitStep:
@@ -175,7 +177,7 @@ class TestSemiImplicitStep:
         p = np.diag([1.0, 0.0])
         alpha, b1, b2, eta, chi = 0.2, 0.2, 0.6, 0.1, 2.0
         params = FlowParams(alpha=alpha, beta=(b1, b2), eta_of_t=eta, chi=chi,
-                            projector_sharp=lambda w: p)
+                            projector_sharp=p)
         state = DynamicsState(np.array([0.5, 1.5]), np.zeros(2))
         w, m = state.w.copy(), state.m.copy()
         for _ in range(20):
@@ -217,7 +219,7 @@ class TestSemiImplicitStep:
         # the RK4 reference integrates the same split flow as the stepper
         p = np.diag([1.0, 0.0])
         params = FlowParams(alpha=0.5, beta=(0.2, 0.6), eta_of_t=0.3, chi=3.0,
-                            projector_sharp=lambda w: p)
+                            projector_sharp=p)
         assert 0.8 <= self.order_slope(params) <= 1.2
 
     def test_clock_advances(self):
@@ -263,7 +265,7 @@ class TestRk4Flow:
         # an identity projector integrates exactly the unsplit flow
         land = quad([2.0, 1.0], [0.1, 0.0])
         split = FlowParams(alpha=0.3, beta=(0.4, 0.9), eta_of_t=0.2, chi=7.0,
-                           projector_sharp=lambda w: np.eye(2))
+                           projector_sharp=np.eye(2))
         base = FlowParams(alpha=0.3, beta=0.4, eta_of_t=0.2)
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
         out_split = rk4_flow(start, land, split, t_end=0.5, h=0.01)

@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner, CSV telemetry, and the CLI."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,13 +16,16 @@ from flatopt.harness import (
     BLOCK_COLUMNS,
     ConfigError,
     TrajectoryRecord,
+    _keys,
     build_landscape,
     csv_header,
     parse_config,
     record_to_row,
     run_experiment,
 )
-from flatopt.optim import FAMILIES, FAMILY_KEYS
+from flatopt.landscapes import MlpSpec, RiverValleySpec
+from flatopt.optim import FAMILIES, FAMILY_KEYS, LitePolicy, OptimizerConfig, ScheduleSpec
+from flatopt.quadratic import QuadraticSpec
 
 MINIMAL = """\
 run.seed = 42
@@ -60,6 +64,98 @@ schedule.lr_max = 1000.0
 """
 
 
+# A non-default setting for every config key read off a dataclass field:
+# key -> (raw value, parsed value).
+KEY_SETTINGS = {
+    "optimizer.family": ("lion", "lion"),
+    "optimizer.theta": ("0.9", 0.9),
+    "optimizer.beta_v": ("0.95", 0.95),
+    "optimizer.theta_shampoo": ("0.5", 0.5),
+    "optimizer.epsilon": ("1e-6", 1e-6),
+    "optimizer.weight_decay": ("0.05", 0.05),
+    "optimizer.clip_norm": ("2.0", 2.0),
+    "optimizer.nesterov_beta": ("0.9", 0.9),
+    "optimizer.mars_gamma": ("0.5", 0.5),
+    "optimizer.ademamix_kappa": ("7.0", 7.0),
+    "optimizer.alpha_fast": ("0.2", 0.2),
+    "optimizer.alpha_slow": ("0.01", 0.01),
+    "optimizer.qr_refresh_every": ("3", 3),
+    "lite.chi": ("4.0", 4.0),
+    "lite.beta1": ("-0.25", -0.25),
+    "lite.beta2": ("1.0", 1.0),
+    "lite.r_s": ("0.25", 0.25),
+    "lite.d_smooth_ratio": ("0.2", 0.2),
+    "lite.chi_embedding": ("2.0", 2.0),
+    "schedule.kind": ("cos", "cos"),
+    "schedule.lr_max": ("0.5", 0.5),
+    "schedule.warmup_steps": ("5", 5),
+    "schedule.total_steps": ("100", 100),
+    "landscape.eigenvalues": ("3.0, 1.0, 0.5", (3.0, 1.0, 0.5)),
+    "landscape.offsets": ("0.5, -0.5", (0.5, -0.5)),
+    "landscape.sharp_dim": ("3", 3),
+    "landscape.flat_dim": ("3", 3),
+    "landscape.sharp_curvature": ("50.0", 50.0),
+    "landscape.widths": ("5, 7, 3", (5, 7, 3)),
+    "landscape.batch_size": ("16", 16),
+    "landscape.noise_sigma": ("0.5", 0.5),
+}
+
+# the other river-valley dimension must match
+COMPANIONS = {"landscape.sharp_dim": ("landscape.flat_dim", "3"),
+              "landscape.flat_dim": ("landscape.sharp_dim", "3")}
+
+FIELD_OWNERS = [
+    ("optimizer", OptimizerConfig, MINIMAL, lambda cfg: cfg.optimizer),
+    ("lite", LitePolicy, MINIMAL.replace("family = adamw", "family = muon_lite"),
+     lambda cfg: cfg.optimizer.lite),
+    ("schedule", ScheduleSpec, MINIMAL, lambda cfg: cfg.schedule),
+    ("landscape", QuadraticSpec, MINIMAL, lambda cfg: cfg.landscape),
+    ("landscape", RiverValleySpec, RIVER_VALLEY, lambda cfg: cfg.landscape),
+    ("landscape", MlpSpec, MLP_BASE.format(family="adamw"), lambda cfg: cfg.landscape),
+]
+
+
+def with_setting(text, key, raw):
+    """text with key set to raw: its line replaced if present, else appended."""
+    lines = text.splitlines()
+    slot = next((i for i, ln in enumerate(lines) if ln.startswith(key + " ")), None)
+    if slot is None:
+        lines.append(f"{key} = {raw}")
+    else:
+        lines[slot] = f"{key} = {raw}"
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigKeysFromFields:
+    @pytest.mark.parametrize("section,cls,base,owner", FIELD_OWNERS,
+                             ids=[owner[1].__name__ for owner in FIELD_OWNERS])
+    def test_every_key_reaches_its_field(self, section, cls, base, owner):
+        for field in dataclasses.fields(cls):
+            if cls is OptimizerConfig and field.name == "lite":
+                continue
+            key = f"{section}.{field.name}"
+            raw, parsed = KEY_SETTINGS[key]
+            if field.default is not dataclasses.MISSING:
+                assert parsed != field.default, key
+            text = with_setting(base, key, raw)
+            if section == "optimizer" and field.name in FAMILY_KEYS:
+                text = text.replace("family = adamw", f"family = {FAMILY_KEYS[field.name][0]}")
+            if key in COMPANIONS:
+                text = with_setting(text, *COMPANIONS[key])
+            got = getattr(owner(parse_config(text)), field.name)
+            assert np.array_equal(got, parsed), (key, got)
+
+    def test_unmapped_annotation_raises(self):
+        @dataclasses.dataclass
+        class Knobs:
+            ratio: "float"
+            phase: "complex"
+
+        assert list(_keys(Knobs, skip=("phase",))) == ["ratio"]
+        with pytest.raises(TypeError, match="no config parser for Knobs.phase: complex"):
+            _keys(Knobs)
+
+
 class TestParseConfig:
     def test_minimal_config_and_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -68,7 +164,9 @@ class TestParseConfig:
         assert cfg.log_every == 1
         assert cfg.output_path == ""
         assert cfg.landscape_kind == "quadratic"
-        assert cfg.landscape_params == {"eigenvalues": (2.0, 1.0)}
+        assert isinstance(cfg.landscape, QuadraticSpec)
+        assert np.array_equal(cfg.landscape.eigenvalues, [2.0, 1.0])
+        assert np.array_equal(cfg.landscape.offsets, [0.0, 0.0])
         assert cfg.optimizer.family == "adamw"
         assert cfg.schedule.warmup_steps == 0
         # the schedule inherits the run length unless total_steps is given
@@ -189,6 +287,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="warmup_steps < total_steps"):
             parse_config(text)
 
+    @pytest.mark.parametrize("config,fragment", [
+        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1.0, 2.0"),
+         "eigenvalues must be sorted descending"),
+        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = ,"), "non-empty"),
+        (MINIMAL + "landscape.offsets = 1.0\n", "matching non-empty"),
+        (MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "200, 101, 4"),
+         "parameter count 20604 exceeds the 20000 budget"),
+        (RIVER_VALLEY.replace("flat_dim = 2", "flat_dim = 3"), "sharp_dim == flat_dim"),
+    ])
+    def test_landscape_spec_rejected_at_parse_time(self, config, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config(config)
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
@@ -199,12 +310,6 @@ class TestBuildLandscape:
         land = build_landscape(cfg)
         assert land.dim == 2
         assert land.loss(np.zeros(2)) == 0.0
-
-    def test_spec_errors_wrap_as_config_errors(self):
-        cfg = parse_config(MINIMAL.replace("eigenvalues = 2.0, 1.0",
-                                           "eigenvalues = 1.0, 2.0"))
-        with pytest.raises(ConfigError):
-            build_landscape(cfg)
 
     def test_river_valley_and_mlp(self):
         assert build_landscape(parse_config(RIVER_VALLEY)).dim == 4

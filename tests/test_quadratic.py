@@ -16,14 +16,20 @@ class TestSpec:
     def test_descending_required(self):
         with pytest.raises(ValueError):
             QuadraticSpec(np.array([1.0, 2.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="descending"):
+            QuadraticSpec(np.array([1.0, 2.0]))
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             QuadraticSpec(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="non-empty"):
+            QuadraticSpec(np.array([]))
 
     def test_stationary_point(self):
         spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([4.0, -3.0]))
         assert np.allclose(spec.stationary_point(), [-2.0, 3.0])
+        # omitted offsets are zeros
+        assert np.array_equal(QuadraticSpec(np.array([2.0, 1.0])).stationary_point(), np.zeros(2))
 
     def test_zero_mode_stationary_is_zero(self):
         spec = QuadraticSpec(np.array([1.0, 0.0]), np.array([1.0, 5.0]))
