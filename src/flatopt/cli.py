@@ -11,6 +11,7 @@ error, 10 diverged-by-design; ``main`` maps every error to its status.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,6 +41,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw}")
+    return value
+
+
 def _k_grid(raw: str) -> list:
     """argparse type: a non-empty comma-separated list of integers."""
     sizes = [int(part) for part in raw.split(",") if part.strip()]
@@ -58,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_q = sub.add_parser("quadratic-report",
                          help="per-curvature damping-regime table as CSV")
-    p_q.add_argument("--alpha", type=float, required=True)
-    p_q.add_argument("--beta", type=float, required=True)
-    p_q.add_argument("--eta", type=float, required=True)
-    p_q.add_argument("--lambda-min", type=float, required=True)
-    p_q.add_argument("--lambda-max", type=float, required=True)
+    p_q.add_argument("--alpha", type=_finite_float, required=True)
+    p_q.add_argument("--beta", type=_finite_float, required=True)
+    p_q.add_argument("--eta", type=_finite_float, required=True)
+    p_q.add_argument("--lambda-min", type=_finite_float, required=True)
+    p_q.add_argument("--lambda-max", type=_finite_float, required=True)
     p_q.add_argument("--points", type=_int_at_least(1), required=True)
 
     p_a = sub.add_parser("align", help="gradient-Gram coverage curves for an MLP config")

@@ -212,18 +212,14 @@ def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    lam, b = quadratic.eigenvalues, quadratic.offsets
-    w0 = quadratic.stationary_point() + 1.0
-
-    def grad(w):
-        return lam * w + b
+    w0 = quadratic.start()
 
     # lookahead form: x_{k+1} = w_k - eta g(w_k), w_{k+1} = x_{k+1} + (1-alpha)(x_{k+1} - x_k)
     traj_a = [w0.copy()]
     w = w0.copy()
     x_prev = None
     for _ in range(steps):
-        x = w - eta * grad(w)
+        x = w - eta * quadratic.grad(w)
         if x_prev is None:
             x_prev = x
         w = x + (1.0 - alpha) * (x - x_prev)
@@ -237,7 +233,7 @@ def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,
     w = w0.copy()
     m = np.zeros_like(w0)
     for k in range(steps):
-        g = grad(w)
+        g = quadratic.grad(w)
         if k == 0:
             w = w - eta * g
         else:
@@ -277,15 +273,14 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a nondecreasing vector of times")
-    lam, b = quadratic.eigenvalues, quadratic.offsets
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     d = quadratic.dim
     if state0 is None:
-        state0 = (quadratic.stationary_point() + 1.0, np.zeros(d), np.zeros(d))
+        state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
 
     def rhs(_t, y):
         yw, yf, ys = y[:d], y[d:2 * d], y[2 * d:]
-        g = lam * yw + b
+        g = quadratic.grad(yw)
         return np.concatenate([-eta * (yf + kap * ys), -a1 * yf + a1 * g, -a2 * ys + a2 * g])
 
     traj = [np.concatenate([np.asarray(v, dtype=float) for v in state0])]
@@ -305,15 +300,14 @@ def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     (w, mf, ms), so the residual measures only the identity itself, not
     integration error.
     """
-    lam, b = quadratic.eigenvalues, quadratic.offsets
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     ws, mfs, mss = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
     worst = 0.0
     for w, mf, ms in zip(ws, mfs, mss):
-        g = lam * w + b
+        g = quadratic.grad(w)
         wd = -eta * (mf + kap * ms)
         wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)
-        hwd = lam * wd
+        hwd = quadratic.eigenvalues * wd
         wddd = -eta * (a1 * a1 * mf + kap * a2 * a2 * ms
                        - (a1 * a1 + kap * a2 * a2) * g + (a1 + kap * a2) * hwd)
         r = (wddd + (a1 + a2) * wdd + a1 * a2 * wd

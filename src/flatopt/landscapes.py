@@ -77,22 +77,12 @@ class Landscape:
 
 def quadratic_landscape(spec: QuadraticSpec) -> Landscape:
     """f(w) = 1/2 sum lambda_i w_i^2 + b^T w with exact gradient and Hvp."""
-    lam, b = spec.eigenvalues, spec.offsets
-
-    def loss(w):
-        w = np.asarray(w, dtype=float)
-        return float(0.5 * (lam * w * w).sum() + b @ w)
-
-    def grad(w):
-        return lam * np.asarray(w, dtype=float) + b
-
     def hvp(w, v):
-        return lam * np.asarray(v, dtype=float)
+        return spec.eigenvalues * np.asarray(v, dtype=float)
 
     blocks = {"all": BlockLayout(0, (1, spec.dim), "adam")}
-    # start displaced from the stationary point so trajectories move
-    return Landscape(spec.dim, loss, grad, hvp=hvp, blocks=blocks,
-                     initial_point=spec.stationary_point() + 1.0)
+    return Landscape(spec.dim, spec.loss, spec.grad, hvp=hvp, blocks=blocks,
+                     initial_point=spec.start())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,8 +102,8 @@ class RiverValleySpec:
     def __post_init__(self):
         if self.sharp_dim < 1 or self.flat_dim < 1:
             raise ValueError("river valley needs at least one coordinate per group")
-        if self.sharp_curvature <= 0.0:
-            raise ValueError("sharp_curvature must be positive")
+        if not 0.0 < self.sharp_curvature < math.inf:
+            raise ValueError("sharp_curvature must be positive and finite")
         if self.sharp_dim != self.flat_dim:
             raise ValueError("coordinatewise floor needs sharp_dim == flat_dim")
 
@@ -164,6 +154,8 @@ class MlpSpec:
             raise ValueError("widths must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.param_count > 20000:
             raise ValueError(f"parameter count {self.param_count} exceeds the 20000 budget")
 

@@ -142,6 +142,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family '{self.family}'")
+        defaults = {field.name: field.default for field in dataclasses.fields(self)}
+        for key, readers in FAMILY_KEYS.items():
+            if self.family not in readers and getattr(self, key) != defaults[key]:
+                raise ValueError(f"optimizer.{key} is read only by "
+                                 f"{' and '.join(readers)}, not by family '{self.family}'")
         for label in ("theta", "beta_v", "theta_shampoo"):
             value = getattr(self, label)
             if not 0.0 <= value < 1.0:
@@ -405,7 +410,8 @@ KINDS = {
 LITE_FAMILIES = {family for family, kinds in FAMILIES.items()
                  if any(KINDS[k].controller for k in kinds)}
 
-# key -> the families that read it, in FAMILIES order; parse_config rejects others
+# key -> the families that read it, in FAMILIES order; OptimizerConfig rejects
+# a non-default value for any other family
 FAMILY_KEYS = {key: tuple(family for family, kinds in FAMILIES.items()
                           if any(key in KINDS[k].keys for k in kinds))
                for kind in KINDS.values() for key in kind.keys}

@@ -5,8 +5,9 @@ Each curvature eigenvalue evolves independently under the two-step error
 recurrence e_{k+1} = 2T e_k - D e_{k-1}, so everything reduces to scalar root
 finding: damping regimes from the discriminant T^2 - D, a hard stability
 ceiling on the step size from the Jury criterion, and the curvature interval
-where the mode turns underdamped. A direct simulator provides the oracle side
-for every closed form.
+where the mode turns underdamped (the closed-form roots of a quadratic in
+lambda, without an iterative polish). A direct simulator provides the oracle
+side for every closed form.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class QuadraticSpec:
         b = np.zeros(lam.size) if self.offsets is None else np.asarray(self.offsets, dtype=float)
         if lam.ndim != 1 or lam.size == 0 or b.shape != lam.shape:
             raise ValueError(f"eigenvalues and offsets must be matching non-empty 1-D arrays, got {lam.shape} and {b.shape}")
+        if not (np.isfinite(lam).all() and np.isfinite(b).all()):
+            raise ValueError("eigenvalues and offsets must be finite")
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", lam)
@@ -45,6 +48,14 @@ class QuadraticSpec:
     def dim(self) -> int:
         return self.eigenvalues.size
 
+    def loss(self, w) -> float:
+        w = np.asarray(w, dtype=float)
+        return float(0.5 * (self.eigenvalues * w * w).sum() + self.offsets @ w)
+
+    def grad(self, w):
+        """The gradient lambda * w + b."""
+        return self.eigenvalues * np.asarray(w, dtype=float) + self.offsets
+
     def stationary_point(self):
         """Per-coordinate minimizer -b_i/lambda_i; flat coordinates pin to 0."""
         lam = self.eigenvalues
@@ -52,6 +63,10 @@ class QuadraticSpec:
         nz = lam != 0.0
         w[nz] = -self.offsets[nz] / lam[nz]
         return w
+
+    def start(self):
+        """The stationary point + 1: displaced so that trajectories move."""
+        return self.stationary_point() + 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,7 +112,7 @@ def characteristic_roots(t: float, d: float):
         # pair the subtraction-free root with D/r to dodge cancellation
         s = math.sqrt(disc)
         r_big = t + s if t >= 0.0 else t - s
-        r_small = d / r_big if r_big != 0.0 else t - math.copysign(s, t)
+        r_small = d / r_big  # disc > 0, so |r_big| >= sqrt(disc) > 0
         hi, lo = (r_big, r_small) if r_big >= r_small else (r_small, r_big)
         return (complex(hi), complex(lo)), regime, None
     if d <= 0.0:
@@ -134,17 +149,13 @@ def stability_bound(lam_max: float, alpha: float, beta: float) -> float:
     return 2.0 * (2.0 - alpha) / denom
 
 
-def _critical_curve(lam: float, alpha: float, beta: float, eta: float) -> float:
-    t, d = recurrence_coeffs(lam, alpha, beta, eta)
-    return t * t - d
-
-
 def regime_boundaries(alpha: float, beta: float, eta: float):
     """Curvature interval endpoints (lam1, lam2) where modes turn underdamped.
 
-    Solves T(lam)^2 = D(lam), a quadratic in lam, then polishes each root by
-    bisection on the discriminant. Raises if the quadratic has no pair of real
-    positive roots (no underdamped band at these hyper-parameters).
+    Solves T(lam)^2 = D(lam), a quadratic in lam, in closed form: the root
+    without cancellation is q / a2 and its partner a0 / q, with no further
+    polish. Raises if the quadratic has no pair of real positive roots (no
+    underdamped band at these hyper-parameters).
     """
     a2 = eta * eta * (beta + 1.0) ** 2 / 4.0
     a1 = -(1.0 - alpha / 2.0) * eta * (beta + 1.0) + (1.0 - alpha) * eta * beta
@@ -155,28 +166,10 @@ def regime_boundaries(alpha: float, beta: float, eta: float):
     if disc < 0.0:
         raise ValueError("no river/valley split at these hyper-parameters")
     q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-    roots = sorted((q / a2, a0 / q)) if q != 0.0 else [0.0, 0.0]
-    if roots[0] <= 0.0:
+    lo, hi = sorted((q / a2, a0 / q)) if q != 0.0 else (0.0, 0.0)
+    if lo <= 0.0:
         raise ValueError("no river/valley split at these hyper-parameters")
-    refined = []
-    for r in roots:
-        lo, hi = r * (1.0 - 1e-6), r * (1.0 + 1e-6)
-        flo, fhi = _critical_curve(lo, alpha, beta, eta), _critical_curve(hi, alpha, beta, eta)
-        if flo == 0.0 or fhi == 0.0 or flo * fhi > 0.0:
-            refined.append(r)
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = _critical_curve(mid, alpha, beta, eta)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        refined.append(0.5 * (lo + hi))
-    return refined[0], refined[1]
+    return lo, hi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,16 +192,15 @@ def simulate_recurrence(spec: QuadraticSpec, alpha: float, beta: float, eta: flo
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    lam, b = spec.eigenvalues, spec.offsets
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
-    if w.shape != lam.shape or m.shape != lam.shape:
+    if w.shape != (spec.dim,) or m.shape != (spec.dim,):
         raise ValueError("w0 and m0 must match the spectrum length")
     wstar = spec.stationary_point()
     traj = [w.copy()]
     diverged = False
     for _ in range(steps):
-        g = lam * w + b
+        g = spec.grad(w)
         m = (1.0 - alpha) * m + g
         w = w - eta * (m + beta * g)
         traj.append(w.copy())
@@ -280,16 +272,14 @@ def monotonicity_probe(lam: float, alpha: float, eta_grid, beta_grid) -> ProbeRe
             included[i, j] = True
     violations = []
     sign = 1.0 if expected == "increasing" else -1.0
-    for i in range(len(etas)):
-        row = [(j, r1[i, j]) for j in range(len(betas)) if included[i, j]]
-        for (j0, v0), (j1, v1) in zip(row, row[1:]):
-            if not sign * (v1 - v0) > 0.0:
-                violations.append(("beta", etas[i], betas[j0], betas[j1], v0, v1))
-    for j in range(len(betas)):
-        col = [(i, r1[i, j]) for i in range(len(etas)) if included[i, j]]
-        for (i0, v0), (i1, v1) in zip(col, col[1:]):
-            if not sign * (v1 - v0) > 0.0:
-                violations.append(("eta", betas[j], etas[i0], etas[i1], v0, v1))
+    # rows walk beta at fixed eta; the transposes walk eta at fixed beta
+    for axis, table, mask, fixed, along in (("beta", r1, included, etas, betas),
+                                            ("eta", r1.T, included.T, betas, etas)):
+        for i, at in enumerate(fixed):
+            line = [(along[j], table[i, j]) for j in range(len(along)) if mask[i, j]]
+            for (x0, v0), (x1, v1) in zip(line, line[1:]):
+                if not sign * (v1 - v0) > 0.0:
+                    violations.append((axis, at, x0, x1, v0, v1))
     return ProbeResult(r1=r1, included=included, expected=expected,
                        excluded_points=excluded, violations=violations,
                        passed=not violations)

@@ -299,6 +299,23 @@ class TestIshdAcceleration:
         assert np.abs(got - want).max() < 1e-6
 
 
+    def test_second_order_form_of_the_momentum_flow(self):
+        # constant eta, no projector, no metric: wdot = -eta (m + beta grad f)
+        # with mdot = -alpha m + grad f gives
+        # wddot = -alpha wdot - eta beta H wdot - eta (1 + alpha beta) grad f
+        alpha, beta, eta, delta = 0.4, 0.6, 0.2, 1e-3
+        land = quad([3.0, 0.5], [0.2, -0.1])
+        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        state = DynamicsState(land.initial_point, np.array([0.3, -0.7]))
+        states = [state] + [rk4_flow(state, land, params, k * delta, h=delta / 10)
+                            for k in (1, 2)]
+        wdots = [flow_rhs(s, land, params)[0] for s in states]
+        wddot = (-3.0 * wdots[0] + 4.0 * wdots[1] - wdots[2]) / (2.0 * delta)
+        acc = ishd_acceleration(state.w, wdots[0], land, alpha, eta * beta,
+                                eta * (1.0 + alpha * beta))
+        assert np.abs(acc - wddot).max() < 1e-6
+
+
 class TestNesterovForms:
     def test_gap_stays_below_1e10_over_100_steps(self):
         spec = QuadraticSpec(np.array([2.0, 1.0, 0.5]), np.array([0.3, -0.2, 0.1]))

@@ -1,0 +1,43 @@
+"""Smoke test of ``tools/golden_hashes.py``, the script that records and checks
+the byte-identical outputs of a fixed set of flatopt commands.
+
+It reads the script by path, as ``tests/test_tracer_targets.py`` reads the
+benchmark tracer, and checks its entry list without running the commands: a
+config rule that rejects one of its entries then fails here, not only when
+the script runs with ``--check``.
+"""
+
+import types
+from pathlib import Path
+
+from flatopt.harness import parse_config
+
+SCRIPT_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_hashes.py"
+
+
+def _load_script():
+    # exec instead of an import: nothing is cached next to the script
+    module = types.ModuleType("golden_hashes")
+    module.__file__ = str(SCRIPT_PATH)
+    exec(compile(SCRIPT_PATH.read_text(encoding="utf-8"), str(SCRIPT_PATH), "exec"),
+         module.__dict__)
+    return module
+
+
+GOLDEN = _load_script()
+
+
+def test_entries_are_45_unique_names():
+    names = [name for name, _ in GOLDEN.entries()]
+    assert len(names) == 45
+    assert len(set(names)) == len(names)
+
+
+def test_every_config_entry_parses():
+    configs = [spec for _, spec in GOLDEN.entries() if isinstance(spec, dict)]
+    # align runs on the adamw 6-8-8-4 config the script writes for it
+    configs.append(GOLDEN._run_keys("adamw", GOLDEN.MLPS["6-8-8-4"]))
+    for keys in configs:
+        cfg = parse_config(GOLDEN._config_text(keys, "out.csv"))
+        assert cfg.optimizer.family == keys["optimizer.family"]
+        assert cfg.output_path == "out.csv"

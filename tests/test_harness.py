@@ -295,6 +295,16 @@ class TestParseConfig:
         (MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "200, 101, 4"),
          "parameter count 20604 exceeds the 20000 budget"),
         (RIVER_VALLEY.replace("flat_dim = 2", "flat_dim = 3"), "sharp_dim == flat_dim"),
+        # non-finite or negative values that would otherwise run and diverge
+        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = inf, 1"),
+         "eigenvalues and offsets must be finite"),
+        (MINIMAL + "landscape.offsets = inf, 0\n", "eigenvalues and offsets must be finite"),
+        (RIVER_VALLEY.replace("sharp_curvature = 100.0", "sharp_curvature = inf"),
+         "sharp_curvature must be positive and finite"),
+        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = inf\n",
+         "noise_sigma must be finite and >= 0"),
+        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = -1\n",
+         "noise_sigma must be finite and >= 0"),
     ])
     def test_landscape_spec_rejected_at_parse_time(self, config, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -527,6 +537,20 @@ class TestCli:
         assert main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",
                      "--eta", "0.01", "--lambda-min", "0.1", "--lambda-max", "10",
                      "--points", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--eta", "--lambda-min",
+                                      "--lambda-max"])
+    def test_quadratic_report_rejects_non_finite_flags(self, capsys, flag, value):
+        argv = {"--alpha": "0.1", "--beta": "1.0", "--eta": "0.01",
+                "--lambda-min": "0.1", "--lambda-max": "10"}
+        argv[flag] = value
+        code = main(["quadratic-report", *(part for item in argv.items() for part in item),
+                     "--points", "5"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "must be finite" in out.err
 
     def test_align_requires_mlp(self, tmp_path, capsys):
         assert main(["align", "--config", self.write(tmp_path, MINIMAL)]) == 3

@@ -606,7 +606,8 @@ class TestTrivialPolicySkip:
         lite_weights = optim_mod._lite_weights
         monkeypatch.setattr(optim_mod, "_lite_weights",
                             lambda *args: calls.append(args) or lite_weights(*args))
-        cfg = cfg_for(family, qr_refresh_every=3, lite=policy)
+        cfg = cfg_for(family, lite=policy,
+                      **({"qr_refresh_every": 3} if family == "soap_lite" else {}))
         block = MatrixBlock("b", np.ones((6, 4)), role)
         state = init_state(block, cfg)
         for g in gradient_stream(113, (6, 4), 10):
@@ -663,8 +664,9 @@ class TestRouting:
         ("qr_refresh_every", 3),
     ])
     def test_family_keys_name_what_the_steppers_read(self, key, value):
-        # parse_config rejects a FAMILY_KEYS entry for every family outside
-        # its readers, so the key must move exactly the readers' trajectories
+        # OptimizerConfig rejects a FAMILY_KEYS entry for every family outside
+        # its readers; set on a built config anyway, it must move exactly the
+        # readers' trajectories
         lite = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
         shapes = {"muon": (4, 3), "adam": (3, 2), "embedding": (5, 3), "output": (3, 2)}
         grads = {role: gradient_stream(137 + i, shape, 12) for i, (role, shape) in enumerate(shapes.items())}
@@ -679,8 +681,12 @@ class TestRouting:
 
         for family in FAMILIES:
             extra = {"lite": lite} if family in LITE_FAMILIES else {}
-            moved = not np.array_equal(run(cfg_for(family, **extra)),
-                                       run(cfg_for(family, **extra, **{key: value})))
+            if family not in FAMILY_KEYS[key]:
+                with pytest.raises(ValueError, match=f"optimizer.{key} is read only by"):
+                    cfg_for(family, **extra, **{key: value})
+            keyed = cfg_for(family, **extra)
+            object.__setattr__(keyed, key, value)
+            moved = not np.array_equal(run(cfg_for(family, **extra)), run(keyed))
             assert moved == (family in FAMILY_KEYS[key]), family
 
     @pytest.mark.parametrize("role", ROLES)
@@ -690,7 +696,9 @@ class TestRouting:
         # step with a non-zero gradient (and a QR refresh) must move each of
         # them, or the table lists state its stepper never reads
         extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family in LITE_FAMILIES else {}
-        cfg = cfg_for(family, qr_refresh_every=1, **extra)
+        if family in FAMILY_KEYS["qr_refresh_every"]:
+            extra["qr_refresh_every"] = 1
+        cfg = cfg_for(family, **extra)
         blocks = {"b": MatrixBlock("b", np.ones((4, 3)), role)}
         states = init_states(blocks, cfg)
         initial = init_state(MatrixBlock("b", np.ones((4, 3)), role), cfg)

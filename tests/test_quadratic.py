@@ -10,6 +10,7 @@ from flatopt.quadratic import (ProbeResult, QuadraticSpec, analyze_mode,
                                monotonicity_probe, recurrence_coeffs,
                                regime_boundaries, simulate_recurrence,
                                stability_bound)
+from flatopt.rng import SplitMix64
 
 
 class TestSpec:
@@ -141,6 +142,26 @@ class TestRegimeBoundaries:
     def test_no_split_error(self):
         with pytest.raises(ValueError, match="no river/valley split"):
             regime_boundaries(1.9, 0.0, 0.01)
+
+    def test_closed_form_roots_classify_across_parameters(self):
+        # the closed-form roots are the boundaries themselves: each classifies
+        # critical, 1% outside them overdamped, their geometric mean underdamped
+        u = SplitMix64(1010).uniform(3 * 2000).reshape(2000, 3)
+        checked = 0
+        for alpha, beta, eta in zip(0.01 + 0.98 * u[:, 0], 5.0 * u[:, 1], 10.0 ** (-4.0 * u[:, 2])):
+            try:
+                lo, hi = regime_boundaries(alpha, beta, eta)
+            except ValueError:
+                continue
+            checked += 1
+
+            def regime(lam):
+                return classify_regime(*recurrence_coeffs(lam, alpha, beta, eta))
+
+            assert regime(lo) == regime(hi) == "critical", (alpha, beta, eta)
+            assert regime(0.99 * lo) == regime(1.01 * hi) == "overdamped", (alpha, beta, eta)
+            assert regime(math.sqrt(lo * hi)) == "underdamped", (alpha, beta, eta)
+        assert checked > 1000
 
 
 class TestSimulator:
