@@ -21,7 +21,7 @@ from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        ademamix_ode_residual, nesterov_forms_trace, rk4_flow,
                        semi_implicit_step)
 from .harness import ConfigError, parse_config, run_experiment
-from .landscapes import alignment_experiment, quadratic_landscape
+from .landscapes import alignment_experiment
 from .quadratic import QuadraticSpec, analyze_mode
 
 EXIT_OK = 0
@@ -135,27 +135,26 @@ def _cmd_dynamics_check(args) -> int:
                                      np.linspace(0.0, 10.0, 101))
     checks.append(("ademamix_ode_residual", residual, 1e-8))
 
-    land = quadratic_landscape(quad)
     params = FlowParams(alpha=0.2, beta=0.0, eta_of_t=0.05)
     state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
     w = state.w.copy()
     m = state.m.copy()
     s = state
     for _ in range(25):
-        s = semi_implicit_step(s, land, params, 1.0)
-        g = land.grad(w)
+        s = semi_implicit_step(s, quad, params, 1.0)
+        g = quad.grad(w)
         m = (1.0 - 0.2) * m + g
         w = w - 0.05 * (m + 0.0 * g)
     exact = float(np.abs(s.w - w).max() + np.abs(s.m - m).max())
     checks.append(("semi_implicit_h1_gap", exact, 0.0))
 
-    ref = rk4_flow(state, land, params, 1.0)
+    ref = rk4_flow(state, quad, params, 1.0)
     errs, hs = [], []
     for k in range(3, 7):
         h = 1.0 / 2 ** k
         cur = DynamicsState(state.w.copy(), state.m.copy())
         for _ in range(2 ** k):
-            cur = semi_implicit_step(cur, land, params, h)
+            cur = semi_implicit_step(cur, quad, params, h)
         errs.append(float(np.abs(cur.w - ref.w).max() + np.abs(cur.m - ref.m).max()))
         hs.append(h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -5,7 +5,9 @@ Euler discretization that reproduces the discrete update at h = 1, an RK4
 reference integrator, the two Nesterov formulations traced side by side, and
 the third-order identity satisfied by the two-timescale momentum flow.
 
-All flows live on flat parameter vectors; the metric, when present, is a
+Every flow integrates a QuadraticSpec, the same quadratic the closed-form
+analysis in ``quadratic`` studies, through its exact gradient; H times a
+vector is the eigenvalues times that vector. The metric, when present, is a
 constant SPD matrix (the regime where the curvature-correction terms vanish
 and the stated systems are exact).
 """
@@ -81,7 +83,7 @@ class FlowParams:
             object.__setattr__(self, "projector_sharp", p)
         if self.metric is not None:
             f = np.asarray(self.metric, dtype=float)
-            evals, vecs = sym_eig(0.5 * (f + f.T))
+            evals, vecs = sym_eig(f)
             if evals[-1] <= 0.0:
                 raise ValueError("metric must be symmetric positive definite")
             object.__setattr__(self, "metric", f)
@@ -96,19 +98,6 @@ class FlowParams:
         if callable(self.eta_of_t):
             return float(self.eta_of_t(t))
         return float(self.eta_of_t)
-
-
-def hessian_vector_product(landscape, w, v):
-    """Analytic when the landscape provides one, otherwise central finite
-    differences of the gradient with step 1e-5*(1+||w||)."""
-    if landscape.hvp is not None:
-        return np.asarray(landscape.hvp(w, v), dtype=float)
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    s = 1e-5 * (1.0 + math.sqrt(float(w @ w)))
-    gp = np.asarray(landscape.grad(w + s * v), dtype=float)
-    gm = np.asarray(landscape.grad(w - s * v), dtype=float)
-    return (gp - gm) / (2.0 * s)
 
 
 def _direction(params: FlowParams, m, g):
@@ -127,18 +116,18 @@ def _direction(params: FlowParams, m, g):
     return vecs @ ((vecs.T @ u) / evals)
 
 
-def flow_rhs(state: DynamicsState, landscape, params: FlowParams):
+def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
     """wdot = -eta F^{-1} u, mdot = -alpha m + grad f. Without a projector
     u = m + beta grad f; with one, the sharp projection keeps rate eta and
     damping beta1 while the flat complement is amplified by chi and damped
     with beta2."""
-    g = np.asarray(landscape.grad(state.w), dtype=float)
+    g = quadratic.grad(state.w)
     wdot = -params.eta_at(state.t) * _direction(params, state.m, g)
     mdot = -params.alpha * state.m + g
     return wdot, mdot
 
 
-def semi_implicit_step(state: DynamicsState, landscape, params: FlowParams,
+def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
                        h: float) -> DynamicsState:
     """One semi-implicit Euler step of flow_rhs: momentum first, then the
     parameters with the fresh momentum. At h = 1 with identity metric this is
@@ -150,7 +139,7 @@ def semi_implicit_step(state: DynamicsState, landscape, params: FlowParams,
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    g = np.asarray(landscape.grad(state.w), dtype=float)
+    g = quadratic.grad(state.w)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
     eta = params.eta_at(state.t)
     w_new = state.w - (h * eta) * _direction(params, m_new, g)
@@ -175,7 +164,7 @@ def _rk4(rhs, y, t: float, t_end: float, h: float):
     return y
 
 
-def rk4_flow(state: DynamicsState, landscape, params: FlowParams, t_end: float,
+def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams, t_end: float,
              h: float = FINE_STEP) -> DynamicsState:
     """RK4 integration of flow_rhs up to t_end; the reference trajectory for
     discretization-order checks."""
@@ -184,20 +173,19 @@ def rk4_flow(state: DynamicsState, landscape, params: FlowParams, t_end: float,
     d = state.w.size
 
     def rhs(t, y):
-        return np.concatenate(flow_rhs(DynamicsState(y[:d], y[d:], t), landscape, params))
+        return np.concatenate(flow_rhs(DynamicsState(y[:d], y[d:], t), quadratic, params))
 
     y = _rk4(rhs, np.concatenate([state.w, state.m]), state.t, t_end, h)
     return DynamicsState(y[:d], y[d:], t_end)
 
 
-def ishd_acceleration(w, wdot, landscape, alpha_t: float, beta_t: float,
+def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
                       gamma_t: float):
     """Acceleration of the damped inertial system:
-    wddot = -alpha_t wdot - beta_t H(w) wdot - gamma_t grad f(w)."""
-    w = np.asarray(w, dtype=float)
+    wddot = -alpha_t wdot - beta_t H wdot - gamma_t grad f(w)."""
     wdot = np.asarray(wdot, dtype=float)
-    g = np.asarray(landscape.grad(w), dtype=float)
-    return -alpha_t * wdot - beta_t * hessian_vector_product(landscape, w, wdot) - gamma_t * g
+    return (-alpha_t * wdot - beta_t * (quadratic.eigenvalues * wdot)
+            - gamma_t * quadratic.grad(w))
 
 
 def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,

@@ -37,16 +37,14 @@ class Landscape:
     ``loss_and_block_grads(mats, step)`` is the entry point of a training
     loop: the loss and per-block gradients at the block matrices ``mats``.
     ``loss`` and ``grad`` are callables of the flat vector w, for the
-    dynamics and finite-difference Hessian code; ``hvp(w, v)`` is analytic
-    where cheap and None otherwise (consumers fall back to finite
-    differences). ``blocks`` names the 2-D segments of w.
+    finite-difference Hessian code; the flows in ``dynamics`` integrate a
+    QuadraticSpec, not a Landscape. ``blocks`` names the 2-D segments of w.
     """
 
-    def __init__(self, dim, loss, grad, hvp=None, blocks=None, initial_point=None):
+    def __init__(self, dim, loss, grad, blocks=None, initial_point=None):
         self.dim = dim
         self.loss = loss
         self.grad = grad
-        self.hvp = hvp
         self.blocks = blocks or {}
         self.initial_point = initial_point if initial_point is not None else np.zeros(dim)
 
@@ -66,7 +64,7 @@ class Landscape:
         """Loss and per-block gradients at ``mats``; deterministic landscapes
         ignore the step."""
         w = self.pack(mats)
-        return self.loss(w), self.unpack(np.asarray(self.grad(w), dtype=float))
+        return self.loss(w), self.unpack(self.grad(w))
 
     def matrix_blocks(self, w):
         """Named MatrixBlock views (copies) at w, ready for the optimizer."""
@@ -76,12 +74,9 @@ class Landscape:
 
 
 def quadratic_landscape(spec: QuadraticSpec) -> Landscape:
-    """f(w) = 1/2 sum lambda_i w_i^2 + b^T w with exact gradient and Hvp."""
-    def hvp(w, v):
-        return spec.eigenvalues * np.asarray(v, dtype=float)
-
+    """f(w) = 1/2 sum lambda_i w_i^2 + b^T w as one "adam" block."""
     blocks = {"all": BlockLayout(0, (1, spec.dim), "adam")}
-    return Landscape(spec.dim, spec.loss, spec.grad, hvp=hvp, blocks=blocks,
+    return Landscape(spec.dim, spec.loss, spec.grad, blocks=blocks,
                      initial_point=spec.start())
 
 
@@ -318,8 +313,7 @@ def mean_col_hessian(landscape: Landscape, block_name: str, w):
 def top_eigenspace(matrix, k: int):
     """Orthonormal basis of the top-k eigenspace, from the symmetric-Jacobi
     oracle; the n x k matrix of leading eigenvectors."""
-    sym = 0.5 * (np.asarray(matrix, dtype=float) + np.asarray(matrix, dtype=float).T)
-    _, vecs = sym_eig(sym)
+    _, vecs = sym_eig(matrix)
     return vecs[:, :k]
 
 

@@ -61,6 +61,15 @@ class MatrixBlock:
             raise ValueError(f"unknown role '{self.role}' for block '{self.name}'")
 
 
+def _require_finite(config, may_be_inf=()):
+    """Reject a non-finite float field of config; those in may_be_inf may be +inf."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type.startswith("float") and value is not None and not (
+                math.isfinite(value) or (field.name in may_be_inf and value == math.inf)):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class LitePolicy:
     """Acceleration knobs: chi amplifies the flat-direction step, beta1/beta2
@@ -80,6 +89,7 @@ class LitePolicy:
     chi_embedding: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.chi < 1.0:
             raise ValueError("chi must be ≥ 1")
         if self.beta2 < self.beta1:
@@ -108,6 +118,7 @@ class ScheduleSpec:
     total_steps: int
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kind not in ("cos", "wsd", "constant"):
             raise ValueError(f"unknown schedule kind '{self.kind}'")
         if self.lr_max < 0.0:
@@ -147,10 +158,17 @@ class OptimizerConfig:
             if self.family not in readers and getattr(self, key) != defaults[key]:
                 raise ValueError(f"optimizer.{key} is read only by "
                                  f"{' and '.join(readers)}, not by family '{self.family}'")
+        _require_finite(self, may_be_inf=("clip_norm",))
         for label in ("theta", "beta_v", "theta_shampoo"):
             value = getattr(self, label)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{label} must be in [0, 1), got {value}")
+        for label in ("alpha_fast", "alpha_slow"):
+            value = getattr(self, label)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{label} must be in (0, 1], got {value}")
+        if self.ademamix_kappa < 0.0:
+            raise ValueError("ademamix_kappa must be ≥ 0")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.weight_decay < 0.0:

@@ -1,8 +1,6 @@
 """Continuous-time flows, the semi-implicit discretization, the two Nesterov
 formulations, and the two-timescale momentum identity."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,20 +12,12 @@ from flatopt.dynamics import (
     ademamix_flow_trajectory,
     ademamix_ode_residual,
     flow_rhs,
-    hessian_vector_product,
     ishd_acceleration,
     nesterov_forms_trace,
     rk4_flow,
     semi_implicit_step,
 )
-from flatopt.landscapes import Landscape, quadratic_landscape
-from flatopt.quadratic import QuadraticSpec
-
-
-def quad(lam, b=None):
-    lam = np.asarray(lam, dtype=float)
-    b = np.zeros_like(lam) if b is None else np.asarray(b, dtype=float)
-    return quadratic_landscape(QuadraticSpec(lam, b))
+from flatopt.quadratic import QuadraticSpec, simulate_recurrence
 
 
 class TestStateAndParams:
@@ -60,6 +50,9 @@ class TestStateAndParams:
     def test_non_spd_metric_rejected(self):
         with pytest.raises(ValueError, match="symmetric positive definite"):
             FlowParams(alpha=0.1, metric=np.diag([1.0, -1.0]))
+        # F^{-1} of a non-symmetric F is not what the flow would integrate
+        with pytest.raises(ValueError, match="not symmetric"):
+            FlowParams(alpha=0.1, metric=np.array([[2.0, 1.0], [0.0, 2.0]]))
 
     def test_settings_without_effect_rejected(self):
         # without a projector P = I, so chi and beta2 never reach the flow
@@ -71,53 +64,34 @@ class TestStateAndParams:
         assert FlowParams(alpha=0.1, chi=2.0, projector_sharp=np.eye(1)).chi == 2.0
 
 
-class TestHessianVectorProduct:
-    def test_analytic_route_is_exact(self):
-        land = quad([3.0, 1.0])
-        v = np.array([2.0, -1.0])
-        assert np.array_equal(hessian_vector_product(land, np.ones(2), v),
-                              np.array([6.0, -1.0]))
-
-    def test_finite_difference_fallback(self):
-        lam = np.array([4.0, 0.5])
-
-        def grad(w):
-            return lam * np.asarray(w, dtype=float)
-
-        land = Landscape(2, loss=lambda w: 0.5 * float(lam @ (w * w)), grad=grad)
-        v = np.array([1.0, -2.0])
-        got = hessian_vector_product(land, np.array([0.3, 0.7]), v)
-        assert np.abs(got - lam * v).max() < 1e-6
-
-
 class TestFirstOrderRhs:
     def test_quadratic_example(self):
-        land = quad([2.0, 1.0])
+        spec = QuadraticSpec([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.array([0.5, 0.5]))
         params = FlowParams(alpha=0.3, beta=0.5, eta_of_t=0.1)
-        wdot, mdot = flow_rhs(state, land, params)
+        wdot, mdot = flow_rhs(state, spec, params)
         g = np.array([2.0, 1.0])
         assert np.array_equal(wdot, -0.1 * (state.m + 0.5 * g))
         assert np.array_equal(mdot, -0.3 * state.m + g)
 
     def test_diagonal_metric_rescales_wdot(self):
-        land = quad([2.0, 1.0])
+        spec = QuadraticSpec([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.zeros(2))
         params = FlowParams(alpha=0.0, beta=1.0, eta_of_t=1.0,
                             metric=np.diag([4.0, 1.0]))
-        wdot, _ = flow_rhs(state, land, params)
+        wdot, _ = flow_rhs(state, spec, params)
         np.testing.assert_allclose(wdot, [-2.0 / 4.0, -1.0], rtol=1e-13)
 
     def test_time_dependent_eta(self):
-        land = quad([1.0])
+        spec = QuadraticSpec([1.0])
         params = FlowParams(alpha=0.0, eta_of_t=lambda t: 3.0 * t)
-        wdot, _ = flow_rhs(DynamicsState(np.ones(1), np.ones(1), t=2.0), land, params)
+        wdot, _ = flow_rhs(DynamicsState(np.ones(1), np.ones(1), t=2.0), spec, params)
         assert wdot[0] == -6.0
 
 
 class TestLiteFlowRhs:
     def setup_method(self):
-        self.land = quad([2.0, 1.0, 0.5], [0.1, -0.2, 0.3])
+        self.spec = QuadraticSpec([2.0, 1.0, 0.5], [0.1, -0.2, 0.3])
         self.state = DynamicsState(np.array([1.0, -1.0, 2.0]),
                                    np.array([0.3, 0.1, -0.4]))
 
@@ -125,8 +99,8 @@ class TestLiteFlowRhs:
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=5.0,
                             projector_sharp=np.eye(3))
         base = FlowParams(alpha=0.2, beta=0.4, eta_of_t=0.1)
-        wdot, mdot = flow_rhs(self.state, self.land, params)
-        wdot_base, mdot_base = flow_rhs(self.state, self.land, base)
+        wdot, mdot = flow_rhs(self.state, self.spec, params)
+        wdot_base, mdot_base = flow_rhs(self.state, self.spec, base)
         assert np.array_equal(wdot, wdot_base)
         assert np.array_equal(mdot, mdot_base)
 
@@ -134,16 +108,16 @@ class TestLiteFlowRhs:
         params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=2.0,
                             projector_sharp=np.zeros((3, 3)))
         base = FlowParams(alpha=0.2, beta=0.9, eta_of_t=0.1)
-        wdot, _ = flow_rhs(self.state, self.land, params)
-        wdot_base, _ = flow_rhs(self.state, self.land, base)
+        wdot, _ = flow_rhs(self.state, self.spec, params)
+        wdot_base, _ = flow_rhs(self.state, self.spec, base)
         assert np.array_equal(wdot, 2.0 * wdot_base)
 
     def test_split_projector_mixes_both_rates(self):
         p = np.diag([1.0, 0.0, 0.0])
         params = FlowParams(alpha=0.0, beta=(0.25, 0.75), eta_of_t=0.5, chi=3.0,
                             projector_sharp=p)
-        wdot, _ = flow_rhs(self.state, self.land, params)
-        g = self.land.grad(self.state.w)
+        wdot, _ = flow_rhs(self.state, self.spec, params)
+        g = self.spec.grad(self.state.w)
         m = self.state.m
         assert wdot[0] == pytest.approx(-0.5 * (m[0] + 0.25 * g[0]), rel=1e-15)
         assert wdot[1] == pytest.approx(-3.0 * 0.5 * (m[1] + 0.75 * g[1]), rel=1e-15)
@@ -159,21 +133,21 @@ class TestLiteFlowRhs:
 
 class TestSemiImplicitStep:
     def test_h_one_reproduces_discrete_update_bitwise(self):
-        land = quad([3.0, 1.0], [0.2, -0.1])
+        spec = QuadraticSpec([3.0, 1.0], [0.2, -0.1])
         alpha, beta, eta = 0.1, 0.3, 0.05
         params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
         state = DynamicsState(np.array([1.0, -2.0]), np.zeros(2))
         w, m = state.w.copy(), state.m.copy()
         for _ in range(50):
-            state = semi_implicit_step(state, land, params, 1.0)
-            g = land.grad(w)
+            state = semi_implicit_step(state, spec, params, 1.0)
+            g = spec.grad(w)
             m = (1.0 - alpha) * m + g
             w = w - eta * (m + beta * g)
             assert np.array_equal(state.w, w)
             assert np.array_equal(state.m, m)
 
     def test_h_one_split_flow_bitwise(self):
-        land = quad([2.0, 0.5], [0.0, 0.1])
+        spec = QuadraticSpec([2.0, 0.5], [0.0, 0.1])
         p = np.diag([1.0, 0.0])
         alpha, b1, b2, eta, chi = 0.2, 0.2, 0.6, 0.1, 2.0
         params = FlowParams(alpha=alpha, beta=(b1, b2), eta_of_t=eta, chi=chi,
@@ -181,32 +155,49 @@ class TestSemiImplicitStep:
         state = DynamicsState(np.array([0.5, 1.5]), np.zeros(2))
         w, m = state.w.copy(), state.m.copy()
         for _ in range(20):
-            state = semi_implicit_step(state, land, params, 1.0)
-            g = land.grad(w)
+            state = semi_implicit_step(state, spec, params, 1.0)
+            g = spec.grad(w)
             m = (1.0 - alpha) * m + g
             u = p @ (m + b1 * g) + chi * ((m + b2 * g) - p @ (m + b2 * g))
             w = w - eta * u
             assert np.array_equal(state.w, w)
             assert np.array_equal(state.m, m)
 
+    @pytest.mark.parametrize("alpha,beta,eta", [(0.1, 0.3, 0.05), (0.5, 0.0, 0.2),
+                                                (0.9, 1.0, 0.01)])
+    def test_h_one_trajectory_is_the_quadratic_simulator(self, alpha, beta, eta):
+        # the flow stepper and the closed-form side's simulator take the same
+        # spec and must walk the same iterates bit for bit
+        spec = QuadraticSpec([3.0, 1.0, 0.2], [0.5, -0.1, 0.0])
+        w0, m0 = spec.start(), np.array([0.2, 0.0, -0.3])
+        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        state = DynamicsState(w0, m0)
+        flow = [state.w]
+        for _ in range(200):
+            state = semi_implicit_step(state, spec, params, 1.0)
+            flow.append(state.w)
+        sim = simulate_recurrence(spec, alpha, beta, eta, w0, m0, 200)
+        assert not sim.diverged
+        assert np.array_equal(np.array(flow), sim.trajectory)
+
     def test_nonpositive_h_rejected(self):
-        land = quad([1.0])
+        spec = QuadraticSpec([1.0])
         params = FlowParams(alpha=0.1)
         with pytest.raises(ValueError, match="h must be positive"):
-            semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), land, params, 0.0)
+            semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, 0.0)
 
     @staticmethod
     def order_slope(params):
         """Slope of log global error against log h, semi-implicit Euler against
         the fine RK4 reference on a 2-d quadratic over t in [0, 1]."""
-        land = quad([2.0, 0.5])
+        spec = QuadraticSpec([2.0, 0.5])
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        reference = rk4_flow(start, land, params, t_end=1.0, h=1e-3)
+        reference = rk4_flow(start, spec, params, t_end=1.0, h=1e-3)
         errors, steps = [], [0.2, 0.1, 0.05, 0.025]
         for h in steps:
             state = DynamicsState(start.w.copy(), start.m.copy())
             for _ in range(round(1.0 / h)):
-                state = semi_implicit_step(state, land, params, h)
+                state = semi_implicit_step(state, spec, params, h)
             errors.append(np.abs(state.w - reference.w).max())
         return np.polyfit(np.log(steps), np.log(errors), 1)[0]
 
@@ -223,31 +214,31 @@ class TestSemiImplicitStep:
         assert 0.8 <= self.order_slope(params) <= 1.2
 
     def test_clock_advances(self):
-        land = quad([1.0])
+        spec = QuadraticSpec([1.0])
         params = FlowParams(alpha=0.1)
-        state = semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), land,
+        state = semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec,
                                    params, 0.25)
         assert state.t == 0.25
 
 
 class TestRk4Flow:
     def test_backwards_time_rejected(self):
-        land = quad([1.0])
+        spec = QuadraticSpec([1.0])
         state = DynamicsState(np.ones(1), np.zeros(1), t=1.0)
         with pytest.raises(ValueError, match="precede"):
-            rk4_flow(state, land, FlowParams(alpha=0.1), t_end=0.5)
+            rk4_flow(state, spec, FlowParams(alpha=0.1), t_end=0.5)
 
     def test_zero_span_is_identity(self):
-        land = quad([1.0])
+        spec = QuadraticSpec([1.0])
         state = DynamicsState(np.array([2.0]), np.array([0.5]), t=1.0)
-        out = rk4_flow(state, land, FlowParams(alpha=0.1), t_end=1.0)
+        out = rk4_flow(state, spec, FlowParams(alpha=0.1), t_end=1.0)
         assert np.array_equal(out.w, state.w)
         assert np.array_equal(out.m, state.m)
 
     def test_matches_matrix_exponential_solution(self):
         # per-mode linear system d/dt (w, m) = A (w, m) + (0, b) with beta = 0
         lam, b, alpha, eta = 1.7, 0.4, 0.6, 0.3
-        land = quad([lam], [b])
+        spec = QuadraticSpec([lam], [b])
         params = FlowParams(alpha=alpha, beta=0.0, eta_of_t=eta)
         y0 = np.array([1.3, -0.2])
         a = np.array([[0.0, -eta], [lam, -alpha]])
@@ -257,19 +248,19 @@ class TestRk4Flow:
         t_end = 2.0
         expm = (vecs @ np.diag(np.exp(evals * t_end)) @ np.linalg.inv(vecs)).real
         expected = y_star + expm @ (y0 - y_star)
-        out = rk4_flow(DynamicsState(y0[:1], y0[1:]), land, params, t_end=t_end)
+        out = rk4_flow(DynamicsState(y0[:1], y0[1:]), spec, params, t_end=t_end)
         assert abs(out.w[0] - expected[0]) < 1e-9
         assert abs(out.m[0] - expected[1]) < 1e-9
 
     def test_custom_rhs_equivalence(self):
         # an identity projector integrates exactly the unsplit flow
-        land = quad([2.0, 1.0], [0.1, 0.0])
+        spec = QuadraticSpec([2.0, 1.0], [0.1, 0.0])
         split = FlowParams(alpha=0.3, beta=(0.4, 0.9), eta_of_t=0.2, chi=7.0,
                            projector_sharp=np.eye(2))
         base = FlowParams(alpha=0.3, beta=0.4, eta_of_t=0.2)
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        out_split = rk4_flow(start, land, split, t_end=0.5, h=0.01)
-        out_base = rk4_flow(start, land, base, t_end=0.5, h=0.01)
+        out_split = rk4_flow(start, spec, split, t_end=0.5, h=0.01)
+        out_base = rk4_flow(start, spec, base, t_end=0.5, h=0.01)
         assert np.array_equal(out_split.w, out_base.w)
         assert np.array_equal(out_split.m, out_base.m)
 
@@ -277,41 +268,29 @@ class TestRk4Flow:
 class TestIshdAcceleration:
     def test_zero_at_rest_on_stationary_point(self):
         spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([0.4, -0.2]))
-        land = quadratic_landscape(spec)
         w_star = spec.stationary_point()
-        acc = ishd_acceleration(w_star, np.zeros(2), land, 1.0, 2.0, 3.0)
+        acc = ishd_acceleration(w_star, np.zeros(2), spec, 1.0, 2.0, 3.0)
         assert np.array_equal(acc, np.zeros(2))
 
     def test_scalar_example(self):
-        land = quad([2.0])
-        acc = ishd_acceleration(np.array([1.5]), np.array([-0.5]), land,
+        spec = QuadraticSpec([2.0])
+        acc = ishd_acceleration(np.array([1.5]), np.array([-0.5]), spec,
                                 alpha_t=1.0, beta_t=0.8, gamma_t=2.0)
         np.testing.assert_allclose(acc, [-4.7], rtol=1e-15)
-
-    def test_finite_difference_hessian_route(self):
-        lam = np.array([3.0, 0.7])
-        fd_land = Landscape(2, loss=lambda w: 0.5 * float(lam @ (w * w)),
-                            grad=lambda w: lam * np.asarray(w, dtype=float))
-        exact_land = quad(lam)
-        w, wdot = np.array([0.4, -1.1]), np.array([1.0, 2.0])
-        got = ishd_acceleration(w, wdot, fd_land, 0.5, 1.5, 0.25)
-        want = ishd_acceleration(w, wdot, exact_land, 0.5, 1.5, 0.25)
-        assert np.abs(got - want).max() < 1e-6
-
 
     def test_second_order_form_of_the_momentum_flow(self):
         # constant eta, no projector, no metric: wdot = -eta (m + beta grad f)
         # with mdot = -alpha m + grad f gives
         # wddot = -alpha wdot - eta beta H wdot - eta (1 + alpha beta) grad f
         alpha, beta, eta, delta = 0.4, 0.6, 0.2, 1e-3
-        land = quad([3.0, 0.5], [0.2, -0.1])
+        spec = QuadraticSpec([3.0, 0.5], [0.2, -0.1])
         params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
-        state = DynamicsState(land.initial_point, np.array([0.3, -0.7]))
-        states = [state] + [rk4_flow(state, land, params, k * delta, h=delta / 10)
+        state = DynamicsState(spec.start(), np.array([0.3, -0.7]))
+        states = [state] + [rk4_flow(state, spec, params, k * delta, h=delta / 10)
                             for k in (1, 2)]
-        wdots = [flow_rhs(s, land, params)[0] for s in states]
+        wdots = [flow_rhs(s, spec, params)[0] for s in states]
         wddot = (-3.0 * wdots[0] + 4.0 * wdots[1] - wdots[2]) / (2.0 * delta)
-        acc = ishd_acceleration(state.w, wdots[0], land, alpha, eta * beta,
+        acc = ishd_acceleration(state.w, wdots[0], spec, alpha, eta * beta,
                                 eta * (1.0 + alpha * beta))
         assert np.abs(acc - wddot).max() < 1e-6
 
@@ -429,13 +408,13 @@ class TestEnergyDecay:
             return True  # only contractive settings carry the certificate
         p = lyapunov_certificate(a)
         assert np.linalg.eigvalsh(p).min() > 0.0
-        land = quad([lam])
+        spec = QuadraticSpec([lam])
         params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
         state = DynamicsState(np.array([1.0]), np.array([0.0]))
         z = np.array([state.w[0], state.m[0]])
         v_prev = float(z @ p @ z)
         for _ in range(steps):
-            state = semi_implicit_step(state, land, params, 1.0)
+            state = semi_implicit_step(state, spec, params, 1.0)
             z = np.array([state.w[0], state.m[0]])
             v = float(z @ p @ z)
             if z @ z > 1e-20:

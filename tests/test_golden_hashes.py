@@ -1,14 +1,21 @@
-"""Smoke test of ``tools/golden_hashes.py``, the script that records and checks
-the byte-identical outputs of a fixed set of flatopt commands.
+"""Tests of ``tools/golden_hashes.py``, the script that records and checks the
+byte-identical outputs of a fixed set of flatopt commands.
 
 It reads the script by path, as ``tests/test_tracer_targets.py`` reads the
 benchmark tracer, and checks its entry list without running the commands: a
 config rule that rejects one of its entries then fails here, not only when
-the script runs with ``--check``.
+the script runs with ``--check``. One test runs ``--check`` itself against the
+committed record, in a fresh interpreter so that BLAS is pinned before numpy
+loads; it skips on a platform other than the recorded one.
 """
 
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 from flatopt.harness import parse_config
 
@@ -41,3 +48,17 @@ def test_every_config_entry_parses():
         cfg = parse_config(GOLDEN._config_text(keys, "out.csv"))
         assert cfg.optimizer.family == keys["optimizer.family"]
         assert cfg.output_path == "out.csv"
+
+
+def test_record_holds_every_entry():
+    record = json.loads(GOLDEN.RECORD.read_text(encoding="utf-8"))
+    assert list(record["entries"]) == [name for name, _ in GOLDEN.entries()]
+
+
+def test_outputs_match_the_record():
+    proc = subprocess.run([sys.executable, str(SCRIPT_PATH), "--check"],
+                          capture_output=True, text=True, timeout=300)
+    if "SKIPPED CHECK" in proc.stderr:
+        pytest.skip(proc.stderr.strip())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("45 entries, 0 differing lines\n")

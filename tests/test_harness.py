@@ -473,10 +473,25 @@ class TestCli:
         MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1, nan"),
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = ,"),
+        # infinite knobs, which would diverge or zero the step, and AdEMAMix
+        # EMA rates outside (0, 1]
+        MLP_BASE.format(family="muon_lite") + "lite.chi = inf\n",
+        MLP_BASE.format(family="muon_lite") + "lite.beta2 = inf\n",
+        MLP_BASE.format(family="muon_lite") + "lite.chi_embedding = inf\n",
+        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.ademamix_kappa = inf\n",
+        MINIMAL + "optimizer.weight_decay = inf\n",
+        MINIMAL.replace("family = adamw", "family = n_adamw") + "optimizer.nesterov_beta = inf\n",
+        MINIMAL.replace("lr_max = 0.01", "lr_max = inf"),
+        MINIMAL + "optimizer.epsilon = inf\n",
+        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = -0.5\n",
+        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = 0\n",
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
             "chi_norm", "nesterov_beta-adamw", "unknown-family", "lr_max-nan",
-            "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum"])
+            "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum",
+            "chi-inf", "beta2-inf", "chi_embedding-inf", "ademamix_kappa-inf",
+            "weight_decay-inf", "nesterov_beta-inf", "lr_max-inf", "epsilon-inf",
+            "alpha_fast-negative", "alpha_fast-zero"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")

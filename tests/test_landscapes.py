@@ -58,12 +58,11 @@ class TestLayoutAndPacking:
 class TestQuadraticLandscape:
     spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([1.0, -1.0]))
 
-    def test_loss_gradient_hvp(self):
+    def test_loss_and_gradient(self):
         land = quadratic_landscape(self.spec)
         w = np.array([1.0, 2.0])
         assert land.loss(w) == 0.5 * (2.0 + 4.0) + (1.0 - 2.0)
         assert np.array_equal(land.grad(w), np.array([3.0, 1.0]))
-        assert np.array_equal(land.hvp(w, np.ones(2)), np.array([2.0, 1.0]))
 
     def test_gradient_vanishes_at_stationary_point(self):
         land = quadratic_landscape(self.spec)

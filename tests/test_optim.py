@@ -852,6 +852,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(family="soap", qr_refresh_every=0)
 
+    @pytest.mark.parametrize("field", [
+        "theta", "beta_v", "theta_shampoo", "epsilon", "weight_decay", "nesterov_beta",
+        "mars_gamma", "ademamix_kappa", "alpha_fast", "alpha_slow",
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_float_fields_must_be_finite(self, field, value):
+        family = next(f for f in FAMILIES if f in FAMILY_KEYS.get(field, FAMILIES))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OptimizerConfig(family=family, **{field: value})
+
+    def test_clip_norm_may_be_infinite_but_not_nan(self):
+        assert OptimizerConfig(family="adamw", clip_norm=math.inf).clip_norm == math.inf
+        for value in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="clip_norm must be finite"):
+                OptimizerConfig(family="adamw", clip_norm=value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha_fast", 0.0), ("alpha_fast", -0.5), ("alpha_fast", 1.5), ("alpha_slow", 0.0),
+        ("ademamix_kappa", -1.0),
+    ])
+    def test_ademamix_knob_ranges(self, field, value):
+        # the bounds AdemamixFlowConfig puts on the same flow
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(family="ademamix", **{field: value})
+
     def test_lite_families_require_policy(self):
         with pytest.raises(ValueError, match="requires a lite policy"):
             OptimizerConfig(family="muon_lite")
@@ -882,11 +907,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="chi_embedding"):
             LitePolicy(chi_embedding=0.5)
 
+    @pytest.mark.parametrize("field", ["chi", "beta1", "beta2", "r_s", "d_smooth_ratio",
+                                       "chi_embedding"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_policy_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LitePolicy(**{field: value})
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             ScheduleSpec("linear", 1.0, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", -1.0, 0, 10)
+        for lr_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lr_max must be finite"):
+                ScheduleSpec("constant", lr_max, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", 1.0, 11, 10)
         with pytest.raises(ValueError, match="warmup_steps < total_steps"):

@@ -1,13 +1,21 @@
 """Golden output hashes: run a fixed set of flatopt commands in-process and
-print one line per entry, ``name status md5``, with the md5 taken over the
-exit status, stdout and CSV bytes.
+record, per entry, ``status md5`` with the md5 taken over the exit status,
+stdout and CSV bytes, next to the platform facts the bytes depend on.
 
-    python3 tools/golden_hashes.py > golden.txt      # record
-    python3 tools/golden_hashes.py --check golden.txt  # compare; exit 1 on a diff
+    python3 tools/golden_hashes.py > tools/golden.json   # record
+    python3 tools/golden_hashes.py --check               # compare with tools/golden.json
+    python3 tools/golden_hashes.py --check other.json    # compare with another record
+
+``--check`` prints each differing entry and exits 1 on a diff. On a platform
+other than the recorded one (Python, numpy, its BLAS, machine and numpy's
+SIMD targets, as the benchmark's ``fingerprint`` reads them for
+``perfbench/expected.json``) the bytes may differ for reasons outside
+flatopt, so it prints a ``SKIPPED CHECK`` line on stderr, runs nothing and
+exits 0.
 
 It measures the sources under ``src/`` of the checkout it sits in. BLAS is
 pinned to one thread before numpy loads. A change that claims to keep output
-bytes must leave every line unchanged.
+bytes must leave every entry unchanged.
 
 The 45 entries: nine families on three MLPs (6-8-8-4 batch 8, 32-96-96-16,
 16-8-24-4 batch 32); adamw on river_valley and quadratic; ``align``,
@@ -22,12 +30,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "tools" / "golden.json"
 BLAS_PIN = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FAMILIES = ("adamw", "n_adamw", "lion", "mars", "ademamix",
             "muon", "muon_lite", "soap", "soap_lite")
@@ -115,24 +125,36 @@ def digest(name, spec, workdir, cli_main):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE",
-                        help="compare with a saved run; exit 1 if any entry differs")
+    parser.add_argument("--check", metavar="FILE", nargs="?", const=RECORD, type=Path,
+                        help="compare with a record (default tools/golden.json); "
+                             "exit 1 if any entry differs")
     args = parser.parse_args(argv)
     for var in BLAS_PIN:
         os.environ[var] = "1"
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from flatopt.cli import main as cli_main
+    from worker import fingerprint
 
+    here = fingerprint()
+    if args.check is not None:
+        saved = json.loads(args.check.read_text(encoding="utf-8"))
+        differs = sorted(key for key in here.keys() | saved["fingerprint"].keys()
+                         if here.get(key) != saved["fingerprint"].get(key))
+        if differs:
+            print(f"SKIPPED CHECK: {args.check.name} was recorded on another platform "
+                  f"({', '.join(differs)} differ)", file=sys.stderr)
+            return 0
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [" ".join(map(str, (name, *digest(name, spec, Path(tmp), cli_main))))
-                 for name, spec in entries()]
+        hashes = {name: " ".join(map(str, digest(name, spec, Path(tmp), cli_main)))
+                  for name, spec in entries()}
     if args.check is None:
-        print("\n".join(lines))
+        print(json.dumps({"fingerprint": here, "entries": hashes}, indent=2))
         return 0
-    saved = Path(args.check).read_text(encoding="utf-8").splitlines()
-    differ = sorted(set(lines) ^ set(saved))
+    lines = {f"{name} {value}" for name, value in hashes.items()}
+    recorded = {f"{name} {value}" for name, value in saved["entries"].items()}
+    differ = sorted(lines ^ recorded)
     for line in differ:
-        print(("- " if line in saved else "+ ") + line)
+        print(("- " if line in recorded else "+ ") + line)
     print(f"{len(lines)} entries, {len(differ)} differing lines")
     return 1 if differ else 0
 
