@@ -116,15 +116,17 @@ def _direction(params: FlowParams, m, g):
     return vecs @ ((vecs.T @ u) / evals)
 
 
+def _flow(w, m, t: float, quadratic: QuadraticSpec, params: FlowParams):
+    g = quadratic.grad(w)
+    return -params.eta_at(t) * _direction(params, m, g), -params.alpha * m + g
+
+
 def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
     """wdot = -eta F^{-1} u, mdot = -alpha m + grad f. Without a projector
     u = m + beta grad f; with one, the sharp projection keeps rate eta and
     damping beta1 while the flat complement is amplified by chi and damped
     with beta2."""
-    g = quadratic.grad(state.w)
-    wdot = -params.eta_at(state.t) * _direction(params, state.m, g)
-    mdot = -params.alpha * state.m + g
-    return wdot, mdot
+    return _flow(state.w, state.m, state.t, quadratic, params)
 
 
 def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
@@ -146,20 +148,28 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     return DynamicsState(w_new, m_new, state.t + h)
 
 
-def _rk4(rhs, y, t: float, t_end: float, h: float):
+def _rk4(rhs, y: tuple, t: float, t_end: float, h: float) -> tuple:
     """Classical 4-stage integration of y' = rhs(t, y) from t to t_end in
-    ceil((t_end - t) / h) equal steps."""
+    ceil((t_end - t) / h) equal steps.
+
+    y is a tuple of components, each a float or an array, and rhs returns
+    one derivative per component. The stages combine each component as
+    a + (0.5 * step) * b and a + (step / 6.0) * (b1 + 2 b2 + 2 b3 + b4),
+    so a float component rounds exactly as one entry of an array would.
+    """
     span = t_end - t
     if span <= 0:
         return y
     n_steps = max(1, int(math.ceil(span / h - 1e-12)))
     step = span / n_steps
+    half, sixth = 0.5 * step, step / 6.0
     for _ in range(n_steps):
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = rhs(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k1)))
+        k3 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k2)))
+        k4 = rhs(t + step, tuple(a + step * b for a, b in zip(y, k3)))
+        y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         t += step
     return y
 
@@ -167,16 +177,13 @@ def _rk4(rhs, y, t: float, t_end: float, h: float):
 def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams, t_end: float,
              h: float = FINE_STEP) -> DynamicsState:
     """RK4 integration of flow_rhs up to t_end; the reference trajectory for
-    discretization-order checks."""
+    discretization-order checks. A flow that overflows raises ValueError
+    from the returned state's check."""
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
-    d = state.w.size
-
-    def rhs(t, y):
-        return np.concatenate(flow_rhs(DynamicsState(y[:d], y[d:], t), quadratic, params))
-
-    y = _rk4(rhs, np.concatenate([state.w, state.m]), state.t, t_end, h)
-    return DynamicsState(y[:d], y[d:], t_end)
+    w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
+                (state.w, state.m), state.t, t_end, h)
+    return DynamicsState(w, m, t_end)
 
 
 def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
@@ -257,6 +264,12 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     with the fine-step 4-stage integrator, returning (W, MF, MS) sampled on
     t_grid. Starts at the stationary point + 1 with zero momenta unless
     state0 = (w, mf, ms) is given.
+
+    The quadratic is diagonal, so each coordinate's (w, mf, ms) is an
+    independent system of three Python floats, integrated one coordinate at
+    a time. Every expression is the vector one written per entry, and a
+    float rounds as a numpy entry does, so the result is bit for bit the
+    vector integration's.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
@@ -265,16 +278,21 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     d = quadratic.dim
     if state0 is None:
         state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
+    traj = np.empty((t_grid.size, 3 * d))
+    traj[0] = np.concatenate([np.asarray(v, dtype=float) for v in state0])
+    times = t_grid.tolist()
+    start = traj[0].tolist()
+    for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
 
-    def rhs(_t, y):
-        yw, yf, ys = y[:d], y[d:2 * d], y[2 * d:]
-        g = quadratic.grad(yw)
-        return np.concatenate([-eta * (yf + kap * ys), -a1 * yf + a1 * g, -a2 * ys + a2 * g])
+        def rhs(_t, y):
+            w, f, s = y
+            g = lam * w + b
+            return -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
 
-    traj = [np.concatenate([np.asarray(v, dtype=float) for v in state0])]
-    for t, t_next in zip(t_grid[:-1], t_grid[1:]):
-        traj.append(_rk4(rhs, traj[-1], t, t_next, FINE_STEP))
-    traj = np.array(traj)
+        y = tuple(start[i::d])
+        for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
+            y = _rk4(rhs, y, t, t_next, FINE_STEP)
+            traj[k, i::d] = y
     return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 

@@ -321,15 +321,15 @@ def gram_alignment_curve(reference, gram, d_s: int, k_grid):
     """Coverage of reference's top-d_s eigenspace by gram's top-k eigenspaces.
 
     Returns [(k, coverage)] over k_grid; every k must be >= d_s so the
-    coverage score's column-count precondition holds.
+    coverage score's column-count precondition holds. gram is
+    eigendecomposed once and each k takes its leading k eigenvectors.
     """
-    ref_basis = top_eigenspace(reference, d_s)
-    curve = []
     for k in k_grid:
         if k < d_s:
             raise ValueError(f"k = {k} below the reference dimension d_s = {d_s}")
-        curve.append((int(k), coverage_score(ref_basis, top_eigenspace(gram, int(k)))))
-    return curve
+    ref_basis = top_eigenspace(reference, d_s)
+    _, vecs = sym_eig(gram)
+    return [(int(k), coverage_score(ref_basis, vecs[:, :int(k)])) for k in k_grid]
 
 
 def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,

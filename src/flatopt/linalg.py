@@ -6,6 +6,8 @@ deliberately built on the Jacobi eigensolver rather than any iterative
 polynomial scheme so the two routes stay independent.
 """
 
+import math
+
 import numpy as np
 
 JACOBI_MAX_SWEEPS = 100
@@ -74,6 +76,14 @@ def sym_eig(a):
     Returns (eigenvalues descending, eigenvector matrix with matching columns).
     Sweeps until the off-diagonal Frobenius mass drops below 1e-14 * ‖a‖_F
     or 100 sweeps elapse.
+
+    W = (a + aᵀ)/2 is stacked over the accumulated rotations V in one 2n×n
+    array, so one column pass rotates both. W starts bitwise symmetric and
+    each rotation keeps it so: off the 2×2 pivot block, row p of JᵀWJ is
+    computed by the same operations on the same operands as column p of WJ.
+    The row pass is therefore a copy of the rotated columns p and q, after
+    which the pivot's diagonal entries are formed from the post-column
+    entries and its off-diagonal pair is zeroed.
     """
     a = as_matrix(a)
     n, n2 = a.shape
@@ -82,8 +92,10 @@ def sym_eig(a):
     asym = np.abs(a - a.T).max()
     if asym > 1e-12 * max(1.0, frobenius(a)):
         raise ValueError(f"sym_eig input is not symmetric (max |a - aᵀ| = {asym:.3e})")
-    w = 0.5 * (a + a.T)
-    v = np.eye(n)
+    wv = np.empty((2 * n, n))
+    w, v = wv[:n], wv[n:]
+    w[:] = 0.5 * (a + a.T)
+    v[:] = np.eye(n)
     norm = frobenius(w)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = w.copy()
@@ -92,24 +104,24 @@ def sym_eig(a):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = w[p, q]
+                apq = w.item(p, q)
                 if apq == 0.0:
                     continue
-                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                tau = (w.item(q, q) - w.item(p, p)) / (2.0 * apq)
+                # np.sign convention: tau = -0.0 (equal diagonal, apq < 0) takes t > 0
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot_p = c * w[:, p] - s * w[:, q]
-                rot_q = s * w[:, p] + c * w[:, q]
-                w[:, p], w[:, q] = rot_p, rot_q
-                rot_p = c * w[p, :] - s * w[q, :]
-                rot_q = s * w[p, :] + c * w[q, :]
-                w[p, :], w[q, :] = rot_p, rot_q
+                col_p, col_q = wv[:, p], wv[:, q]
+                rot_p = c * col_p - s * col_q
+                col_q[:] = s * col_p + c * col_q
+                col_p[:] = rot_p
+                w_pp = c * w.item(p, p) - s * w.item(q, p)
+                w_qq = s * w.item(p, q) + c * w.item(q, q)
+                w[p] = w[:, p]
+                w[q] = w[:, q]
+                w[p, p], w[q, q] = w_pp, w_qq
                 w[p, q] = w[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
     evals = np.diag(w).copy()
     order = np.argsort(-evals, kind="stable")
     return evals[order], v[:, order]

@@ -1,11 +1,14 @@
 """Continuous-time flows, the semi-implicit discretization, the two Nesterov
 formulations, and the two-timescale momentum identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatopt.dynamics import (
+    FINE_STEP,
     AdemamixFlowConfig,
     DynamicsState,
     FlowParams,
@@ -264,6 +267,15 @@ class TestRk4Flow:
         assert np.array_equal(out_split.w, out_base.w)
         assert np.array_equal(out_split.m, out_base.m)
 
+    def test_non_finite_state_rejected(self):
+        # lambda < 0 makes the flow grow like exp(sqrt(eta |lambda|) t): it
+        # overflows long before t_end, and the returned state must say so
+        spec = QuadraticSpec([-1e6])
+        start = DynamicsState(np.ones(1), np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                rk4_flow(start, spec, FlowParams(alpha=0.1, eta_of_t=1.0), t_end=1.0)
+
 
 class TestIshdAcceleration:
     def test_zero_at_rest_on_stationary_point(self):
@@ -382,6 +394,56 @@ class TestAdemamixFlow:
             AdemamixFlowConfig(alpha_fast=0.0, alpha_slow=0.1, kappa=1.0, eta=0.1)
         with pytest.raises(ValueError, match="kappa"):
             AdemamixFlowConfig(alpha_fast=0.1, alpha_slow=0.1, kappa=-1.0, eta=0.1)
+
+
+def vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=None):
+    """Reference formulation of ademamix_flow_trajectory: one concatenated
+    state y = (w, mf, ms), a numpy-vector right-hand side, and array RK4
+    stages at FINE_STEP."""
+    a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
+    d = quadratic.dim
+    if state0 is None:
+        state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
+
+    def rhs(y):
+        yw, yf, ys = y[:d], y[d:2 * d], y[2 * d:]
+        g = quadratic.grad(yw)
+        return np.concatenate([-eta * (yf + kap * ys), -a1 * yf + a1 * g, -a2 * ys + a2 * g])
+
+    t_grid = np.asarray(t_grid, dtype=float)
+    traj = [np.concatenate([np.asarray(v, dtype=float) for v in state0])]
+    for t, t_end in zip(t_grid[:-1], t_grid[1:]):
+        y, span = traj[-1], t_end - t
+        if span > 0:
+            n_steps = max(1, int(math.ceil(span / FINE_STEP - 1e-12)))
+            step = span / n_steps
+            for _ in range(n_steps):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * step * k1)
+                k3 = rhs(y + 0.5 * step * k2)
+                k4 = rhs(y + step * k3)
+                y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj.append(y)
+    traj = np.array(traj)
+    return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
+
+
+@pytest.mark.parametrize("quadratic, cfg, t_grid, state0", [
+    # the dynamics-check case
+    (QuadraticSpec([1.0], [0.0]), AdemamixFlowConfig(0.1, 1e-3, 2.0, 0.05),
+     np.linspace(0.0, 10.0, 101), None),
+    (TestAdemamixFlow.spec, TestAdemamixFlow.cfg, np.linspace(0.0, 5.0, 11), None),
+    (TestAdemamixFlow.spec, TestAdemamixFlow.cfg, np.array([0.0, 0.3, 1.25]),
+     (np.array([1.0, 2.0, 3.0]), np.array([0.1, -0.2, 0.3]), np.array([0.2, 0.0, -0.4]))),
+    # a repeated time is a zero span: the state is carried over unchanged
+    (TestAdemamixFlow.spec, TestAdemamixFlow.cfg, np.array([0.0, 0.5, 0.5, 0.75]), None),
+], ids=["dynamics-check", "offsets", "state0", "repeated-time"])
+def test_ademamix_trajectory_matches_vector_formulation_bitwise(quadratic, cfg, t_grid, state0):
+    got = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
+    want = vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=state0)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def heavy_ball_matrix(lam, alpha, beta, eta):

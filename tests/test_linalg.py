@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatopt.linalg import as_matrix, frobenius, qr_decompose, svd_oracle, sym_eig
+from flatopt.linalg import (
+    JACOBI_MAX_SWEEPS,
+    JACOBI_OFF_TOL,
+    as_matrix,
+    frobenius,
+    qr_decompose,
+    svd_oracle,
+    sym_eig,
+)
 
 
 def random_matrix(rng, m, n, lo=-1.0, hi=1.0):
@@ -130,3 +138,84 @@ def test_sym_eig_reconstructs(n, seed):
     a = 0.5 * (a + a.T)
     evals, vecs = sym_eig(a)
     assert frobenius(vecs @ np.diag(evals) @ vecs.T - a) < 1e-8 * max(1.0, frobenius(a))
+
+
+def cyclic_jacobi_reference(a):
+    """Reference for sym_eig: cyclic Jacobi with separate W and V arrays, a
+    column rotation and a row rotation of W per pivot, numpy scalars."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    w = 0.5 * (a + a.T)
+    v = np.eye(n)
+    norm = frobenius(w)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        if frobenius(off) < JACOBI_OFF_TOL * max(norm, np.finfo(float).tiny):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = w[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
+                t = np.sign(tau) if tau != 0 else 1.0
+                t = t / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * w[:, p] - s * w[:, q]
+                rot_q = s * w[:, p] + c * w[:, q]
+                w[:, p], w[:, q] = rot_p, rot_q
+                rot_p = c * w[p, :] - s * w[q, :]
+                rot_q = s * w[p, :] + c * w[q, :]
+                w[p, :], w[q, :] = rot_p, rot_q
+                w[p, q] = w[q, p] = 0.0
+                rot_p = c * v[:, p] - s * v[:, q]
+                rot_q = s * v[:, p] + c * v[:, q]
+                v[:, p], v[:, q] = rot_p, rot_q
+    evals = np.diag(w).copy()
+    order = np.argsort(-evals, kind="stable")
+    return evals[order], v[:, order]
+
+
+def _symmetric_input(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n))
+    if kind == "spd":
+        return g @ g.T + n * np.eye(n)
+    if kind == "indefinite":
+        return 0.5 * (g + g.T)
+    if kind == "diagonal":
+        # every off-diagonal pivot is zero, so every rotation is skipped
+        return np.diag(g[0])
+    u = g[:, 0]
+    return np.eye(n) + np.outer(u, u)  # identity plus rank 1: n - 1 repeated eigenvalues
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 48])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "diagonal", "rank1"])
+def test_sym_eig_matches_cyclic_reference_bitwise(kind, n):
+    a = _symmetric_input(kind, n, seed=1000 * n + len(kind))
+    evals, vecs = sym_eig(a)
+    ref_evals, ref_vecs = cyclic_jacobi_reference(a)
+    assert np.array_equal(evals, ref_evals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def _gapped_matrix(rng, m, n):
+    """Random m-by-n matrix with singular values in [0.05, 1], the polar check's draw."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = np.sort(0.05 + 0.95 * rng.random(n))[::-1]
+    return u @ (sigma[:, None] * v.T)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_svd_oracle_matches_cyclic_reference_bitwise(seed):
+    a = _gapped_matrix(np.random.default_rng(seed), 48, 32)
+    evals, ref_v = cyclic_jacobi_reference(a.T @ a)
+    ref_u, _ = qr_decompose(a @ ref_v)
+    u, sigma, v = svd_oracle(a)
+    assert np.array_equal(sigma, np.sqrt(np.clip(evals, 0.0, None)))
+    assert np.array_equal(v, ref_v)
+    assert np.array_equal(u, ref_u)
