@@ -36,9 +36,11 @@ class Landscape:
 
     ``loss_and_block_grads(mats, step)`` is the entry point of a training
     loop: the loss and per-block gradients at the block matrices ``mats``.
-    ``loss`` and ``grad`` are callables of the flat vector w, for the
-    finite-difference Hessian code; the flows in ``dynamics`` integrate a
-    QuadraticSpec, not a Landscape. ``blocks`` names the 2-D segments of w.
+    ``loss`` and ``grad`` are callables of the flat vector w; the harness
+    reads the final loss through ``loss``, and ``block_fd_hessian``
+    differences ``grad`` one coordinate at a time unless a subclass has a
+    faster route. The flows in ``dynamics`` integrate a QuadraticSpec, not
+    a Landscape. ``blocks`` names the 2-D segments of w.
     """
 
     def __init__(self, dim, loss, grad, blocks=None, initial_point=None):
@@ -65,6 +67,21 @@ class Landscape:
         ignore the step."""
         w = self.pack(mats)
         return self.loss(w), self.unpack(self.grad(w))
+
+    def block_fd_hessian(self, name, w, entries):
+        """Central differences of block ``name``'s gradient at w for steps on
+        ``entries``, flat indices into the block: the |entries| x |entries|
+        matrix d grad[entries] / d w[entries], column j for the step on
+        entries[j]. Entry c steps by 1e-5 * (1 + |w_c|)."""
+        w = np.asarray(w, dtype=float)
+        coords = self.blocks[name].start + np.asarray(entries)
+        cols = []
+        for c in coords:
+            h = 1e-5 * (1.0 + abs(float(w[c])))
+            wp = w.copy(); wp[c] += h
+            wm = w.copy(); wm[c] -= h
+            cols.append((self.grad(wp)[coords] - self.grad(wm)[coords]) / (2.0 * h))
+        return np.stack(cols, axis=1)
 
     def matrix_blocks(self, w):
         """Named MatrixBlock views (copies) at w, ready for the optimizer."""
@@ -171,6 +188,14 @@ def _layer_role(index: int, n_layers: int) -> str:
     return "muon"
 
 
+# Bytes that one stacked finite-difference pass may hold: the perturbed block
+# copies, their gradients and the activations above the block. At 1 MiB,
+# glibc's allocator handed the 96x96 block's pass arrays back to the kernel
+# and faulted them in again every pass (about 6000 page faults a row, 2.4x the
+# time), and larger stacks raised align's peak memory.
+_FD_STACK_BYTES = 1 << 19
+
+
 class MlpLandscape(Landscape):
     """MLP objective over the fixed batch, plus fresh-minibatch sampling for
     gradient-noise experiments. All randomness is derived from the seed by
@@ -218,12 +243,13 @@ class MlpLandscape(Landscape):
             a = z if i == last else np.tanh(z)
         return a
 
-    def _forward(self, weights, x):
-        """Activations [a_0 .. a_L]; hidden layers tanh, head linear."""
+    def _forward(self, weights, x, layers):
+        """Activations [x, ...] through the consecutive ``layers``, x being
+        the first one's input; hidden layers tanh, the head linear."""
         acts = [x]
         last = len(weights) - 1
-        for i, w in enumerate(weights):
-            z = acts[-1] @ w
+        for i in layers:
+            z = acts[-1] @ weights[i]
             acts.append(z if i == last else np.tanh(z))
         return acts
 
@@ -235,16 +261,62 @@ class MlpLandscape(Landscape):
         """Mean squared error and its reverse-mode gradients, per block."""
         x, y = batch
         weights = [mats[f"layer{i}"] for i in range(self.spec.n_layers)]
-        acts = self._forward(weights, x)
-        r = acts[-1] - y
-        delta = 2.0 * r / r.size
-        grads = {}
-        for i in range(len(weights) - 1, -1, -1):
-            grads[f"layer{i}"] = acts[i].T @ delta
-            if i > 0:
-                # tanh' = 1 - tanh^2, and acts[i] already holds tanh(z)
-                delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
+        r, grads = self._backprop(weights, x, y, 0)
         return float((r * r).sum()) / r.size, grads
+
+    def _backprop(self, weights, x, y, first, only_first=False):
+        """Residual and reverse-mode MSE gradients of layers ``first`` and up
+        (of layer ``first`` alone if ``only_first``), from x, the input of
+        layer ``first``.
+
+        weights[first] may be a stack of (k, m, n) blocks; the residual and
+        every gradient then carry the same leading axis, and slice i is what
+        the 2-D pass gives for block i (numpy multiplies each slice of a
+        stacked matmul as its own 2-D product).
+        """
+        acts = self._forward(weights, x, range(first, len(weights)))
+        r = acts[-1] - y
+        delta = 2.0 * r / y.size
+        grads = {}
+        for i in range(len(weights) - 1, first - 1, -1):
+            a = acts[i - first]
+            if i == first or not only_first:
+                grads[f"layer{i}"] = a.swapaxes(-1, -2) @ delta
+            if i > first:
+                # tanh' = 1 - tanh^2, and a already holds tanh(z)
+                delta = (delta @ weights[i].swapaxes(-1, -2)) * (1.0 - a ** 2)
+        return r, grads
+
+    def block_fd_hessian(self, name, w, entries):
+        """The base class's central differences on the fixed batch, as
+        stacked passes: the batch runs forward to the block's input once,
+        then each chunk of perturbed copies of the block, stacked on a
+        leading axis, runs the rest of the forward pass and the backward pass
+        down to the block. Every slice repeats the full pass's arithmetic, so
+        the result is the base class's byte for byte."""
+        first = list(self.blocks).index(name)
+        weights = list(self.unpack(w).values())
+        x, y = self._fixed
+        a = self._forward(weights, x, range(first))[-1]
+        block = weights[first]
+        entries = np.asarray(entries)
+        steps = 1e-5 * (1.0 + np.abs(block.ravel()[entries]))
+        # a copy's bytes: the perturbed block and its gradient, plus about four
+        # batch-by-width arrays (activations and deltas) per layer above it
+        copy_bytes = 8 * (2 * block.size + 4 * y.shape[0] * sum(self.spec.widths[first + 1:]))
+        chunk = max(1, _FD_STACK_BYTES // (2 * copy_bytes))
+        out = np.empty((entries.size, entries.size))
+        for lo in range(0, entries.size, chunk):
+            e, h = entries[lo:lo + chunk], steps[lo:lo + chunk]
+            k = e.size
+            stack = np.repeat(block.reshape(1, -1), 2 * k, axis=0)
+            stack[np.arange(k), e] += h
+            stack[np.arange(k, 2 * k), e] -= h
+            weights[first] = stack.reshape((2 * k,) + block.shape)
+            g = self._backprop(weights, a, y, first, only_first=True)[1][name]
+            g = g.reshape(2 * k, -1)[:, entries]
+            out[:, lo:lo + k] = ((g[:k] - g[k:]) / (2.0 * h)[:, None]).T
+        return out
 
     def loss_on_batch(self, w, batch) -> float:
         return self._loss_and_grads(self.unpack(w), batch)[0]
@@ -268,46 +340,26 @@ def mlp_landscape(spec: MlpSpec, seed: int) -> MlpLandscape:
     return MlpLandscape(spec, seed)
 
 
-def _fd_hessian_on_coords(grad_fn, w, coords):
-    """Central differences of grad_fn over the given coordinates.
-
-    Returns the |coords| x |coords| matrix of d(grad[coords])/d(w[coords]).
-    Step 1e-5*(1+|w_i|) per coordinate.
-    """
-    h_cols = []
-    for j in coords:
-        h = 1e-5 * (1.0 + abs(float(w[j])))
-        wp = w.copy(); wp[j] += h
-        wm = w.copy(); wm[j] -= h
-        h_cols.append((grad_fn(wp)[coords] - grad_fn(wm)[coords]) / (2.0 * h))
-    return np.stack(h_cols, axis=1)
-
-
-def _mean_fd_hessian(landscape: Landscape, w, coord_sets):
-    """Mean over coordinate sets of the symmetrized finite-difference Hessians."""
-    w = np.asarray(w, dtype=float)
-    size = len(coord_sets[0])
-    acc = np.zeros((size, size))
-    for coords in coord_sets:
-        h = _fd_hessian_on_coords(landscape.grad, w, coords)
-        acc += 0.5 * (h + h.T)
-    return acc / len(coord_sets)
-
-
 def mean_row_hessian(landscape: Landscape, block_name: str, w):
     """Average over rows of the per-row Hessians of one block (n x n for an
     m x n block): the Hessian of the loss with respect to a single row's
-    parameters, extracted row by row."""
-    layout = landscape.blocks[block_name]
-    m, n = layout.shape
-    return _mean_fd_hessian(landscape, w, [layout.start + i * n + np.arange(n) for i in range(m)])
+    parameters, extracted row by row and symmetrized."""
+    m, n = landscape.blocks[block_name].shape
+    acc = np.zeros((n, n))
+    for i in range(m):
+        h = landscape.block_fd_hessian(block_name, w, i * n + np.arange(n))
+        acc += 0.5 * (h + h.T)
+    return acc / m
 
 
 def mean_col_hessian(landscape: Landscape, block_name: str, w):
-    """Average over columns of the per-column Hessians (m x m)."""
-    layout = landscape.blocks[block_name]
-    m, n = layout.shape
-    return _mean_fd_hessian(landscape, w, [layout.start + j + n * np.arange(m) for j in range(n)])
+    """Average over columns of the symmetrized per-column Hessians (m x m)."""
+    m, n = landscape.blocks[block_name].shape
+    acc = np.zeros((m, m))
+    for j in range(n):
+        h = landscape.block_fd_hessian(block_name, w, j + n * np.arange(m))
+        acc += 0.5 * (h + h.T)
+    return acc / n
 
 
 def top_eigenspace(matrix, k: int):

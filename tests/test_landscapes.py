@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from flatopt import landscapes
 from flatopt.landscapes import (
     BlockLayout,
     Landscape,
@@ -33,6 +34,29 @@ def fd_gradient(loss, w, coords, step=1e-6):
         wm = w.copy(); wm[j] -= h
         out.append((loss(wp) - loss(wm)) / (2.0 * h))
     return np.array(out)
+
+
+def reference_fd_hessian_on_coords(grad_fn, w, coords):
+    """The per-coordinate central differences that ``block_fd_hessian``
+    replaced on the MLP: one full gradient per step, column j for coords[j]."""
+    h_cols = []
+    for j in coords:
+        h = 1e-5 * (1.0 + abs(float(w[j])))
+        wp = w.copy(); wp[j] += h
+        wm = w.copy(); wm[j] -= h
+        h_cols.append((grad_fn(wp)[coords] - grad_fn(wm)[coords]) / (2.0 * h))
+    return np.stack(h_cols, axis=1)
+
+
+def reference_mean_fd_hessian(landscape, w, coord_sets):
+    """Mean over flat coordinate sets of the symmetrized reference Hessians."""
+    w = np.asarray(w, dtype=float)
+    size = len(coord_sets[0])
+    acc = np.zeros((size, size))
+    for coords in coord_sets:
+        h = reference_fd_hessian_on_coords(landscape.grad, w, coords)
+        acc += 0.5 * (h + h.T)
+    return acc / len(coord_sets)
 
 
 class TestLayoutAndPacking:
@@ -256,6 +280,38 @@ class TestFdHessians:
         h = mean_col_hessian(land, "w", 0.3 * np.ones(6))
         expected = np.diag([lam[:3].mean(), lam[3:].mean()])
         np.testing.assert_allclose(h, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("widths,batch_size", [
+        ((8, 16, 16, 4), 16),
+        ((16, 8, 24, 4), 32),
+        ((3, 1, 2), 1),  # one-row products go through gemv
+        ((2, 5, 1), 1),
+    ], ids=["8-16-16-4", "16-8-24-4", "3-1-2", "2-5-1"])
+    def test_mlp_stacked_passes_match_per_coordinate_gradients(self, widths, batch_size):
+        """The stacked passes give the per-coordinate loop's bytes on every
+        block; this fails on a numpy or BLAS whose stacked matmul does not
+        compute each slice as the 2-D product."""
+        land = mlp_landscape(MlpSpec(widths=widths, batch_size=batch_size), seed=4)
+        w = land.initial_point + 0.3 * SplitMix64(9).normal((land.dim,))
+        for name, layout in land.blocks.items():
+            m, n = layout.shape
+            rows = [layout.start + i * n + np.arange(n) for i in range(m)]
+            cols = [layout.start + j + n * np.arange(m) for j in range(n)]
+            assert np.array_equal(mean_row_hessian(land, name, w),
+                                  reference_mean_fd_hessian(land, w, rows))
+            assert np.array_equal(mean_col_hessian(land, name, w),
+                                  reference_mean_fd_hessian(land, w, cols))
+
+    def test_mlp_stacked_passes_split_into_chunks(self, monkeypatch):
+        """One entry per pass gives the bytes of one pass over every entry,
+        and both give the base class's per-coordinate loop."""
+        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
+        w = land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,))
+        entries = np.arange(0, 64, 3)
+        one_pass = land.block_fd_hessian("layer1", w, entries)
+        assert np.array_equal(one_pass, Landscape.block_fd_hessian(land, "layer1", w, entries))
+        monkeypatch.setattr(landscapes, "_FD_STACK_BYTES", 1)
+        assert np.array_equal(land.block_fd_hessian("layer1", w, entries), one_pass)
 
     def test_top_eigenspace_orders_by_eigenvalue(self):
         basis = top_eigenspace(np.diag([1.0, 5.0, 3.0]), 2)
