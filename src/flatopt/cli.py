@@ -11,6 +11,7 @@ error, 10 diverged-by-design; ``main`` maps every error to its status.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -57,7 +58,9 @@ def _k_grid(raw: str) -> list:
     return sizes
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="flatopt",
                                      description="flat-direction optimizer experiments")
     sub = parser.add_subparsers(dest="command")

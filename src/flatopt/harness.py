@@ -285,9 +285,9 @@ def run_experiment(config: ExperimentConfig):
         if out is not None:
             out.write(csv_header(names) + "\n")
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(1, config.steps + 1):
+            for step, batch in enumerate(land.step_batches(1, config.steps), start=1):
                 loss, grads = land.loss_and_block_grads(
-                    {name: blocks[name].matrix for name in names}, step)
+                    {name: blocks[name].matrix for name in names}, batch)
                 if not math.isfinite(loss):
                     summary["status"] = "diverged"
                     summary["message"] = f"divergence at step {step}"

@@ -7,6 +7,7 @@ gradient-Gram alignment experiment.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .linalg import sym_eig
 from .optim import MatrixBlock, OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from .quadratic import QuadraticSpec
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, normal_rows
 from .subspace import coverage_score
 
 
@@ -34,8 +35,10 @@ class BlockLayout:
 class Landscape:
     """Differentiable objective over named 2-D parameter blocks.
 
-    ``loss_and_block_grads(mats, step)`` is the entry point of a training
-    loop: the loss and per-block gradients at the block matrices ``mats``.
+    A training loop iterates over ``step_batches(first, last)``, one batch
+    per step, and passes each to ``loss_and_block_grads(mats, batch)``: the
+    loss and per-block gradients at the block matrices ``mats`` on that
+    batch. Deterministic landscapes yield ``None`` for every step.
     ``loss`` and ``grad`` are callables of the flat vector w; the harness
     reads the final loss through ``loss``, and ``block_fd_hessian``
     differences ``grad`` one coordinate at a time unless a subclass has a
@@ -62,9 +65,13 @@ class Landscape:
             w[b.start:b.start + b.size] = np.asarray(mats[name], dtype=float).ravel()
         return w
 
-    def loss_and_block_grads(self, mats, step):
+    def step_batches(self, first, last):
+        """The batches of steps first through last, drawn lazily."""
+        return itertools.repeat(None, last - first + 1)
+
+    def loss_and_block_grads(self, mats, batch):
         """Loss and per-block gradients at ``mats``; deterministic landscapes
-        ignore the step."""
+        ignore the batch."""
         w = self.pack(mats)
         return self.loss(w), self.unpack(self.grad(w))
 
@@ -188,18 +195,22 @@ def _layer_role(index: int, n_layers: int) -> str:
     return "muon"
 
 
-# Bytes that one stacked finite-difference pass may hold: the perturbed block
-# copies, their gradients and the activations above the block. At 1 MiB,
-# glibc's allocator handed the 96x96 block's pass arrays back to the kernel
-# and faulted them in again every pass (about 6000 page faults a row, 2.4x the
-# time), and larger stacks raised align's peak memory.
-_FD_STACK_BYTES = 1 << 19
+# Bytes that one stack of arrays may hold. A finite-difference pass holds the
+# perturbed block copies, their gradients and the activations above the
+# block; a chunk of minibatches takes half of it, leaving the other half to
+# the temporaries of its draws. At 1 MiB, glibc's allocator handed the 96x96
+# block's pass arrays back to the kernel and faulted them in again every pass
+# (about 6000 page faults a row, 2.4x the time), and larger stacks raised
+# align's peak memory.
+_STACK_BYTES = 1 << 19
 
 
 class MlpLandscape(Landscape):
     """MLP objective over the fixed batch, plus fresh-minibatch sampling for
     gradient-noise experiments. All randomness is derived from the seed by
-    label, so every quantity is reproducible from (spec, seed)."""
+    label, so every quantity is reproducible from (spec, seed). ``loss`` and
+    ``grad`` are methods here, so a landscape holds no reference to itself
+    and is freed as soon as its last user lets go of it."""
 
     def __init__(self, spec: MlpSpec, seed: int):
         self.spec = spec
@@ -221,19 +232,40 @@ class MlpLandscape(Landscape):
             (SplitMix64(derive_seed(seed, f"init/l{i}")).normal(shape) / math.sqrt(shape[0])).ravel()
             for i, shape in enumerate(shapes)
         ])
-        super().__init__(offset, self._fixed_loss, self._fixed_grad,
-                         blocks=blocks, initial_point=init)
-        self._fixed = self._make_batch("data")
+        # not Landscape.__init__: its loss and grad attributes would shadow the methods
+        self.dim = offset
+        self.blocks = blocks
+        self.initial_point = init
+        x, y = self._make_batches(["data"])
+        self._fixed = x[0], y[0]
 
-    def _make_batch(self, label: str):
+    def _make_batches(self, labels):
+        """The minibatches (x, y) of the labels, stacked on a leading axis: x
+        from the label's "x" stream, y the teacher's output plus noise from
+        its "noise" stream. Every slice is the one-label batch byte for byte:
+        each row of a draw is its own stream, and numpy multiplies each slice
+        of a stacked matmul as its own 2-D product."""
         spec = self.spec
-        x = SplitMix64(derive_seed(self.seed, f"{label}/x")).normal((spec.batch_size, spec.widths[0]))
-        y = self._teacher_forward(x)
-        y = y + spec.noise_sigma * SplitMix64(derive_seed(self.seed, f"{label}/noise")).normal(y.shape)
-        return x, y
+        b, d_in, d_out = spec.batch_size, spec.widths[0], spec.widths[-1]
+        x = normal_rows([derive_seed(self.seed, f"{label}/x") for label in labels], b * d_in)
+        x = x.reshape(len(labels), b, d_in)
+        noise = normal_rows([derive_seed(self.seed, f"{label}/noise") for label in labels], b * d_out)
+        return x, self._teacher_forward(x) + spec.noise_sigma * noise.reshape(len(labels), b, d_out)
 
     def fresh_batch(self, k: int):
-        return self._make_batch(f"batch/{k}")
+        x, y = self._make_batches([f"batch/{k}"])
+        return x[0], y[0]
+
+    def step_batches(self, first, last):
+        """``fresh_batch(k)`` for k from first through last, drawn in stacked
+        chunks of half ``_STACK_BYTES`` at most. A batch counts x, the
+        teacher's activations, the noise and y; no chunk reaches past last."""
+        spec = self.spec
+        batch_bytes = 8 * spec.batch_size * (sum(spec.widths) + 2 * spec.widths[-1])
+        chunk = max(1, _STACK_BYTES // (2 * batch_bytes))
+        for lo in range(first, last + 1, chunk):
+            x, y = self._make_batches([f"batch/{k}" for k in range(lo, min(lo + chunk, last + 1))])
+            yield from zip(x, y)
 
     def _teacher_forward(self, x):
         a = x
@@ -253,12 +285,9 @@ class MlpLandscape(Landscape):
             acts.append(z if i == last else np.tanh(z))
         return acts
 
-    def loss_and_block_grads(self, mats, step):
-        """Loss and gradients on the step's fresh minibatch."""
-        return self._loss_and_grads(mats, self.fresh_batch(step))
-
-    def _loss_and_grads(self, mats, batch):
-        """Mean squared error and its reverse-mode gradients, per block."""
+    def loss_and_block_grads(self, mats, batch):
+        """Mean squared error on the batch (x, y) and its reverse-mode
+        gradients, per block."""
         x, y = batch
         weights = [mats[f"layer{i}"] for i in range(self.spec.n_layers)]
         r, grads = self._backprop(weights, x, y, 0)
@@ -304,7 +333,7 @@ class MlpLandscape(Landscape):
         # a copy's bytes: the perturbed block and its gradient, plus about four
         # batch-by-width arrays (activations and deltas) per layer above it
         copy_bytes = 8 * (2 * block.size + 4 * y.shape[0] * sum(self.spec.widths[first + 1:]))
-        chunk = max(1, _FD_STACK_BYTES // (2 * copy_bytes))
+        chunk = max(1, _STACK_BYTES // (2 * copy_bytes))
         out = np.empty((entries.size, entries.size))
         for lo in range(0, entries.size, chunk):
             e, h = entries[lo:lo + chunk], steps[lo:lo + chunk]
@@ -319,20 +348,20 @@ class MlpLandscape(Landscape):
         return out
 
     def loss_on_batch(self, w, batch) -> float:
-        return self._loss_and_grads(self.unpack(w), batch)[0]
+        return self.loss_and_block_grads(self.unpack(w), batch)[0]
 
     def block_grads_on_batch(self, w, batch):
-        return self._loss_and_grads(self.unpack(w), batch)[1]
+        return self.loss_and_block_grads(self.unpack(w), batch)[1]
 
     def grad_on_batch(self, w, batch):
         grads = self.block_grads_on_batch(w, batch)
         return np.concatenate([grads[f"layer{i}"].ravel()
                                for i in range(self.spec.n_layers)])
 
-    def _fixed_loss(self, w):
+    def loss(self, w):
         return self.loss_on_batch(w, self._fixed)
 
-    def _fixed_grad(self, w):
+    def grad(self, w):
         return self.grad_on_batch(w, self._fixed)
 
 
@@ -400,15 +429,15 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
     cfg = OptimizerConfig("adamw")
     sched = ScheduleSpec("constant", 1e-3, 0, max(train_steps, 1))
     states = init_states(blocks, cfg)
-    for step in range(1, train_steps + 1):
-        _, grads = land.loss_and_block_grads({n: b.matrix for n, b in blocks.items()}, step)
+    for step, batch in enumerate(land.step_batches(1, train_steps), start=1):
+        _, grads = land.loss_and_block_grads({n: b.matrix for n, b in blocks.items()}, batch)
         route_and_step(blocks, states, grads, step, sched, cfg)
     mats = {n: b.matrix for n, b in blocks.items()}
 
     gram_r = {name: np.zeros((layout.shape[1],) * 2) for name, layout in land.blocks.items()}
     gram_l = {name: np.zeros((layout.shape[0],) * 2) for name, layout in land.blocks.items()}
-    for b in range(n_batches):
-        _, grads = land.loss_and_block_grads(mats, train_steps + 1 + b)
+    for batch in land.step_batches(train_steps + 1, train_steps + n_batches):
+        _, grads = land.loss_and_block_grads(mats, batch)
         for name, g in grads.items():
             gram_r[name] += g.T @ g
             gram_l[name] += g @ g.T

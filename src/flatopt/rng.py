@@ -9,7 +9,8 @@ Scalars (the stream state, ``derive_seed``) are Python ints masked to 64
 bits after each multiply. Bulk draws run on uint64 arrays, whose arithmetic
 wraps silently. Every operand there is uint64 too, a ``np.uint64`` or a 0-d
 uint64 array and never a Python int, so the result stays uint64 under both
-numpy 2 and numpy 1.x promotion rules.
+numpy 2 and numpy 1.x promotion rules. ``normal_rows`` draws many streams in
+one pass; its stream states are a uint64 column, so the same holds there.
 """
 
 import math
@@ -60,6 +61,24 @@ def _size(n):
     return n
 
 
+def normal_rows(seeds, count):
+    """Standard normals by Box-Muller, one row per stream: row i is
+    ``SplitMix64(seeds[i]).normal(count)`` byte for byte.
+
+    Each row takes 2 * ceil(count / 2) draws from its stream. Its first half
+    of uniforms gives the radii and its second half the angles, and the row
+    is the cosine products followed by the sine products, cut to count.
+    """
+    count = _size(count)
+    pairs = (count + 1) // 2
+    states = np.array([operator.index(s) & _MASK for s in seeds], dtype=np.uint64)
+    ks = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _U_GOLDEN
+    u = ((_mix(states[:, None] + ks) >> _U11) + _U1) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    theta = 2.0 * np.pi * u[:, pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :count]
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream; bulk draws are vectorized over numpy."""
 
@@ -85,12 +104,10 @@ class SplitMix64:
         return vals if n is not None else int(vals[0])
 
     def normal(self, shape):
-        """Standard normals by Box-Muller on consecutive uniform pairs."""
+        """Standard normals by Box-Muller: the one-stream case of
+        ``normal_rows``, advancing the stream past the draws it took."""
         shape = tuple(map(_size, shape)) if np.iterable(shape) else (_size(shape),)
         count = math.prod(shape)
-        pairs = (count + 1) // 2
-        u = self.uniform(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[:pairs]))
-        theta = 2.0 * np.pi * u[pairs:]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+        out = normal_rows([self.state], count)[0]
+        self.state = (self.state + 2 * ((count + 1) // 2) * _GOLDEN) & _MASK
         return out.reshape(shape)

@@ -1,6 +1,7 @@
 """Config parsing, the experiment runner, CSV telemetry, and the CLI."""
 
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import flatopt
+from flatopt import cli
 from flatopt.cli import main
 from flatopt.harness import (
     BLOCK_COLUMNS,
@@ -591,6 +593,42 @@ class TestCli:
         assert lines[0] == "check,value,bound,status"
         assert len(lines) == 5
         assert all(line.endswith(",pass") for line in lines[1:])
+
+    def test_calls_in_sequence_share_no_state(self, tmp_path, capsys, monkeypatch):
+        path = self.write(tmp_path, MLP_BASE.format(family="adamw"))
+        train_steps = []
+
+        def fake_alignment(spec, seed, steps, d_s, k_grid):
+            train_steps.append(steps)
+            return {}
+
+        monkeypatch.setattr(cli, "alignment_experiment", fake_alignment)
+        assert main(["align", "--config", path, "--d-s", "4", "--k-grid", "2"]) == 2
+        assert main(["run", "--config", path]) == 0
+        assert main(["align", "--config", path, "--train-steps", "7"]) == 0
+        assert main(["align", "--config", path]) == 0
+        assert train_steps == [7, 100]
+        capsys.readouterr()
+        outs = []
+        for _ in range(2):
+            assert main(["version"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == "0.1.0\n"
+
+    @pytest.mark.parametrize("command", ["run", "align", "dynamics-check"])
+    def test_command_leaves_no_cyclic_garbage(self, tmp_path, capsys, command):
+        path = self.write(tmp_path, MLP_BASE.format(family="muon_lite"))
+        argv = {"run": ["run", "--config", path],
+                "align": ["align", "--config", path, "--train-steps", "3",
+                          "--d-s", "2", "--k-grid", "2,4"],
+                "dynamics-check": ["dynamics-check"]}[command]
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("family", ["muon_lite", "soap_lite"])

@@ -2,6 +2,7 @@
 extraction, and the gradient-Gram alignment experiment."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from flatopt.landscapes import (
 )
 from flatopt.optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from flatopt.quadratic import QuadraticSpec
-from flatopt.rng import SplitMix64
+from flatopt.rng import SplitMix64, derive_seed
 
 
 def fd_gradient(loss, w, coords, step=1e-6):
@@ -215,7 +216,8 @@ class TestMlp:
 
 
 class TestLossAndBlockGrads:
-    """The block entry point agrees bit for bit with the flat-vector routes."""
+    """The block entry point agrees bit for bit with the flat-vector routes
+    on the batch it is given."""
 
     def mats_at(self, land, seed):
         w = SplitMix64(seed).normal((land.dim,))
@@ -225,9 +227,11 @@ class TestLossAndBlockGrads:
     def test_mlp_matches_flat_batch_routes(self, widths):
         land = mlp_landscape(MlpSpec(widths=widths, batch_size=8), seed=7)
         mats = self.mats_at(land, 3)
-        for step in (1, 2, 9):
-            loss, grads = land.loss_and_block_grads(mats, step)
-            w, batch = land.pack(mats), land.fresh_batch(step)
+        w = land.pack(mats)
+        batches = [land.fresh_batch(1), land.fresh_batch(9), land._fixed,
+                   *land.step_batches(2, 3)]
+        for batch in batches:
+            loss, grads = land.loss_and_block_grads(mats, batch)
             assert loss == land.loss_on_batch(w, batch)
             flat = land.block_grads_on_batch(w, batch)
             assert list(grads) == list(flat)
@@ -241,13 +245,105 @@ class TestLossAndBlockGrads:
     def test_deterministic_matches_flat_loss_and_grad(self, land):
         mats = self.mats_at(land, 5)
         w = land.pack(mats)
-        for step in (1, 4):
-            loss, grads = land.loss_and_block_grads(mats, step)
+        for batch in land.step_batches(1, 2):
+            loss, grads = land.loss_and_block_grads(mats, batch)
             assert loss == land.loss(w)
             expected = land.unpack(land.grad(w))
             assert list(grads) == list(expected)
             for name in grads:
                 assert np.array_equal(grads[name], expected[name])
+
+
+def reference_batch(land, label):
+    """One minibatch drawn as a single stream per draw: x, the teacher's
+    output, plus noise."""
+    spec = land.spec
+    x = SplitMix64(derive_seed(land.seed, f"{label}/x")).normal((spec.batch_size, spec.widths[0]))
+    y = land._teacher_forward(x)
+    noise = SplitMix64(derive_seed(land.seed, f"{label}/noise")).normal(y.shape)
+    return x, y + spec.noise_sigma * noise
+
+
+class TestStepBatches:
+    """Training's batches, drawn in stacked chunks, are the one-step batches
+    byte for byte."""
+
+    def spy_on_draws(self, land, monkeypatch):
+        drawn = []
+        make = land._make_batches
+
+        def spy(labels):
+            drawn.append(list(labels))
+            return make(labels)
+
+        monkeypatch.setattr(land, "_make_batches", spy)
+        return drawn
+
+    @pytest.mark.parametrize("widths,batch_size,first,last", [
+        ((32, 96, 96, 16), 32, 1, 20),
+        ((32, 96, 96, 16), 32, 5, 12),
+        ((8, 16, 16, 4), 16, 61, 92),  # align's Gram batches after 60 steps
+        ((6, 8, 8, 4), 8, 1, 25),
+        ((3, 1, 2), 1, 2, 4),
+        ((6, 8, 8, 4), 8, 1, 0),
+    ], ids=["32-96-96-16", "32-96-96-16-from-5", "8-16-16-4-gram", "6-8-8-4", "3-1-2", "empty"])
+    def test_chunks_yield_the_fresh_batches(self, monkeypatch, widths, batch_size, first, last):
+        land = mlp_landscape(MlpSpec(widths=widths, batch_size=batch_size), seed=6)
+        drawn = self.spy_on_draws(land, monkeypatch)
+        got = list(land.step_batches(first, last))
+        assert [label for chunk in drawn for label in chunk] == \
+            [f"batch/{k}" for k in range(first, last + 1)]
+        assert len(got) == last - first + 1
+        for k, (x, y) in zip(range(first, last + 1), got):
+            xr, yr = reference_batch(land, f"batch/{k}")
+            assert x.tobytes() == xr.tobytes() and y.tobytes() == yr.tobytes()
+            xf, yf = land.fresh_batch(k)
+            assert x.tobytes() == xf.tobytes() and y.tobytes() == yf.tobytes()
+
+    def test_chunk_shorter_than_a_run_on_the_large_mlp(self, monkeypatch):
+        land = mlp_landscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
+        drawn = self.spy_on_draws(land, monkeypatch)
+        list(land.step_batches(1, 20))
+        assert 1 < len(drawn[0]) < 20
+        assert all(len(chunk) <= len(drawn[0]) for chunk in drawn)
+
+    def test_batches_are_drawn_lazily(self, monkeypatch):
+        land = mlp_landscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
+        drawn = self.spy_on_draws(land, monkeypatch)
+        batches = land.step_batches(1, 1000)
+        assert drawn == []
+        next(batches)
+        assert len(drawn) == 1 and len(drawn[0]) < 1000
+
+    def test_one_chunk_per_step_at_the_smallest_bound(self, monkeypatch):
+        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
+        whole = [x.tobytes() + y.tobytes() for x, y in land.step_batches(3, 9)]
+        monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
+        drawn = self.spy_on_draws(land, monkeypatch)
+        assert [x.tobytes() + y.tobytes() for x, y in land.step_batches(3, 9)] == whole
+        assert drawn == [[f"batch/{k}"] for k in range(3, 10)]
+
+    def test_fixed_batch_is_the_data_stream(self):
+        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=4)
+        x, y = reference_batch(land, "data")
+        assert land._fixed[0].tobytes() == x.tobytes()
+        assert land._fixed[1].tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("land", [
+        quadratic_landscape(QuadraticSpec(np.array([2.0, 1.0]), np.zeros(2))),
+        river_valley_landscape(RiverValleySpec(2, 2, 10.0)),
+    ], ids=["quadratic", "river_valley"])
+    def test_deterministic_landscapes_yield_none(self, land):
+        assert list(land.step_batches(3, 5)) == [None, None, None]
+        assert list(land.step_batches(1, 0)) == []
+
+
+def test_mlp_landscape_freed_without_a_collection():
+    land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=1)
+    land.loss(land.initial_point)
+    ref = weakref.ref(land)
+    del land
+    assert ref() is None
 
 
 class TestFdHessians:
@@ -310,7 +406,7 @@ class TestFdHessians:
         entries = np.arange(0, 64, 3)
         one_pass = land.block_fd_hessian("layer1", w, entries)
         assert np.array_equal(one_pass, Landscape.block_fd_hessian(land, "layer1", w, entries))
-        monkeypatch.setattr(landscapes, "_FD_STACK_BYTES", 1)
+        monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
         assert np.array_equal(land.block_fd_hessian("layer1", w, entries), one_pass)
 
     def test_top_eigenspace_orders_by_eigenvalue(self):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flatopt.rng import SplitMix64, derive_seed
+from flatopt.rng import SplitMix64, derive_seed, normal_rows
 
 
 class TestDeriveSeed:
@@ -33,6 +33,14 @@ class TestStreams:
         expect = [1.1143177218512101, -2.4796190315443138,
                   -0.80149009368993074, -1.4232484806926928]
         assert np.array_equal(draws, expect)
+
+    def test_consecutive_normals_frozen(self):
+        # an odd draw still takes a whole Box-Muller pair: 3 values use 4 draws
+        r = SplitMix64(7)
+        first, second = r.normal(3), r.normal(2)
+        assert first.tolist() == [1.1143177218512101, -2.479619031544314, -0.8014900936899307]
+        assert second.tolist() == [0.0044985261598312525, 1.259433058588588]
+        assert r.state == (7 + 6 * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
 
     def test_reproducible(self):
         a = SplitMix64(99).normal((5, 3))
@@ -89,7 +97,8 @@ class TestRejections:
         lambda r: r.normal((3, -1)),
         lambda r: r.uniform(-1),
         lambda r: r.integers(0, 3, -1),
-    ], ids=["normal_int", "normal_tuple", "uniform", "integers"])
+        lambda r: normal_rows([r.state], -1),
+    ], ids=["normal_int", "normal_tuple", "uniform", "integers", "normal_rows"])
     def test_negative_size(self, draw):
         r = SplitMix64(1)
         with pytest.raises(ValueError, match="draw size must be >= 0"):
@@ -186,5 +195,19 @@ class TestFastPathMatchesReference:
             r.uniform(9)
             r.normal((3, 3))
             r.integers(0, 7, 5)
+            normal_rows([seed, 5], 9)
             assert r.state == (seed + 9 * 0x9E3779B97F4A7C15 + 10 * 0x9E3779B97F4A7C15
                                + 5 * 0x9E3779B97F4A7C15) & _MASK
+
+
+class TestNormalRows:
+    """Each row of the multi-stream draw is its stream's ``normal`` draw."""
+
+    @pytest.mark.parametrize("count", [0, 1, 47, 48, 1024])
+    def test_rows_match_single_streams(self, count):
+        seeds = EDGE_SEEDS + RANDOM_SEEDS + [derive_seed(3, f"batch/{k}/x") for k in range(20)]
+        rows = normal_rows(seeds, count)
+        assert rows.shape == (len(seeds), count)
+        for seed, row in zip(seeds, rows):
+            assert row.tobytes() == SplitMix64(seed).normal(count).tobytes()
+            assert row.tobytes() == _ReferenceStream(seed).normal(count).tobytes()
