@@ -10,6 +10,14 @@ analysis in ``quadratic`` studies, through its exact gradient; H times a
 vector is the eigenvalues times that vector. The metric, when present, is a
 constant SPD matrix (the regime where the curvature-correction terms vanish
 and the stated systems are exact).
+
+The quadratic is diagonal, so a flow without a projector or a metric splits
+into one small system per coordinate. rk4_flow on such a flow, and the
+two-timescale flow always, integrate one coordinate at a time as Python
+floats: each expression is the vector one written per entry, and a float
+rounds as a numpy entry does, so the bytes are the vector integration's. A
+projector or a metric couples the coordinates, and rk4_flow integrates such
+a flow as vectors.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ class DynamicsState:
         self.m = np.asarray(self.m, dtype=float)
         if self.w.shape != self.m.shape or self.w.ndim != 1:
             raise ValueError(f"w and m must be matching vectors, got {self.w.shape} and {self.m.shape}")
-        if not (np.isfinite(self.w).all() and np.isfinite(self.m).all()):
+        if not (np.isfinite(self.w).all() and np.isfinite(self.m).all() and math.isfinite(self.t)):
             raise ValueError("non-finite entries in dynamics state")
 
 
@@ -71,6 +79,9 @@ class FlowParams:
         if isinstance(self.beta, tuple) and len(self.beta) != 2:
             raise ValueError("beta pair must have exactly two entries")
         b1, b2 = self.beta_pair()
+        eta = () if callable(self.eta_of_t) else (float(self.eta_of_t),)
+        if not all(map(math.isfinite, (self.alpha, b1, b2, self.chi) + eta)):
+            raise ValueError("flow coefficients must be finite")
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
         if self.projector_sharp is not None:
@@ -139,8 +150,8 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     The momentum update is written multiplicatively, (1 - h alpha) m + h g,
     so the h = 1 correspondence is exact in floating point.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("h must be positive and finite")
     g = quadratic.grad(state.w)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
     eta = params.eta_at(state.t)
@@ -148,14 +159,16 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     return DynamicsState(w_new, m_new, state.t + h)
 
 
-def _rk4(rhs, y: tuple, t: float, t_end: float, h: float) -> tuple:
+def _rk4(rhs, y, t: float, t_end: float, h: float):
     """Classical 4-stage integration of y' = rhs(t, y) from t to t_end in
     ceil((t_end - t) / h) equal steps.
 
-    y is a tuple of components, each a float or an array, and rhs returns
-    one derivative per component. The stages combine each component as
+    y is a sequence of components, each a float or an array, and rhs returns
+    one derivative per component; a span <= 0 hands y back unchanged, and
+    otherwise the result is a tuple. The stages combine each component as
     a + (0.5 * step) * b and a + (step / 6.0) * (b1 + 2 b2 + 2 b3 + b4),
     so a float component rounds exactly as one entry of an array would.
+    The stage states are built as lists, the cheapest sequence to build.
     """
     span = t_end - t
     if span <= 0:
@@ -165,25 +178,70 @@ def _rk4(rhs, y: tuple, t: float, t_end: float, h: float) -> tuple:
     half, sixth = 0.5 * step, step / 6.0
     for _ in range(n_steps):
         k1 = rhs(t, y)
-        k2 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k1)))
-        k3 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k2)))
-        k4 = rhs(t + step, tuple(a + step * b for a, b in zip(y, k3)))
-        y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(t + step, [a + step * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         t += step
-    return y
+    return tuple(y)
+
+
+def _rk4_per_coordinate(quadratic: QuadraticSpec, make_rhs, state0, times, h: float):
+    """Integrate a flow whose coordinates are decoupled, one coordinate at a
+    time. state0 holds the flow's variables as vectors of the quadratic's
+    dimension d, and make_rhs(lam, b) returns the right-hand side of one
+    coordinate's variables as Python floats. Returns the trajectory sampled
+    at times, one row per time, each row the variables concatenated."""
+    d = quadratic.dim
+    traj = np.empty((len(times), len(state0) * d))
+    traj[0] = np.concatenate([np.asarray(v, dtype=float) for v in state0])
+    start = traj[0].tolist()
+    for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
+        rhs = make_rhs(lam, b)
+        y = start[i::d]
+        for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
+            y = _rk4(rhs, y, t, t_next, h)
+            traj[k, i::d] = y
+    return traj
 
 
 def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams, t_end: float,
              h: float = FINE_STEP) -> DynamicsState:
     """RK4 integration of flow_rhs up to t_end; the reference trajectory for
     discretization-order checks. A flow that overflows raises ValueError
-    from the returned state's check."""
+    from the returned state's check.
+
+    Without a projector or a metric each coordinate's (w, m) is an
+    independent system, g = lam w + b, wdot = -eta(t) (m + beta g),
+    mdot = -alpha m + g, integrated as two Python floats one coordinate at a
+    time, bit for bit as the vector integration. A projector or a metric
+    couples the coordinates, and such a flow is integrated as vectors.
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("h must be positive and finite")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
-    w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
-                (state.w, state.m), state.t, t_end, h)
-    return DynamicsState(w, m, t_end)
+    d = quadratic.dim
+    if state.w.size != d:
+        raise ValueError(f"state has dimension {state.w.size}, the quadratic {d}")
+    if params.projector_sharp is not None or params.metric is not None:
+        w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
+                    (state.w, state.m), state.t, t_end, h)
+        return DynamicsState(w, m, t_end)
+    alpha, beta, eta_at = params.alpha, params.beta_pair()[0], params.eta_at
+
+    def make_rhs(lam, b):
+        def rhs(t, y):
+            w, m = y
+            g = lam * w + b
+            return -eta_at(t) * (m + beta * g), -alpha * m + g
+        return rhs
+
+    traj = _rk4_per_coordinate(quadratic, make_rhs, (state.w, state.m), [state.t, t_end], h)
+    return DynamicsState(traj[-1, :d], traj[-1, d:], t_end)
 
 
 def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
@@ -251,6 +309,8 @@ class AdemamixFlowConfig:
     eta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha_fast, self.alpha_slow, self.kappa, self.eta))):
+            raise ValueError("flow coefficients must be finite")
         if self.alpha_fast <= 0.0 or self.alpha_slow <= 0.0:
             raise ValueError("EMA rates must be positive")
         if self.kappa < 0.0:
@@ -272,27 +332,22 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     vector integration's.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a nondecreasing vector of times")
+    if (t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all()
+            or np.any(np.diff(t_grid) < 0)):
+        raise ValueError("t_grid must be a nondecreasing vector of finite times")
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     d = quadratic.dim
     if state0 is None:
         state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
-    traj = np.empty((t_grid.size, 3 * d))
-    traj[0] = np.concatenate([np.asarray(v, dtype=float) for v in state0])
-    times = t_grid.tolist()
-    start = traj[0].tolist()
-    for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
 
+    def make_rhs(lam, b):
         def rhs(_t, y):
             w, f, s = y
             g = lam * w + b
             return -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
+        return rhs
 
-        y = tuple(start[i::d])
-        for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
-            y = _rk4(rhs, y, t, t_next, FINE_STEP)
-            traj[k, i::d] = y
+    traj = _rk4_per_coordinate(quadratic, make_rhs, state0, t_grid.tolist(), FINE_STEP)
     return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 
@@ -304,19 +359,17 @@ def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     along the integrated flow, with every derivative evaluated analytically
     from the linear system's state. The identity is algebraic in
     (w, mf, ms), so the residual measures only the identity itself, not
-    integration error.
+    integration error. The derivatives are evaluated on every sampled time
+    at once; a flow that overflowed gives a NaN or infinite residual.
     """
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
-    ws, mfs, mss = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
-    worst = 0.0
-    for w, mf, ms in zip(ws, mfs, mss):
-        g = quadratic.grad(w)
-        wd = -eta * (mf + kap * ms)
-        wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)
-        hwd = quadratic.eigenvalues * wd
-        wddd = -eta * (a1 * a1 * mf + kap * a2 * a2 * ms
-                       - (a1 * a1 + kap * a2 * a2) * g + (a1 + kap * a2) * hwd)
-        r = (wddd + (a1 + a2) * wdd + a1 * a2 * wd
-             + eta * (a1 + kap * a2) * hwd + eta * a1 * a2 * (1.0 + kap) * g)
-        worst = max(worst, float(np.abs(r).max()))
-    return worst
+    w, mf, ms = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
+    g = quadratic.grad(w)
+    wd = -eta * (mf + kap * ms)
+    wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)
+    hwd = quadratic.eigenvalues * wd
+    wddd = -eta * (a1 * a1 * mf + kap * a2 * a2 * ms
+                   - (a1 * a1 + kap * a2 * a2) * g + (a1 + kap * a2) * hwd)
+    r = (wddd + (a1 + a2) * wdd + a1 * a2 * wd
+         + eta * (a1 + kap * a2) * hwd + eta * a1 * a2 * (1.0 + kap) * g)
+    return float(np.abs(r).max())

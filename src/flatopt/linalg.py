@@ -77,13 +77,18 @@ def sym_eig(a):
     Sweeps until the off-diagonal Frobenius mass drops below 1e-14 * ‖a‖_F
     or 100 sweeps elapse.
 
-    W = (a + aᵀ)/2 is stacked over the accumulated rotations V in one 2n×n
-    array, so one column pass rotates both. W starts bitwise symmetric and
-    each rotation keeps it so: off the 2×2 pivot block, row p of JᵀWJ is
-    computed by the same operations on the same operands as column p of WJ.
-    The row pass is therefore a copy of the rotated columns p and q, after
-    which the pivot's diagonal entries are formed from the post-column
-    entries and its off-diagonal pair is zeroed.
+    W = (a + aᵀ)/2 sits beside the accumulated rotations Vᵀ in one n×2n
+    array [W | Vᵀ], so its row p is W's column p followed by V's column
+    p (W is symmetric). Each rotation updates the two contiguous rows p and
+    q in place, forming c·x − s·y as c·x minus s·y and s·x + c·y as c·y plus
+    s·x: the products and sums of a column rotation of W and V, rounded the
+    same way. W starts bitwise symmetric and each rotation keeps it so: off
+    the 2×2 pivot block, row p of JᵀWJ is computed by the same operations on
+    the same operands as column p of WJ. So the rotated rows p and q of W are
+    copied into its columns p and q, after which the pivot's diagonal entries
+    are formed from the rotated entries and its off-diagonal pair is zeroed.
+    The eigenvectors come back column-major (each one contiguous), as the
+    transpose of the reordered rows of Vᵀ.
     """
     a = as_matrix(a)
     n, n2 = a.shape
@@ -92,11 +97,15 @@ def sym_eig(a):
     asym = np.abs(a - a.T).max()
     if asym > 1e-12 * max(1.0, frobenius(a)):
         raise ValueError(f"sym_eig input is not symmetric (max |a - aᵀ| = {asym:.3e})")
-    wv = np.empty((2 * n, n))
-    w, v = wv[:n], wv[n:]
-    w[:] = 0.5 * (a + a.T)
-    v[:] = np.eye(n)
-    norm = frobenius(w)
+    sym = 0.5 * (a + a.T)
+    wv = np.empty((n, 2 * n))
+    w = wv[:, :n]
+    w[:] = sym
+    wv[:, n:] = np.eye(n)
+    norm = frobenius(sym)
+    # views made once: the pivot loop only indexes lists
+    rows, w_rows, w_cols = list(wv), list(w), list(w.T)
+    item = wv.item
     for _ in range(JACOBI_MAX_SWEEPS):
         off = w.copy()
         np.fill_diagonal(off, 0.0)
@@ -104,27 +113,30 @@ def sym_eig(a):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = w.item(p, q)
+                apq = item(p, q)
                 if apq == 0.0:
                     continue
-                tau = (w.item(q, q) - w.item(p, p)) / (2.0 * apq)
+                tau = (item(q, q) - item(p, p)) / (2.0 * apq)
                 # np.sign convention: tau = -0.0 (equal diagonal, apq < 0) takes t > 0
                 t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p, col_q = wv[:, p], wv[:, q]
-                rot_p = c * col_p - s * col_q
-                col_q[:] = s * col_p + c * col_q
-                col_p[:] = rot_p
-                w_pp = c * w.item(p, p) - s * w.item(q, p)
-                w_qq = s * w.item(p, q) + c * w.item(q, q)
-                w[p] = w[:, p]
-                w[q] = w[:, q]
+                row_p, row_q = rows[p], rows[q]
+                s_q = s * row_q
+                s_p = s * row_p
+                row_p *= c
+                row_p -= s_q
+                row_q *= c
+                row_q += s_p
+                w_pp = c * item(p, p) - s * item(p, q)
+                w_qq = s * item(q, p) + c * item(q, q)
+                w_cols[p][:] = w_rows[p]
+                w_cols[q][:] = w_rows[q]
                 w[p, p], w[q, q] = w_pp, w_qq
                 w[p, q] = w[q, p] = 0.0
     evals = np.diag(w).copy()
     order = np.argsort(-evals, kind="stable")
-    return evals[order], v[:, order]
+    return evals[order], wv[order, n:].T
 
 
 def svd_oracle(a):

@@ -34,6 +34,11 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="non-finite"):
             DynamicsState(np.array([1.0, np.nan]), np.zeros(2))
 
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_state_rejects_non_finite_clock(self, t):
+        with pytest.raises(ValueError, match="non-finite"):
+            DynamicsState(np.ones(1), np.zeros(1), t=t)
+
     def test_beta_pair_broadcasts_scalar(self):
         assert FlowParams(alpha=0.1, beta=0.3).beta_pair() == (0.3, 0.3)
         split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=np.eye(2))
@@ -49,6 +54,12 @@ class TestStateAndParams:
             FlowParams(alpha=-0.1)
         with pytest.raises(ValueError, match="exactly two"):
             FlowParams(alpha=0.1, beta=(0.1, 0.2, 0.3))
+
+    @pytest.mark.parametrize("bad", [{"alpha": math.nan}, {"beta": math.inf},
+                                     {"eta_of_t": math.nan}, {"chi": math.inf}])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FlowParams(**{"alpha": 0.1, "projector_sharp": np.eye(1), **bad})
 
     def test_non_spd_metric_rejected(self):
         with pytest.raises(ValueError, match="symmetric positive definite"):
@@ -189,6 +200,13 @@ class TestSemiImplicitStep:
         with pytest.raises(ValueError, match="h must be positive"):
             semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, 0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_h_rejected(self, h):
+        spec = QuadraticSpec([1.0])
+        params = FlowParams(alpha=0.1)
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, h)
+
     @staticmethod
     def order_slope(params):
         """Slope of log global error against log h, semi-implicit Euler against
@@ -230,6 +248,26 @@ class TestRk4Flow:
         state = DynamicsState(np.ones(1), np.zeros(1), t=1.0)
         with pytest.raises(ValueError, match="precede"):
             rk4_flow(state, spec, FlowParams(alpha=0.1), t_end=0.5)
+
+    @pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, math.nan])
+    def test_bad_step_rejected(self, h):
+        spec = QuadraticSpec([4.0, 1.0])
+        state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            rk4_flow(state, spec, FlowParams(alpha=0.2, eta_of_t=0.05), t_end=1.0, h=h)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_end_rejected(self, t_end):
+        spec = QuadraticSpec([4.0, 1.0])
+        state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            rk4_flow(state, spec, FlowParams(alpha=0.2, eta_of_t=0.05), t_end=t_end)
+
+    def test_state_dimension_must_match(self):
+        spec = QuadraticSpec([4.0, 1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            rk4_flow(DynamicsState(np.ones(1), np.zeros(1)), spec, FlowParams(alpha=0.2),
+                     t_end=1.0)
 
     def test_zero_span_is_identity(self):
         spec = QuadraticSpec([1.0])
@@ -349,22 +387,24 @@ class TestAdemamixFlow:
         # replacing the gradient weight eta*a1*a2*(1+kappa) with
         # eta*(1 + a1*a2) leaves a visibly nonzero residual
         t_grid = np.linspace(0.0, 5.0, 11)
-        lam, b = self.spec.eigenvalues, self.spec.offsets
-        a1, a2 = self.cfg.alpha_fast, self.cfg.alpha_slow
+        eta, a1, a2 = self.cfg.eta, self.cfg.alpha_fast, self.cfg.alpha_slow
+        wrong = rowwise_residual(self.spec, self.cfg, t_grid, eta * (1.0 + a1 * a2))
+        assert wrong > 1e-3
+
+    def test_residual_matches_rowwise_formulation_bitwise(self):
+        t_grid = np.linspace(0.0, 5.0, 11)
         kap, eta = self.cfg.kappa, self.cfg.eta
-        ws, mfs, mss = ademamix_flow_trajectory(self.spec, self.cfg, t_grid)
-        worst = 0.0
-        for w, mf, ms in zip(ws, mfs, mss):
-            g = lam * w + b
-            wd = -eta * (mf + kap * ms)
-            wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)
-            hwd = lam * wd
-            wddd = -eta * (a1 * a1 * mf + kap * a2 * a2 * ms
-                           - (a1 * a1 + kap * a2 * a2) * g + (a1 + kap * a2) * hwd)
-            r = (wddd + (a1 + a2) * wdd + a1 * a2 * wd
-                 + eta * (a1 + kap * a2) * hwd + eta * (1.0 + a1 * a2) * g)
-            worst = max(worst, float(np.abs(r).max()))
-        assert worst > 1e-3
+        a1, a2 = self.cfg.alpha_fast, self.cfg.alpha_slow
+        want = rowwise_residual(self.spec, self.cfg, t_grid, eta * a1 * a2 * (1.0 + kap))
+        assert ademamix_ode_residual(self.spec, self.cfg, t_grid) == want
+
+    def test_overflowed_flow_fails_the_identity(self):
+        # lambda = -1e6 overflows within the one interval: the residual must
+        # not read as the start row's roundoff
+        spec = QuadraticSpec([-1e6])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = ademamix_ode_residual(spec, self.cfg, np.array([0.0, 5.0]))
+        assert not residual <= 1e-8
 
     def test_stationary_start_stays_put(self):
         state0 = (self.spec.stationary_point(), np.zeros(3), np.zeros(3))
@@ -394,6 +434,98 @@ class TestAdemamixFlow:
             AdemamixFlowConfig(alpha_fast=0.0, alpha_slow=0.1, kappa=1.0, eta=0.1)
         with pytest.raises(ValueError, match="kappa"):
             AdemamixFlowConfig(alpha_fast=0.1, alpha_slow=0.1, kappa=-1.0, eta=0.1)
+        for bad in ({"alpha_fast": math.nan}, {"kappa": math.nan}, {"eta": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                AdemamixFlowConfig(**{"alpha_fast": 0.1, "alpha_slow": 0.1, "kappa": 1.0,
+                                      "eta": 0.1, **bad})
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ademamix_flow_trajectory(self.spec, self.cfg, np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            ademamix_flow_trajectory(self.spec, self.cfg, np.array([bad, 1.0]))
+
+
+def rowwise_residual(quadratic, cfg, t_grid, grad_weight):
+    """Reference formulation of ademamix_ode_residual, one sampled time at a
+    time, with the gradient term's weight given."""
+    lam, b = quadratic.eigenvalues, quadratic.offsets
+    a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
+    worst = 0.0
+    for w, mf, ms in zip(*ademamix_flow_trajectory(quadratic, cfg, t_grid)):
+        g = lam * w + b
+        wd = -eta * (mf + kap * ms)
+        wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)
+        hwd = lam * wd
+        wddd = -eta * (a1 * a1 * mf + kap * a2 * a2 * ms
+                       - (a1 * a1 + kap * a2 * a2) * g + (a1 + kap * a2) * hwd)
+        r = (wddd + (a1 + a2) * wdd + a1 * a2 * wd
+             + eta * (a1 + kap * a2) * hwd + grad_weight * g)
+        worst = max(worst, float(np.abs(r).max()))
+    return worst
+
+
+def vector_rk4_flow(state, quadratic, params, t_end, h):
+    """Reference formulation of rk4_flow: the vector state (w, m), flow_rhs
+    as its right-hand side, and array RK4 stages."""
+    def rhs(t, w, m):
+        return flow_rhs(DynamicsState(w, m, t), quadratic, params)
+
+    w, m, t = state.w, state.m, state.t
+    span = t_end - t
+    if span > 0:
+        n_steps = max(1, int(math.ceil(span / h - 1e-12)))
+        step = span / n_steps
+        half, sixth = 0.5 * step, step / 6.0
+        for _ in range(n_steps):
+            k1 = rhs(t, w, m)
+            k2 = rhs(t + half, w + half * k1[0], m + half * k1[1])
+            k3 = rhs(t + half, w + half * k2[0], m + half * k2[1])
+            k4 = rhs(t + step, w + step * k3[0], m + step * k3[1])
+            w = w + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            m = m + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            t += step
+    return w, m
+
+
+def _rk4_flow_case(seed):
+    """A decoupled flow drawn from seed: beta != 0, offsets, a clock t0 != 0,
+    h in {1e-3, 0.01, 0.3}, d from 1 to 5, and a callable eta every fourth
+    case."""
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 5
+    spec = QuadraticSpec(np.sort(rng.uniform(0.1, 4.0, d))[::-1], rng.normal(0.0, 0.5, d))
+    eta = 0.05 + 0.3 * rng.random()
+    if seed % 4 == 0:
+        eta = (lambda e: lambda t: e * (1.0 + 0.5 * math.sin(3.0 * t)))(eta)
+    params = FlowParams(alpha=rng.uniform(0.05, 0.9), beta=rng.uniform(0.1, 1.0), eta_of_t=eta)
+    t0 = float(rng.uniform(0.0, 2.0))
+    state = DynamicsState(rng.normal(size=d), rng.normal(size=d), t=t0)
+    h = (1e-3, 0.01, 0.3)[seed % 3 - 1]
+    span = rng.uniform(0.05, 0.4) if h == 1e-3 else rng.uniform(0.1, 3.0)
+    return state, spec, params, t0 + span, h
+
+
+def test_rk4_flow_dynamics_check_case_matches_vector_formulation_bitwise():
+    spec = QuadraticSpec(np.array([4.0, 1.0]), np.zeros(2))
+    params = FlowParams(alpha=0.2, beta=0.0, eta_of_t=0.05)
+    state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
+    out = rk4_flow(state, spec, params, 1.0)
+    w, m = vector_rk4_flow(state, spec, params, 1.0, FINE_STEP)
+    assert np.array_equal(out.w, w)
+    assert np.array_equal(out.m, m)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rk4_flow_matches_vector_formulation_bitwise(seed):
+    state, spec, params, t_end, h = _rk4_flow_case(seed)
+    out = rk4_flow(state, spec, params, t_end, h=h)
+    w, m = vector_rk4_flow(state, spec, params, t_end, h)
+    assert out.t == t_end
+    assert np.array_equal(out.w, w)
+    assert np.array_equal(out.m, m)
 
 
 def vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=None):

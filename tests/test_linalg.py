@@ -188,18 +188,33 @@ def _symmetric_input(kind, n, seed):
     if kind == "diagonal":
         # every off-diagonal pivot is zero, so every rotation is skipped
         return np.diag(g[0])
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "equal_diagonal":
+        # equal diagonals and negative off-diagonals: the first pivot takes
+        # tau = -0.0
+        a = -np.abs(0.5 * (g + g.T))
+        np.fill_diagonal(a, 1.5)
+        return a
+    if kind == "ones":
+        return np.ones((n, n))
     u = g[:, 0]
     return np.eye(n) + np.outer(u, u)  # identity plus rank 1: n - 1 repeated eigenvalues
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 48])
-@pytest.mark.parametrize("kind", ["spd", "indefinite", "diagonal", "rank1"])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "diagonal", "rank1", "zero",
+                                  "equal_diagonal", "ones"])
 def test_sym_eig_matches_cyclic_reference_bitwise(kind, n):
     a = _symmetric_input(kind, n, seed=1000 * n + len(kind))
     evals, vecs = sym_eig(a)
     ref_evals, ref_vecs = cyclic_jacobi_reference(a)
     assert np.array_equal(evals, ref_evals)
     assert np.array_equal(vecs, ref_vecs)
+    # column-major, each eigenvector contiguous: the products svd_oracle and
+    # the coverage curves take of it depend on the layout BLAS is handed
+    assert vecs.dtype == np.float64
+    assert vecs.flags.f_contiguous
 
 
 def _gapped_matrix(rng, m, n):
