@@ -127,6 +127,11 @@ def _direction(params: FlowParams, m, g):
     return vecs @ ((vecs.T @ u) / evals)
 
 
+def _require_dimension(state: DynamicsState, quadratic: QuadraticSpec):
+    if state.w.size != quadratic.dim:
+        raise ValueError(f"state has dimension {state.w.size}, the quadratic {quadratic.dim}")
+
+
 def _flow(w, m, t: float, quadratic: QuadraticSpec, params: FlowParams):
     g = quadratic.grad(w)
     return -params.eta_at(t) * _direction(params, m, g), -params.alpha * m + g
@@ -137,6 +142,7 @@ def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams)
     u = m + beta grad f; with one, the sharp projection keeps rate eta and
     damping beta1 while the flat complement is amplified by chi and damped
     with beta2."""
+    _require_dimension(state, quadratic)
     return _flow(state.w, state.m, state.t, quadratic, params)
 
 
@@ -152,6 +158,7 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("h must be positive and finite")
+    _require_dimension(state, quadratic)
     g = quadratic.grad(state.w)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
     eta = params.eta_at(state.t)
@@ -224,9 +231,8 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
         raise ValueError("t_end must be finite")
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
+    _require_dimension(state, quadratic)
     d = quadratic.dim
-    if state.w.size != d:
-        raise ValueError(f"state has dimension {state.w.size}, the quadratic {d}")
     if params.projector_sharp is not None or params.metric is not None:
         w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
                     (state.w, state.m), state.t, t_end, h)
@@ -242,15 +248,6 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
 
     traj = _rk4_per_coordinate(quadratic, make_rhs, (state.w, state.m), [state.t, t_end], h)
     return DynamicsState(traj[-1, :d], traj[-1, d:], t_end)
-
-
-def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
-                      gamma_t: float):
-    """Acceleration of the damped inertial system:
-    wddot = -alpha_t wdot - beta_t H wdot - gamma_t grad f(w)."""
-    wdot = np.asarray(wdot, dtype=float)
-    return (-alpha_t * wdot - beta_t * (quadratic.eigenvalues * wdot)
-            - gamma_t * quadratic.grad(w))
 
 
 def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,

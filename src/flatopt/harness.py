@@ -273,9 +273,9 @@ def run_experiment(config: ExperimentConfig):
                                  for layout in land.blocks.values()):
         raise ConfigError(f"{family} changes no block of landscape "
                           f"'{config.landscape_kind}': every block would run plain adamw")
-    blocks = land.matrix_blocks(land.initial_point)
-    states = init_states(blocks, config.optimizer)
-    names = sorted(blocks)
+    mats = land.unpack(land.initial_point)
+    states = init_states(land.blocks, config.optimizer)
+    names = sorted(mats)
 
     records = []
     summary = {"status": "ok", "steps_completed": 0, "final_loss": math.nan, "message": ""}
@@ -286,22 +286,20 @@ def run_experiment(config: ExperimentConfig):
             out.write(csv_header(names) + "\n")
         with np.errstate(over="ignore", invalid="ignore"):
             for step, batch in enumerate(land.step_batches(1, config.steps), start=1):
-                loss, grads = land.loss_and_block_grads(
-                    {name: blocks[name].matrix for name in names}, batch)
+                loss, grads = land.loss_and_block_grads(mats, batch)
                 if not math.isfinite(loss):
                     summary["status"] = "diverged"
                     summary["message"] = f"divergence at step {step}"
                     summary["final_loss"] = loss
                     return records, summary
                 grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                log_now = step % config.log_every == 0
-                before = {name: blocks[name].matrix.copy() for name in names} if log_now else None
-                route_and_step(blocks, states, grads, step, config.schedule, config.optimizer)
+                before = dict(mats)
+                route_and_step(mats, states, grads, step, config.schedule, config.optimizer)
                 summary["steps_completed"] = step
-                if log_now:
+                if step % config.log_every == 0:
                     per_block = {}
                     for name in names:
-                        delta = blocks[name].matrix - before[name]
+                        delta = mats[name] - before[name]
                         rms = math.sqrt(float((delta * delta).sum()) / delta.size)
                         per_block[name] = _block_telemetry(states[name], rms)
                     record = TrajectoryRecord(step=step, lr=lr_at(config.schedule, step),
@@ -310,8 +308,7 @@ def run_experiment(config: ExperimentConfig):
                     if out is not None:
                         out.write(record_to_row(record) + "\n")
                         out.flush()
-            w = land.pack({name: blocks[name].matrix for name in names})
-            summary["final_loss"] = float(land.loss(w))
+            summary["final_loss"] = float(land.loss(land.pack(mats)))
     finally:
         if out is not None:
             out.close()

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .linalg import sym_eig
-from .optim import MatrixBlock, OptimizerConfig, ScheduleSpec, init_states, route_and_step
+from .optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from .quadratic import QuadraticSpec
 from .rng import SplitMix64, derive_seed, normal_rows
 from .subspace import coverage_score
@@ -35,10 +35,10 @@ class BlockLayout:
 class Landscape:
     """Differentiable objective over named 2-D parameter blocks.
 
-    A training loop iterates over ``step_batches(first, last)``, one batch
-    per step, and passes each to ``loss_and_block_grads(mats, batch)``: the
-    loss and per-block gradients at the block matrices ``mats`` on that
-    batch. Deterministic landscapes yield ``None`` for every step.
+    A run holds one dict, ``mats = unpack(initial_point)``, whose matrices
+    the steppers replace and never write into. For each batch of
+    ``step_batches(first, last)`` (``None`` on deterministic landscapes) it
+    calls ``loss_and_block_grads(mats, batch)``: loss and block gradients.
     ``loss`` and ``grad`` are callables of the flat vector w; the harness
     reads the final loss through ``loss``, and ``block_fd_hessian``
     differences ``grad`` one coordinate at a time unless a subclass has a
@@ -89,12 +89,6 @@ class Landscape:
             wm = w.copy(); wm[c] -= h
             cols.append((self.grad(wp)[coords] - self.grad(wm)[coords]) / (2.0 * h))
         return np.stack(cols, axis=1)
-
-    def matrix_blocks(self, w):
-        """Named MatrixBlock views (copies) at w, ready for the optimizer."""
-        mats = self.unpack(w)
-        return {name: MatrixBlock(name, mats[name].copy(), self.blocks[name].role)
-                for name in self.blocks}
 
 
 def quadratic_landscape(spec: QuadraticSpec) -> Landscape:
@@ -425,14 +419,13 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
     by the clamp is dropped. Returns {block: {"row": curve, "col": curve}}.
     """
     land = mlp_landscape(spec, seed)
-    blocks = land.matrix_blocks(land.initial_point)
+    mats = land.unpack(land.initial_point)
     cfg = OptimizerConfig("adamw")
     sched = ScheduleSpec("constant", 1e-3, 0, max(train_steps, 1))
-    states = init_states(blocks, cfg)
+    states = init_states(land.blocks, cfg)
     for step, batch in enumerate(land.step_batches(1, train_steps), start=1):
-        _, grads = land.loss_and_block_grads({n: b.matrix for n, b in blocks.items()}, batch)
-        route_and_step(blocks, states, grads, step, sched, cfg)
-    mats = {n: b.matrix for n, b in blocks.items()}
+        _, grads = land.loss_and_block_grads(mats, batch)
+        route_and_step(mats, states, grads, step, sched, cfg)
 
     gram_r = {name: np.zeros((layout.shape[1],) * 2) for name, layout in land.blocks.items()}
     gram_l = {name: np.zeros((layout.shape[0],) * 2) for name, layout in land.blocks.items()}

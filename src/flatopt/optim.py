@@ -7,7 +7,9 @@ accelerated variants (muon_lite, soap_lite).
 Two tables are the one place that decides routing, state and the LITE
 stage: FAMILIES gives each family's stepper kind per block role, and KINDS
 gives each kind its stepper, the state arrays it keeps beside m, its LITE
-controller and the config keys only it reads.
+controller and the config keys only it reads. A stepper maps a block's
+matrix, state and gradient to the new matrix: it advances the state and
+never writes into the matrix or the gradient.
 
 LITE is a stage of step_muon, step_soap and step_adamw, not a stepper of its
 own: it runs when the block's state holds a controller, splits the base
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, qr_decompose
+from .linalg import frobenius, qr_decompose
 from .polar import RankController, composite_sharp_projection, ns_polar, update_rank_controller
 from .subspace import SoapMaskController, smoothed_sharp_mask, update_soap_controller
 
@@ -47,18 +49,6 @@ FAMILIES = {
     "muon_lite": ("muon_lite", "adamw", "adam_lite", "adamw"),
     "soap_lite": ("soap_lite", "adamw", "adam_lite", "adamw"),
 }
-
-
-@dataclasses.dataclass
-class MatrixBlock:
-    name: str
-    matrix: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        self.matrix = as_matrix(self.matrix)
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role '{self.role}' for block '{self.name}'")
 
 
 def _require_finite(config, may_be_inf=()):
@@ -186,10 +176,11 @@ class OptimizerConfig:
 
 @dataclasses.dataclass
 class BlockOptState:
-    """Per-block optimizer state; only the fields the routed stepper needs are
-    allocated, everything else stays None."""
+    """Per-block optimizer state: the block's role and the fields its routed
+    stepper needs; everything else stays None."""
 
     m: np.ndarray
+    role: str
     v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     m_slow: np.ndarray | None = None
@@ -212,11 +203,11 @@ def resolve_stepper(family: str, role: str) -> str:
     return FAMILIES[family][ROLES.index(role)]
 
 
-def init_state(block: MatrixBlock, cfg: OptimizerConfig) -> BlockOptState:
-    shape = block.matrix.shape
-    rows, cols = shape
-    kind = KINDS[resolve_stepper(cfg.family, block.role)]
-    state = BlockOptState(m=np.zeros(shape), **{name: np.zeros(shape) for name in kind.arrays})
+def init_state(shape, role: str, cfg: OptimizerConfig) -> BlockOptState:
+    """Zeroed state of a (rows, cols) block for its (family, role) stepper."""
+    rows, cols = shape  # ValueError for a shape that is not 2-D
+    kind = KINDS[resolve_stepper(cfg.family, role)]
+    state = BlockOptState(np.zeros(shape), role, **{name: np.zeros(shape) for name in kind.arrays})
     if kind.step is step_soap:
         state.gram_l = np.zeros((rows, rows))
         state.gram_r = np.zeros((cols, cols))
@@ -235,8 +226,9 @@ def init_state(block: MatrixBlock, cfg: OptimizerConfig) -> BlockOptState:
     return state
 
 
-def init_states(blocks, cfg: OptimizerConfig):
-    return {name: init_state(block, cfg) for name, block in blocks.items()}
+def init_states(layouts, cfg: OptimizerConfig):
+    """init_state for each named layout, read from its ``.shape`` and ``.role``."""
+    return {name: init_state(layout.shape, layout.role, cfg) for name, layout in layouts.items()}
 
 
 def lr_at(schedule: ScheduleSpec, step: int) -> float:
@@ -271,10 +263,10 @@ def clip_global_norm(grads, threshold: float):
     return [g * scale for g in grads]
 
 
-def _apply(block: MatrixBlock, direction, lr: float, wd: float):
-    # single shared form of the decoupled-decay update; every stepper funnels
-    # through it so matched directions give matched iterates bitwise
-    block.matrix = block.matrix - lr * (direction + wd * block.matrix)
+def _apply(w, direction, lr: float, wd: float):
+    # single shared form of the decoupled-decay update; every stepper returns
+    # it, so matched directions give matched iterates bitwise
+    return w - lr * (direction + wd * w)
 
 
 def _ema_mv(state: BlockOptState, g, cfg: OptimizerConfig):
@@ -292,7 +284,7 @@ def _lite_weights(pol: LitePolicy, role: str, sharp, identity):
     return sharp + chi * flat, pol.beta1 * sharp + chi * pol.beta2 * flat
 
 
-def _mask_and_update(state: BlockOptState, pol: LitePolicy, role: str, g, denom, core):
+def _mask_and_update(state: BlockOptState, pol: LitePolicy, g, denom, core):
     """LITE stage of the elementwise-preconditioned steppers: mask the second
     moment, advance the threshold controller, record the sharp mass, and
     reweight core = momentum/denom unless the policy is trivial."""
@@ -303,47 +295,47 @@ def _mask_and_update(state: BlockOptState, pol: LitePolicy, role: str, g, denom,
     count_smooth = int((state.v > ctrl.l_smooth * mean).sum())
     state.mask_ctrl = update_soap_controller(ctrl, count_s, count_smooth)
     state.last_sharp_mass = float(mask.sum())
-    if pol.is_trivial(role):
+    if pol.is_trivial(state.role):
         return core
-    w_m, w_g = _lite_weights(pol, role, mask, 1.0)
+    w_m, w_g = _lite_weights(pol, state.role, mask, 1.0)
     return w_g * (g / denom) + w_m * core
 
 
-def step_adamw(block, state, g, lr, cfg):
+def step_adamw(w, state, g, lr, cfg):
     """AdamW; a mask controller (adam_lite) adds the LITE stage."""
     state.step += 1
     denom = _ema_mv(state, g, cfg)
     direction = state.m / denom
     if state.mask_ctrl is not None:
-        direction = _mask_and_update(state, cfg.lite, block.role, g, denom, direction)
-    _apply(block, direction, lr, cfg.weight_decay)
+        direction = _mask_and_update(state, cfg.lite, g, denom, direction)
+    return _apply(w, direction, lr, cfg.weight_decay)
 
 
-def step_n_adamw(block, state, g, lr, cfg):
+def step_n_adamw(w, state, g, lr, cfg):
     """AdamW with a Nesterov-style numerator m + beta*g."""
     state.step += 1
     denom = _ema_mv(state, g, cfg)
-    _apply(block, (state.m + cfg.nesterov_beta * g) / denom, lr, cfg.weight_decay)
+    return _apply(w, (state.m + cfg.nesterov_beta * g) / denom, lr, cfg.weight_decay)
 
 
-def step_lion(block, state, g, lr, cfg):
+def step_lion(w, state, g, lr, cfg):
     """Sign update from the old-momentum blend; sign(0) contributes nothing."""
     state.step += 1
     u = cfg.theta * state.m + (1.0 - cfg.theta) * g
     state.m = cfg.beta_v * state.m + (1.0 - cfg.beta_v) * g
-    _apply(block, np.sign(u), lr, cfg.weight_decay)
+    return _apply(w, np.sign(u), lr, cfg.weight_decay)
 
 
-def step_mars(block, state, g, lr, cfg):
+def step_mars(w, state, g, lr, cfg):
     """AdamW on the variance-reduced gradient c = g + gamma*theta/(1-theta)*(g - prev_g)."""
     state.step += 1
     c = g + cfg.mars_gamma * cfg.theta / (1.0 - cfg.theta) * (g - state.prev_g)
     denom = _ema_mv(state, c, cfg)
     state.prev_g = g.copy()
-    _apply(block, state.m / denom, lr, cfg.weight_decay)
+    return _apply(w, state.m / denom, lr, cfg.weight_decay)
 
 
-def step_ademamix(block, state, g, lr, cfg):
+def step_ademamix(w, state, g, lr, cfg):
     """Two-timescale momentum: a fast EMA plus kappa times a slow EMA."""
     state.step += 1
     a1, a2 = cfg.alpha_fast, cfg.alpha_slow
@@ -351,10 +343,10 @@ def step_ademamix(block, state, g, lr, cfg):
     state.m_slow = (1.0 - a2) * state.m_slow + a2 * g
     state.v = cfg.beta_v * state.v + (1.0 - cfg.beta_v) * g * g
     denom = np.sqrt(state.v) + cfg.epsilon
-    _apply(block, (state.m + cfg.ademamix_kappa * state.m_slow) / denom, lr, cfg.weight_decay)
+    return _apply(w, (state.m + cfg.ademamix_kappa * state.m_slow) / denom, lr, cfg.weight_decay)
 
 
-def step_muon(block, state, g, lr, cfg):
+def step_muon(w, state, g, lr, cfg):
     """Polar-factor update on the accumulate-then-blend momentum u = theta*m + g.
 
     A rank controller (muon_lite) adds the LITE stage: the composite sharp
@@ -375,17 +367,17 @@ def step_muon(block, state, g, lr, cfg):
         p_frob = frobenius(proj)
         state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
         state.last_sharp_mass = float(p_frob * p_frob)
-        if not pol.is_trivial(block.role):
-            w_m, w_g = _lite_weights(pol, block.role, proj, np.eye(proj.shape[0]))
+        if not pol.is_trivial(state.role):
+            w_m, w_g = _lite_weights(pol, state.role, proj, np.eye(proj.shape[0]))
             core = core @ w_m + ns_polar(g.T if wide else g) @ w_g
     direction = core.T if wide else core
-    _apply(block, 0.2 * math.sqrt(max(block.matrix.shape)) * direction, lr, cfg.weight_decay)
+    return _apply(w, 0.2 * math.sqrt(max(w.shape)) * direction, lr, cfg.weight_decay)
 
 
-def step_soap(block, state, g, lr, cfg):
+def step_soap(w, state, g, lr, cfg):
     """Adam moments in the eigenbasis of the Gram EMAs, refreshed by QR every
     qr_refresh_every steps; a mask controller (soap_lite) adds the LITE stage
-    on the rotated update."""
+    on the rotated update. The Gram EMAs and the refresh follow the update."""
     state.step += 1
     g_rot = state.q_l.T @ g @ state.q_r
     state.m = cfg.theta * state.m + (1.0 - cfg.theta) * g
@@ -394,18 +386,19 @@ def step_soap(block, state, g, lr, cfg):
     denom = np.sqrt(state.v) + cfg.epsilon
     core = m_rot / denom
     if state.mask_ctrl is not None:
-        core = _mask_and_update(state, cfg.lite, block.role, g_rot, denom, core)
-    _apply(block, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
+        core = _mask_and_update(state, cfg.lite, g_rot, denom, core)
+    new_w = _apply(w, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
     th = cfg.theta_shampoo
     state.gram_l = th * state.gram_l + (1.0 - th) * (g @ g.T)
     state.gram_r = th * state.gram_r + (1.0 - th) * (g.T @ g)
     if state.step % cfg.qr_refresh_every == 0:
         state.q_l, _ = qr_decompose(state.gram_l @ state.q_l)
         state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
+    return new_w
 
 
 class StepperKind(NamedTuple):
-    step: Callable
+    step: Callable  # (w, state, g, lr, cfg) -> the new w
     arrays: tuple  # state arrays of the block's shape kept beside m
     controller: str | None  # LITE controller: "rank", "mask" or None
     keys: tuple = ()  # OptimizerConfig fields that only this kind reads
@@ -435,19 +428,20 @@ FAMILY_KEYS = {key: tuple(family for family, kinds in FAMILIES.items()
                for kind in KINDS.values() for key in kind.keys}
 
 
-def route_and_step(blocks, states, grads, step, schedule: ScheduleSpec,
+def route_and_step(mats, states, grads, step, schedule: ScheduleSpec,
                    cfg: OptimizerConfig):
-    """One optimization step over every block.
+    """One optimization step over every block of the run's ``mats`` dict.
 
-    Clips the joint gradient norm once, then dispatches each block to its
+    Clips the joint gradient norm once, then steps each block with its
     (family, role) stepper in lexicographic name order so runs reproduce
-    exactly regardless of how callers parallelize.
+    exactly regardless of how callers parallelize. ``mats[name]`` is replaced
+    by the stepper's result; no matrix is written into.
     """
-    order = sorted(blocks)
+    order = sorted(mats)
     if sorted(states) != order or sorted(grads) != order:
-        raise ValueError("blocks, states and grads must share one name set")
+        raise ValueError("mats, states and grads must share one name set")
     lr = lr_at(schedule, step)
     clipped = clip_global_norm([grads[name] for name in order], cfg.clip_norm)
     for name, g in zip(order, clipped):
-        kind = KINDS[resolve_stepper(cfg.family, blocks[name].role)]
-        kind.step(blocks[name], states[name], g, lr, cfg)
+        stepper = KINDS[resolve_stepper(cfg.family, states[name].role)].step
+        mats[name] = stepper(mats[name], states[name], g, lr, cfg)

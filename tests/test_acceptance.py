@@ -84,16 +84,15 @@ def _run_twin_trajectories(base_family, lite_family, steps=200):
         "base": OptimizerConfig(family=base_family),
         "lite": OptimizerConfig(family=lite_family, lite=LitePolicy()),
     }
-    blocks = {k: land.matrix_blocks(land.initial_point) for k in cfgs}
-    states = {k: init_states(blocks[k], cfgs[k]) for k in cfgs}
+    mats = {k: land.unpack(land.initial_point) for k in cfgs}
+    states = {k: init_states(land.blocks, cfgs[k]) for k in cfgs}
     for step in range(1, steps + 1):
         batch = land.fresh_batch(step)
         for k, cfg in cfgs.items():
-            w = land.pack({n: b.matrix for n, b in blocks[k].items()})
-            grads = land.block_grads_on_batch(w, batch)
-            route_and_step(blocks[k], states[k], grads, step, sched, cfg)
-        for name in blocks["base"]:
-            assert np.array_equal(blocks["base"][name].matrix, blocks["lite"][name].matrix), (
+            _, grads = land.loss_and_block_grads(mats[k], batch)
+            route_and_step(mats[k], states[k], grads, step, sched, cfg)
+        for name in land.blocks:
+            assert np.array_equal(mats["base"][name], mats["lite"][name]), (
                 f"{base_family} vs {lite_family} split at step {step}, block {name}")
 
 

@@ -15,7 +15,6 @@ from flatopt.dynamics import (
     ademamix_flow_trajectory,
     ademamix_ode_residual,
     flow_rhs,
-    ishd_acceleration,
     nesterov_forms_trace,
     rk4_flow,
     semi_implicit_step,
@@ -29,6 +28,21 @@ class TestStateAndParams:
             DynamicsState(np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError, match="matching vectors"):
             DynamicsState(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("state_dim,eigenvalues", [(1, [3.0, 2.0, 1.0]), (2, [1.0])],
+                             ids=["1-D state", "2-D state"])
+    @pytest.mark.parametrize("flow", [
+        lambda state, spec, params: flow_rhs(state, spec, params),
+        lambda state, spec, params: semi_implicit_step(state, spec, params, 0.1),
+        lambda state, spec, params: rk4_flow(state, spec, params, t_end=1.0),
+    ], ids=["flow_rhs", "semi_implicit_step", "rk4_flow"])
+    def test_state_dimension_must_match_the_quadratic(self, flow, state_dim, eigenvalues):
+        # numpy would broadcast the state against a quadratic of another
+        # dimension and return a state of the wrong size, or none at all
+        state = DynamicsState(np.ones(state_dim), np.zeros(state_dim))
+        with pytest.raises(ValueError, match=f"state has dimension {state_dim}, "
+                                             f"the quadratic {len(eigenvalues)}"):
+            flow(state, QuadraticSpec(eigenvalues), FlowParams(alpha=0.2))
 
     def test_state_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -313,6 +327,15 @@ class TestRk4Flow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 rk4_flow(start, spec, FlowParams(alpha=0.1, eta_of_t=1.0), t_end=1.0)
+
+
+def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
+                      gamma_t: float):
+    """Acceleration of the damped inertial system, the second-order form of
+    the momentum flow: wddot = -alpha_t wdot - beta_t H wdot - gamma_t grad f(w)."""
+    wdot = np.asarray(wdot, dtype=float)
+    return (-alpha_t * wdot - beta_t * (quadratic.eigenvalues * wdot)
+            - gamma_t * quadratic.grad(w))
 
 
 class TestIshdAcceleration:

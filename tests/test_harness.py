@@ -392,6 +392,24 @@ class TestRunExperiment:
         for name in ("layer0", "layer1", "layer2"):
             assert last[name]["update_rms"] is not None
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_leaves_the_initial_point_unchanged(self, monkeypatch, family):
+        # the run steps views of the initial point; a write into one of them
+        # raises on the read-only vector
+        lands = []
+
+        def build_read_only(config):
+            land = build_landscape(config)
+            land.initial_point.flags.writeable = False
+            lands.append((land, land.initial_point.copy()))
+            return land
+
+        monkeypatch.setattr("flatopt.harness.build_landscape", build_read_only)
+        _, summary = run_experiment(parse_config(MLP_BASE.format(family=family) + "run.log_every = 4\n"))
+        assert summary["status"] == "ok"
+        (land, initial), = lands
+        assert np.array_equal(land.initial_point, initial)
+
     def test_divergence_is_an_outcome_not_an_error(self):
         records, summary = run_experiment(parse_config(DIVERGENT))
         assert summary["status"] == "diverged"

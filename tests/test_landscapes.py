@@ -71,14 +71,6 @@ class TestLayoutAndPacking:
         assert mats["all"].shape == (1, 2)
         assert np.array_equal(land.pack(mats), w)
 
-    def test_matrix_blocks_copy_and_carry_roles(self):
-        land = quadratic_landscape(QuadraticSpec(np.array([1.0]), np.zeros(1)))
-        w = np.array([3.0])
-        blocks = land.matrix_blocks(w)
-        assert blocks["all"].role == "adam"
-        blocks["all"].matrix[0, 0] = 99.0
-        assert w[0] == 3.0
-
 
 class TestQuadraticLandscape:
     spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([1.0, -1.0]))
@@ -201,18 +193,15 @@ class TestMlp:
 
     def test_short_training_run_descends(self):
         land = mlp_landscape(self.spec, seed=3)
-        w = land.initial_point.copy()
-        blocks = land.matrix_blocks(w)
+        mats = land.unpack(land.initial_point)
         cfg = OptimizerConfig("adamw", clip_norm=1e9)
         sched = ScheduleSpec("constant", 1e-2, 0, 50)
-        states = init_states(blocks, cfg)
-        initial = land.loss(w)
+        states = init_states(land.blocks, cfg)
+        initial = land.loss(land.initial_point)
         for step in range(1, 51):
-            w = land.pack({n: b.matrix for n, b in blocks.items()})
-            grads = {n: g for n, g in land.block_grads_on_batch(w, land._fixed).items()}
-            route_and_step(blocks, states, grads, step, sched, cfg)
-        final = land.loss(land.pack({n: b.matrix for n, b in blocks.items()}))
-        assert final < 0.5 * initial
+            _, grads = land.loss_and_block_grads(mats, land._fixed)
+            route_and_step(mats, states, grads, step, sched, cfg)
+        assert land.loss(land.pack(mats)) < 0.5 * initial
 
 
 class TestLossAndBlockGrads:
@@ -451,6 +440,23 @@ class TestAlignmentCurves:
                 ks = [k for k, _ in curve]
                 assert all(a < b for a, b in zip(ks, ks[1:])), (name, side, ks)
                 assert ks[-1] == min(8, sides[name][side]), (name, side, ks)
+
+    def test_experiment_leaves_the_initial_point_unchanged(self, monkeypatch):
+        # training steps views of the initial point; a write into one of them
+        # raises on the read-only vector
+        lands = []
+
+        def build_read_only(spec, seed):
+            land = landscapes.MlpLandscape(spec, seed)
+            land.initial_point.flags.writeable = False
+            lands.append((land, land.initial_point.copy()))
+            return land
+
+        monkeypatch.setattr(landscapes, "mlp_landscape", build_read_only)
+        alignment_experiment(MlpSpec(widths=(6, 8, 4), batch_size=8), seed=29, train_steps=5,
+                             d_s=2, k_grid=(2, 4), n_batches=4)
+        (land, initial), = lands
+        assert np.array_equal(land.initial_point, initial)
 
     def test_experiment_produces_valid_curves(self):
         spec = MlpSpec(widths=(6, 8, 4), batch_size=8, noise_sigma=0.01)

@@ -18,7 +18,6 @@ from flatopt.optim import (
     LITE_FAMILIES,
     ROLES,
     LitePolicy,
-    MatrixBlock,
     OptimizerConfig,
     ScheduleSpec,
     clip_global_norm,
@@ -35,17 +34,23 @@ from flatopt.optim import (
     step_n_adamw,
     step_soap,
 )
+from flatopt.landscapes import BlockLayout
 from flatopt.polar import ns_polar
 from flatopt.rng import SplitMix64
 
 
-def scalar_block(value, role="adam"):
-    return MatrixBlock("b", np.array([[float(value)]]), role)
+def scalar(value):
+    return np.array([[float(value)]])
 
 
 def cfg_for(family, **kw):
     kw.setdefault("clip_norm", 1e9)
     return OptimizerConfig(family=family, **kw)
+
+
+def layouts(**shapes_and_roles):
+    """Named BlockLayouts, as init_states reads them from a landscape."""
+    return {name: BlockLayout(0, shape, role) for name, (shape, role) in shapes_and_roles.items()}
 
 
 def gradient_stream(seed, shape, steps):
@@ -133,29 +138,29 @@ class TestClipGlobalNorm:
 
 class TestAdamw:
     def test_zero_gradient_is_pure_decay(self):
-        block = scalar_block(2.0)
+        w = scalar(2.0)
         cfg = cfg_for("adamw", weight_decay=0.5)
-        state = init_state(block, cfg)
-        step_adamw(block, state, np.zeros((1, 1)), 0.1, cfg)
-        assert block.matrix[0, 0] == 2.0 - 0.1 * (0.5 * 2.0)
-        assert block.matrix[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-15)
+        state = init_state(w.shape, "adam", cfg)
+        w = step_adamw(w, state, np.zeros((1, 1)), 0.1, cfg)
+        assert w[0, 0] == 2.0 - 0.1 * (0.5 * 2.0)
+        assert w[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-15)
 
     def test_scalar_first_step(self):
         # theta=0 and beta_v=0 make m=g and v=g^2; epsilon far below ulp(1)
         # keeps the denominator at exactly 1
-        block = scalar_block(1.0)
+        w = scalar(1.0)
         cfg = cfg_for("adamw", theta=0.0, beta_v=0.0, weight_decay=0.0, epsilon=1e-300)
-        state = init_state(block, cfg)
-        step_adamw(block, state, np.ones((1, 1)), 0.1, cfg)
-        assert block.matrix[0, 0] == 0.9
+        state = init_state(w.shape, "adam", cfg)
+        w = step_adamw(w, state, np.ones((1, 1)), 0.1, cfg)
+        assert w[0, 0] == 0.9
 
     def test_two_step_moment_trace(self):
-        block = scalar_block(0.0)
+        w = scalar(0.0)
         cfg = cfg_for("adamw", theta=0.9, beta_v=0.99, weight_decay=0.0)
-        state = init_state(block, cfg)
+        state = init_state(w.shape, "adam", cfg)
         g = np.ones((1, 1))
-        step_adamw(block, state, g, 0.1, cfg)
-        step_adamw(block, state, g, 0.1, cfg)
+        w = step_adamw(w, state, g, 0.1, cfg)
+        w = step_adamw(w, state, g, 0.1, cfg)
         assert state.m[0, 0] == pytest.approx(0.19, rel=1e-14)
         assert state.v[0, 0] == pytest.approx(0.0199, rel=1e-14)
 
@@ -166,50 +171,49 @@ class TestNesterovAdamw:
         shared = dict(theta=0.9, beta_v=0.99, weight_decay=0.05)
         cfg_a = cfg_for("adamw", **shared)
         cfg_n = cfg_for("n_adamw", nesterov_beta=0.0, **shared)
-        b_a = MatrixBlock("b", np.ones((3, 2)), "adam")
-        b_n = MatrixBlock("b", np.ones((3, 2)), "adam")
-        s_a, s_n = init_state(b_a, cfg_a), init_state(b_n, cfg_n)
+        w_a = w_n = np.ones((3, 2))
+        s_a, s_n = init_state(w_a.shape, "adam", cfg_a), init_state(w_n.shape, "adam", cfg_n)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_n_adamw(b_n, s_n, g, 0.01, cfg_n)
-            assert np.array_equal(b_a.matrix, b_n.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_n = step_n_adamw(w_n, s_n, g, 0.01, cfg_n)
+            assert np.array_equal(w_a, w_n)
 
     def test_scalar_lookahead_blend(self):
-        block = scalar_block(1.0)
+        w = scalar(1.0)
         cfg = cfg_for("n_adamw", theta=0.0, beta_v=0.0, nesterov_beta=1.0,
                       weight_decay=0.0, epsilon=1e-300)
-        state = init_state(block, cfg)
-        step_n_adamw(block, state, np.ones((1, 1)), 0.1, cfg)
+        state = init_state(w.shape, "adam", cfg)
+        w = step_n_adamw(w, state, np.ones((1, 1)), 0.1, cfg)
         # numerator m + beta*g = 2, so the step is twice the adamw step
-        assert block.matrix[0, 0] == 0.8
+        assert w[0, 0] == 0.8
 
 
 class TestLion:
     def test_sign_of_zero_is_decay_only(self):
-        block = scalar_block(4.0)
+        w = scalar(4.0)
         cfg = cfg_for("lion", weight_decay=0.25)
-        state = init_state(block, cfg)
-        step_lion(block, state, np.zeros((1, 1)), 0.1, cfg)
-        assert block.matrix[0, 0] == 4.0 - 0.1 * (0.25 * 4.0)
+        state = init_state(w.shape, "adam", cfg)
+        w = step_lion(w, state, np.zeros((1, 1)), 0.1, cfg)
+        assert w[0, 0] == 4.0 - 0.1 * (0.25 * 4.0)
 
     def test_blend_uses_pre_update_momentum(self):
         # old m = -1 dominates the blend (sign -1) even though the momentum
         # EMA lands exactly at 0 after the step
-        block = scalar_block(0.0)
+        w = scalar(0.0)
         cfg = cfg_for("lion", theta=0.9, beta_v=0.5, weight_decay=0.0)
-        state = init_state(block, cfg)
+        state = init_state(w.shape, "adam", cfg)
         state.m = np.array([[-1.0]])
-        step_lion(block, state, np.ones((1, 1)), 0.3, cfg)
-        assert block.matrix[0, 0] == 0.3
+        w = step_lion(w, state, np.ones((1, 1)), 0.3, cfg)
+        assert w[0, 0] == 0.3
         assert state.m[0, 0] == 0.0
 
     def test_updates_have_unit_magnitude(self):
         g = SplitMix64(3).normal((4, 5))
-        block = MatrixBlock("b", np.zeros((4, 5)), "adam")
+        w = np.zeros((4, 5))
         cfg = cfg_for("lion", weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_lion(block, state, g, 0.05, cfg)
-        assert np.array_equal(block.matrix, -0.05 * np.sign(g))
+        state = init_state(w.shape, "adam", cfg)
+        w = step_lion(w, state, g, 0.05, cfg)
+        assert np.array_equal(w, -0.05 * np.sign(g))
 
 
 class TestMars:
@@ -217,20 +221,19 @@ class TestMars:
         grads = gradient_stream(23, (2, 4), 60)
         cfg_a = cfg_for("adamw")
         cfg_m = cfg_for("mars", mars_gamma=0.0)
-        b_a = MatrixBlock("b", np.ones((2, 4)), "adam")
-        b_m = MatrixBlock("b", np.ones((2, 4)), "adam")
-        s_a, s_m = init_state(b_a, cfg_a), init_state(b_m, cfg_m)
+        w_a = w_m = np.ones((2, 4))
+        s_a, s_m = init_state(w_a.shape, "adam", cfg_a), init_state(w_m.shape, "adam", cfg_m)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_mars(b_m, s_m, g, 0.01, cfg_m)
-            assert np.array_equal(b_a.matrix, b_m.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_m = step_mars(w_m, s_m, g, 0.01, cfg_m)
+            assert np.array_equal(w_a, w_m)
 
     def test_first_step_control_variate(self):
         # c = g + gamma*theta/(1-theta)*(g - 0) = 1 + 0.5*9 = 5.5
-        block = scalar_block(0.0)
+        w = scalar(0.0)
         cfg = cfg_for("mars", theta=0.9, beta_v=0.0, mars_gamma=0.5, weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_mars(block, state, np.ones((1, 1)), 0.01, cfg)
+        state = init_state(w.shape, "adam", cfg)
+        w = step_mars(w, state, np.ones((1, 1)), 0.01, cfg)
         assert state.m[0, 0] == pytest.approx(0.1 * 5.5, rel=1e-12)
         assert state.v[0, 0] == pytest.approx(5.5 ** 2, rel=1e-12)
 
@@ -238,14 +241,13 @@ class TestMars:
         g = SplitMix64(5).normal((2, 2))
         cfg_m = cfg_for("mars", mars_gamma=0.7)
         cfg_a = cfg_for("adamw")
-        b_m = MatrixBlock("b", np.ones((2, 2)), "adam")
-        b_a = MatrixBlock("b", np.ones((2, 2)), "adam")
-        s_m, s_a = init_state(b_m, cfg_m), init_state(b_a, cfg_a)
+        w_m = w_a = np.ones((2, 2))
+        s_m, s_a = init_state(w_m.shape, "adam", cfg_m), init_state(w_a.shape, "adam", cfg_a)
         s_m.prev_g = g.copy()
-        step_mars(b_m, s_m, g, 0.01, cfg_m)
-        step_adamw(b_a, s_a, g, 0.01, cfg_a)
+        w_m = step_mars(w_m, s_m, g, 0.01, cfg_m)
+        w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
         assert np.array_equal(s_m.m, s_a.m)
-        assert np.array_equal(b_m.matrix, b_a.matrix)
+        assert np.array_equal(w_m, w_a)
 
     def test_gamma_one_rejected(self):
         with pytest.raises(ValueError, match="discards the current gradient"):
@@ -260,20 +262,19 @@ class TestAdemamix:
         grads = gradient_stream(31, (3, 3), 60)
         cfg_a = cfg_for("adamw", theta=theta)
         cfg_x = cfg_for("ademamix", ademamix_kappa=0.0, alpha_fast=1.0 - theta)
-        b_a = MatrixBlock("b", np.ones((3, 3)), "adam")
-        b_x = MatrixBlock("b", np.ones((3, 3)), "adam")
-        s_a, s_x = init_state(b_a, cfg_a), init_state(b_x, cfg_x)
+        w_a = w_x = np.ones((3, 3))
+        s_a, s_x = init_state(w_a.shape, "adam", cfg_a), init_state(w_x.shape, "adam", cfg_x)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_ademamix(b_x, s_x, g, 0.01, cfg_x)
-            assert np.array_equal(b_a.matrix, b_x.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_x = step_ademamix(w_x, s_x, g, 0.01, cfg_x)
+            assert np.array_equal(w_a, w_x)
 
     def test_two_timescale_numerator(self):
-        block = scalar_block(0.0)
+        w = scalar(0.0)
         cfg = cfg_for("ademamix", alpha_fast=0.1, alpha_slow=1e-4,
                       ademamix_kappa=2.0, weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_ademamix(block, state, np.ones((1, 1)), 0.01, cfg)
+        state = init_state(w.shape, "adam", cfg)
+        w = step_ademamix(w, state, np.ones((1, 1)), 0.01, cfg)
         assert state.m[0, 0] == 0.1
         assert state.m_slow[0, 0] == 1e-4
         numerator = state.m + cfg.ademamix_kappa * state.m_slow
@@ -292,49 +293,49 @@ def rotation_4x4(angle):
 class TestMuon:
     def test_orthogonal_gradient_passes_through(self):
         q = rotation_4x4(0.3)
-        block = MatrixBlock("b", np.zeros((4, 4)), "muon")
+        w = np.zeros((4, 4))
         cfg = cfg_for("muon", theta=0.0, weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_muon(block, state, q, 1.0, cfg)
-        direction = -block.matrix / (0.2 * math.sqrt(4))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, q, 1.0, cfg)
+        direction = -w / (0.2 * math.sqrt(4))
         assert np.linalg.norm(direction - q) < 1e-2 * math.sqrt(16)
 
     def test_diagonal_gradient_gives_identity_direction(self):
         g = np.diag([5.0, 2.0])
-        block = MatrixBlock("b", np.zeros((2, 2)), "muon")
+        w = np.zeros((2, 2))
         cfg = cfg_for("muon", weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_muon(block, state, g, 0.1, cfg)
-        direction = -block.matrix / (0.1 * 0.2 * math.sqrt(2))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, g, 0.1, cfg)
+        direction = -w / (0.1 * 0.2 * math.sqrt(2))
         assert np.linalg.norm(direction - np.eye(2)) < 1e-2 * math.sqrt(4)
 
     def test_update_norm_set_by_dimension_scale(self):
         q = rotation_4x4(1.1)
-        block = MatrixBlock("b", np.zeros((4, 4)), "muon")
+        w = np.zeros((4, 4))
         cfg = cfg_for("muon", theta=0.0, weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_muon(block, state, q, 1.0, cfg)
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, q, 1.0, cfg)
         # orthogonal direction: update Frobenius norm is 0.2*sqrt(max_dim)*sqrt(n)
-        assert np.linalg.norm(block.matrix) == pytest.approx(0.2 * 2.0 * 2.0, rel=2e-2)
+        assert np.linalg.norm(w) == pytest.approx(0.2 * 2.0 * 2.0, rel=2e-2)
 
     def test_doubling_the_gradient_changes_nothing(self):
         grads = gradient_stream(41, (6, 3), 10)
-        blocks = [MatrixBlock("b", np.zeros((6, 3)), "muon") for _ in range(2)]
+        w_1 = w_2 = np.zeros((6, 3))
         cfg = cfg_for("muon", weight_decay=0.0)
-        states = [init_state(b, cfg) for b in blocks]
+        s_1, s_2 = init_state((6, 3), "muon", cfg), init_state((6, 3), "muon", cfg)
         for g in grads:
-            step_muon(blocks[0], states[0], g, 0.05, cfg)
-            step_muon(blocks[1], states[1], 2.0 * g, 0.05, cfg)
-            assert np.array_equal(blocks[0].matrix, blocks[1].matrix)
+            w_1 = step_muon(w_1, s_1, g, 0.05, cfg)
+            w_2 = step_muon(w_2, s_2, 2.0 * g, 0.05, cfg)
+            assert np.array_equal(w_1, w_2)
 
     def test_wide_block_orientation(self):
         g = np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-        block = MatrixBlock("b", np.zeros((2, 4)), "muon")
+        w = np.zeros((2, 4))
         cfg = cfg_for("muon", theta=0.0, weight_decay=0.0)
-        state = init_state(block, cfg)
-        step_muon(block, state, g, 1.0, cfg)
-        assert block.matrix.shape == (2, 4)
-        direction = -block.matrix / (0.2 * math.sqrt(4))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, g, 1.0, cfg)
+        assert w.shape == (2, 4)
+        direction = -w / (0.2 * math.sqrt(4))
         expected = np.zeros((2, 4))
         expected[0, 0] = expected[1, 1] = 1.0
         assert np.linalg.norm(direction - expected) < 1e-2 * math.sqrt(8)
@@ -345,16 +346,16 @@ class TestMuon:
         theta, lr = 0.95, 0.05
         grads = gradient_stream(53, (6, 4), 50)
         cfg = cfg_for("muon", theta=theta, weight_decay=0.0)
-        block = MatrixBlock("b", np.zeros((6, 4)), "muon")
-        state = init_state(block, cfg)
+        w = np.zeros((6, 4))
+        state = init_state(w.shape, "muon", cfg)
         w_b = np.zeros((6, 4))
         m_b = np.zeros((6, 4))
         scale = 0.2 * math.sqrt(6)
         for g in grads:
-            step_muon(block, state, g, lr, cfg)
+            w = step_muon(w, state, g, lr, cfg)
             m_b = theta * m_b + g / theta
             w_b = w_b - lr * scale * ns_polar(theta * m_b + g / theta)
-            assert np.abs(block.matrix - w_b).max() <= 1e-10
+            assert np.abs(w - w_b).max() <= 1e-10
 
 
 class TestMuonLite:
@@ -365,13 +366,12 @@ class TestMuonLite:
         grads = gradient_stream(67, (12, 6), 100)
         cfg_m = cfg_for("muon", weight_decay=0.1)
         cfg_l = cfg_for("muon_lite", weight_decay=0.1, lite=self.policy())
-        b_m = MatrixBlock("b", np.ones((12, 6)), "muon")
-        b_l = MatrixBlock("b", np.ones((12, 6)), "muon")
-        s_m, s_l = init_state(b_m, cfg_m), init_state(b_l, cfg_l)
+        w_m = w_l = np.ones((12, 6))
+        s_m, s_l = init_state(w_m.shape, "muon", cfg_m), init_state(w_l.shape, "muon", cfg_l)
         for g in grads:
-            step_muon(b_m, s_m, g, 0.02, cfg_m)
-            step_muon(b_l, s_l, g, 0.02, cfg_l)
-            assert np.array_equal(b_m.matrix, b_l.matrix)
+            w_m = step_muon(w_m, s_m, g, 0.02, cfg_m)
+            w_l = step_muon(w_l, s_l, g, 0.02, cfg_l)
+            assert np.array_equal(w_m, w_l)
 
     def test_identity_projector_keeps_sharp_blend(self, monkeypatch):
         import flatopt.optim as optim_mod
@@ -381,12 +381,12 @@ class TestMuonLite:
         g = SplitMix64(71).normal((6, 4))
         pol = self.policy(chi=3.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
-        block = MatrixBlock("b", np.zeros((6, 4)), "muon")
-        state = init_state(block, cfg)
-        step_muon(block, state, g, 1.0, cfg)
+        w = np.zeros((6, 4))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, g, 1.0, cfg)
         u = cfg.theta * g + g
         expected = ns_polar(u) + pol.beta1 * ns_polar(g)
-        np.testing.assert_allclose(block.matrix, -0.2 * math.sqrt(6) * expected,
+        np.testing.assert_allclose(w, -0.2 * math.sqrt(6) * expected,
                                    atol=1e-12)
 
     def test_zero_projector_amplifies_everything(self, monkeypatch):
@@ -397,12 +397,12 @@ class TestMuonLite:
         g = SplitMix64(73).normal((6, 4))
         pol = self.policy(chi=2.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
-        block = MatrixBlock("b", np.zeros((6, 4)), "muon")
-        state = init_state(block, cfg)
-        step_muon(block, state, g, 1.0, cfg)
+        w = np.zeros((6, 4))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_muon(w, state, g, 1.0, cfg)
         u = cfg.theta * g + g
         expected = 2.0 * ns_polar(u) + 2.0 * 0.5 * ns_polar(g)
-        np.testing.assert_allclose(block.matrix, -0.2 * math.sqrt(6) * expected,
+        np.testing.assert_allclose(w, -0.2 * math.sqrt(6) * expected,
                                    atol=1e-12)
 
     def test_zero_projector_chi_times_baseline(self, monkeypatch):
@@ -417,13 +417,12 @@ class TestMuonLite:
         cfg_m = cfg_for("muon", weight_decay=0.0)
         cfg_l = cfg_for("muon_lite", weight_decay=0.0,
                         lite=self.policy(chi=4.0))
-        b_m = MatrixBlock("b", np.zeros((8, 4)), "muon")
-        b_l = MatrixBlock("b", np.zeros((8, 4)), "muon")
-        s_m, s_l = init_state(b_m, cfg_m), init_state(b_l, cfg_l)
+        w_m = w_l = np.zeros((8, 4))
+        s_m, s_l = init_state(w_m.shape, "muon", cfg_m), init_state(w_l.shape, "muon", cfg_l)
         for g in grads:
-            step_muon(b_m, s_m, g, 0.03, cfg_m)
-            step_muon(b_l, s_l, g, 0.03, cfg_l)
-            assert np.array_equal(b_l.matrix, 4.0 * b_m.matrix)
+            w_m = step_muon(w_m, s_m, g, 0.03, cfg_m)
+            w_l = step_muon(w_l, s_l, g, 0.03, cfg_l)
+            assert np.array_equal(w_l, 4.0 * w_m)
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 10)], ids=["square", "wide"])
     def test_matches_four_pass_reference_bitwise(self, monkeypatch, shape):
@@ -435,29 +434,28 @@ class TestMuonLite:
         grads = gradient_stream(89, shape, 20)
         cfg = cfg_for("muon_lite", weight_decay=0.1,
                       lite=self.policy(chi=4.0, beta1=-0.25, beta2=1.0))
-        b_new = MatrixBlock("b", np.ones(shape), "muon")
-        b_ref = MatrixBlock("b", np.ones(shape), "muon")
-        s_new, s_ref = init_state(b_new, cfg), init_state(b_ref, cfg)
+        w_new = w_ref = np.ones(shape)
+        s_new, s_ref = init_state(w_new.shape, "muon", cfg), init_state(w_ref.shape, "muon", cfg)
         for g in grads:
-            step_muon(b_new, s_new, g, 0.02, cfg)
+            w_new = step_muon(w_new, s_new, g, 0.02, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(optim_mod, "composite_sharp_projection",
                               lambda a, ctrl, schedule=None, polar=None:
                               polar_mod.composite_sharp_projection(a, ctrl))
-                step_muon(b_ref, s_ref, g, 0.02, cfg)
-            assert np.array_equal(b_new.matrix, b_ref.matrix)
+                w_ref = step_muon(w_ref, s_ref, g, 0.02, cfg)
+            assert np.array_equal(w_new, w_ref)
             assert s_new.rank_ctrl == s_ref.rank_ctrl
             assert s_new.last_sharp_mass == s_ref.last_sharp_mass
 
     def test_controller_and_telemetry_advance(self):
         grads = gradient_stream(83, (10, 5), 5)
         cfg = cfg_for("muon_lite", weight_decay=0.0, lite=self.policy(chi=2.0))
-        block = MatrixBlock("b", np.zeros((10, 5)), "muon")
-        state = init_state(block, cfg)
+        w = np.zeros((10, 5))
+        state = init_state(w.shape, "muon", cfg)
         initial_scale = state.rank_ctrl.scale_l
         assert initial_scale == 1.0 / math.sqrt(5)
         for g in grads:
-            step_muon(block, state, g, 0.02, cfg)
+            w = step_muon(w, state, g, 0.02, cfg)
         assert state.rank_ctrl.scale_l != initial_scale
         assert isinstance(state.last_sharp_mass, float)
         assert state.last_sharp_mass >= 0.0
@@ -468,28 +466,27 @@ class TestSoap:
         grads = gradient_stream(89, (5, 3), 50)
         cfg_a = cfg_for("adamw")
         cfg_s = cfg_for("soap", qr_refresh_every=10 ** 6)
-        b_a = MatrixBlock("b", np.ones((5, 3)), "adam")
-        b_s = MatrixBlock("b", np.ones((5, 3)), "muon")
-        s_a, s_s = init_state(b_a, cfg_a), init_state(b_s, cfg_s)
+        w_a = w_s = np.ones((5, 3))
+        s_a, s_s = init_state(w_a.shape, "adam", cfg_a), init_state(w_s.shape, "muon", cfg_s)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_soap(b_s, s_s, g, 0.01, cfg_s)
-            assert np.array_equal(b_a.matrix, b_s.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_s = step_soap(w_s, s_s, g, 0.01, cfg_s)
+            assert np.array_equal(w_a, w_s)
 
     def test_zero_gradient_is_pure_decay(self):
-        block = MatrixBlock("b", 3.0 * np.ones((4, 2)), "muon")
+        w = 3.0 * np.ones((4, 2))
         cfg = cfg_for("soap", weight_decay=0.5)
-        state = init_state(block, cfg)
-        step_soap(block, state, np.zeros((4, 2)), 0.1, cfg)
-        assert np.array_equal(block.matrix, 3.0 * np.ones((4, 2)) - 0.1 * (0.5 * 3.0))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_soap(w, state, np.zeros((4, 2)), 0.1, cfg)
+        assert np.array_equal(w, 3.0 * np.ones((4, 2)) - 0.1 * (0.5 * 3.0))
 
     def test_eigenbasis_orthonormal_after_refresh(self):
         grads = gradient_stream(97, (8, 5), 35)
         cfg = cfg_for("soap", qr_refresh_every=10)
-        block = MatrixBlock("b", np.zeros((8, 5)), "muon")
-        state = init_state(block, cfg)
+        w = np.zeros((8, 5))
+        state = init_state(w.shape, "muon", cfg)
         for g in grads:
-            step_soap(block, state, g, 0.01, cfg)
+            w = step_soap(w, state, g, 0.01, cfg)
         assert not np.allclose(state.q_l, np.eye(8))
         assert np.abs(state.q_l.T @ state.q_l - np.eye(8)).max() < 1e-10
         assert np.abs(state.q_r.T @ state.q_r - np.eye(5)).max() < 1e-10
@@ -512,13 +509,12 @@ class TestSoapLite:
         grads = gradient_stream(101, (8, 4), 100)
         cfg_s = cfg_for("soap", qr_refresh_every=10)
         cfg_l = cfg_for("soap_lite", qr_refresh_every=10, lite=LitePolicy())
-        b_s = MatrixBlock("b", np.ones((8, 4)), "muon")
-        b_l = MatrixBlock("b", np.ones((8, 4)), "muon")
-        s_s, s_l = init_state(b_s, cfg_s), init_state(b_l, cfg_l)
+        w_s = w_l = np.ones((8, 4))
+        s_s, s_l = init_state(w_s.shape, "muon", cfg_s), init_state(w_l.shape, "muon", cfg_l)
         for g in grads:
-            step_soap(b_s, s_s, g, 0.01, cfg_s)
-            step_soap(b_l, s_l, g, 0.01, cfg_l)
-            assert np.array_equal(b_s.matrix, b_l.matrix)
+            w_s = step_soap(w_s, s_s, g, 0.01, cfg_s)
+            w_l = step_soap(w_l, s_l, g, 0.01, cfg_l)
+            assert np.array_equal(w_s, w_l)
 
     def test_full_sharp_mask_blends_gradient(self):
         # uniform gradient puts every entry of v exactly at the mean, which the
@@ -528,13 +524,13 @@ class TestSoapLite:
         pol = LitePolicy(chi=2.0, beta1=0.5, beta2=0.75)
         cfg = cfg_for("soap_lite", theta=0.9, beta_v=0.99, weight_decay=0.0,
                       qr_refresh_every=10 ** 6, lite=pol)
-        block = MatrixBlock("b", np.zeros((4, 4)), "muon")
-        state = init_state(block, cfg)
-        step_soap(block, state, g, 0.25, cfg)
+        w = np.zeros((4, 4))
+        state = init_state(w.shape, "muon", cfg)
+        w = step_soap(w, state, g, 0.25, cfg)
         m = (1.0 - cfg.theta) * g
         denom = np.sqrt((1.0 - cfg.beta_v) * g * g) + cfg.epsilon
         expected = -0.25 * (pol.beta1 * g / denom + m / denom)
-        np.testing.assert_allclose(block.matrix, expected, rtol=1e-13)
+        np.testing.assert_allclose(w, expected, rtol=1e-13)
         assert state.last_sharp_mass == 16.0
 
     def test_zero_mask_doubles_adam_direction(self):
@@ -542,13 +538,12 @@ class TestSoapLite:
         cfg_l = cfg_for("soap_lite", weight_decay=0.0, qr_refresh_every=10 ** 6,
                         lite=LitePolicy(chi=2.0))
         cfg_s = cfg_for("soap", weight_decay=0.0, qr_refresh_every=10 ** 6)
-        b_l = MatrixBlock("b", np.zeros((4, 4)), "muon")
-        b_s = MatrixBlock("b", np.zeros((4, 4)), "muon")
-        s_l, s_s = init_state(b_l, cfg_l), init_state(b_s, cfg_s)
+        w_l = w_s = np.zeros((4, 4))
+        s_l, s_s = init_state(w_l.shape, "muon", cfg_l), init_state(w_s.shape, "muon", cfg_s)
         force_flat_mask(s_l)
-        step_soap(b_l, s_l, g, 0.1, cfg_l)
-        step_soap(b_s, s_s, g, 0.1, cfg_s)
-        assert np.array_equal(b_l.matrix, 2.0 * b_s.matrix)
+        w_l = step_soap(w_l, s_l, g, 0.1, cfg_l)
+        w_s = step_soap(w_s, s_s, g, 0.1, cfg_s)
+        assert np.array_equal(w_l, 2.0 * w_s)
         assert s_l.last_sharp_mass == 0.0
 
 
@@ -557,26 +552,24 @@ class TestAdamLite:
         grads = gradient_stream(103, (3, 4), 100)
         cfg_a = cfg_for("adamw")
         cfg_l = cfg_for("soap_lite", lite=LitePolicy())
-        b_a = MatrixBlock("b", np.ones((3, 4)), "adam")
-        b_l = MatrixBlock("b", np.ones((3, 4)), "embedding")
-        s_a, s_l = init_state(b_a, cfg_a), init_state(b_l, cfg_l)
+        w_a = w_l = np.ones((3, 4))
+        s_a, s_l = init_state(w_a.shape, "adam", cfg_a), init_state(w_l.shape, "embedding", cfg_l)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_adamw(b_l, s_l, g, 0.01, cfg_l)
-            assert np.array_equal(b_a.matrix, b_l.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_l = step_adamw(w_l, s_l, g, 0.01, cfg_l)
+            assert np.array_equal(w_a, w_l)
 
     def test_flat_mask_amplifies_chi_times_over_trajectory(self):
         grads = uniform_gradients(107, (3, 4), 20)
         cfg_a = cfg_for("adamw", weight_decay=0.0)
         cfg_l = cfg_for("soap_lite", weight_decay=0.0, lite=LitePolicy(chi=4.0))
-        b_a = MatrixBlock("b", np.zeros((3, 4)), "adam")
-        b_l = MatrixBlock("b", np.zeros((3, 4)), "embedding")
-        s_a, s_l = init_state(b_a, cfg_a), init_state(b_l, cfg_l)
+        w_a = w_l = np.zeros((3, 4))
+        s_a, s_l = init_state(w_a.shape, "adam", cfg_a), init_state(w_l.shape, "embedding", cfg_l)
         force_flat_mask(s_l)
         for g in grads:
-            step_adamw(b_a, s_a, g, 0.01, cfg_a)
-            step_adamw(b_l, s_l, g, 0.01, cfg_l)
-            assert np.array_equal(b_l.matrix, 4.0 * b_a.matrix)
+            w_a = step_adamw(w_a, s_a, g, 0.01, cfg_a)
+            w_l = step_adamw(w_l, s_l, g, 0.01, cfg_l)
+            assert np.array_equal(w_l, 4.0 * w_a)
 
     def test_per_role_chi_override(self):
         pol = LitePolicy(chi=1.0, chi_embedding=2.0)
@@ -608,10 +601,10 @@ class TestTrivialPolicySkip:
                             lambda *args: calls.append(args) or lite_weights(*args))
         cfg = cfg_for(family, lite=policy,
                       **({"qr_refresh_every": 3} if family == "soap_lite" else {}))
-        block = MatrixBlock("b", np.ones((6, 4)), role)
-        state = init_state(block, cfg)
+        w = np.ones((6, 4))
+        state = init_state(w.shape, role, cfg)
         for g in gradient_stream(113, (6, 4), 10):
-            stepper(block, state, g, 0.01, cfg)
+            w = stepper(w, state, g, 0.01, cfg)
         assert len(calls) == 10 * blends_per_step
         assert state.last_sharp_mass is not None
 
@@ -645,18 +638,19 @@ class TestRouting:
             cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
             for role in ROLES:
                 kind = resolve_stepper(family, role)
-                state = init_state(MatrixBlock("b", np.ones((3, 2)), role), cfg)
+                state = init_state((3, 2), role, cfg)
+                assert state.role == role
                 assert (state.rank_ctrl is not None) == (kind == "muon_lite")
                 assert (state.mask_ctrl is not None) == (kind in ("soap_lite", "adam_lite"))
             if family in LITE_FAMILIES:
-                blocks = {"head": MatrixBlock("head", np.ones((3, 2)), "output")}
-                ref = MatrixBlock("head", np.ones((3, 2)), "output")
-                states = init_states(blocks, cfg)
-                ref_state = init_state(ref, cfg_a)
+                mats = {"head": np.ones((3, 2))}
+                ref = np.ones((3, 2))
+                states = init_states(layouts(head=((3, 2), "output")), cfg)
+                ref_state = init_state((3, 2), "output", cfg_a)
                 for k, g in enumerate(grads, start=1):
-                    route_and_step(blocks, states, {"head": g}, k, sched, cfg)
-                    step_adamw(ref, ref_state, g, 0.01, cfg_a)
-                    assert np.array_equal(blocks["head"].matrix, ref.matrix)
+                    route_and_step(mats, states, {"head": g}, k, sched, cfg)
+                    ref = step_adamw(ref, ref_state, g, 0.01, cfg_a)
+                    assert np.array_equal(mats["head"], ref)
 
     @pytest.mark.parametrize("key,value", [
         ("nesterov_beta", 0.9), ("mars_gamma", 0.5), ("ademamix_kappa", 7.0),
@@ -673,11 +667,11 @@ class TestRouting:
         sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=12)
 
         def run(cfg):
-            blocks = {role: MatrixBlock(role, np.ones(shape), role) for role, shape in shapes.items()}
-            states = init_states(blocks, cfg)
+            mats = {role: np.ones(shape) for role, shape in shapes.items()}
+            states = init_states(layouts(**{role: (shape, role) for role, shape in shapes.items()}), cfg)
             for k in range(12):
-                route_and_step(blocks, states, {role: grads[role][k] for role in shapes}, k + 1, sched, cfg)
-            return np.concatenate([blocks[role].matrix.ravel() for role in shapes])
+                route_and_step(mats, states, {role: grads[role][k] for role in shapes}, k + 1, sched, cfg)
+            return np.concatenate([mats[role].ravel() for role in shapes])
 
         for family in FAMILIES:
             extra = {"lite": lite} if family in LITE_FAMILIES else {}
@@ -699,11 +693,11 @@ class TestRouting:
         if family in FAMILY_KEYS["qr_refresh_every"]:
             extra["qr_refresh_every"] = 1
         cfg = cfg_for(family, **extra)
-        blocks = {"b": MatrixBlock("b", np.ones((4, 3)), role)}
-        states = init_states(blocks, cfg)
-        initial = init_state(MatrixBlock("b", np.ones((4, 3)), role), cfg)
+        states = init_states(layouts(b=((4, 3), role)), cfg)
+        initial = init_state((4, 3), role, cfg)
         sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=1)
-        route_and_step(blocks, states, {"b": gradient_stream(149, (4, 3), 1)[0]}, 1, sched, cfg)
+        route_and_step({"b": np.ones((4, 3))}, states, {"b": gradient_stream(149, (4, 3), 1)[0]},
+                       1, sched, cfg)
         arrays = [f.name for f in dataclasses.fields(initial)
                   if isinstance(getattr(initial, f.name), np.ndarray)]
         assert "m" in arrays
@@ -720,26 +714,21 @@ class TestRouting:
 
     def test_name_set_mismatch_rejected(self):
         cfg = cfg_for("adamw")
-        blocks = {"a": MatrixBlock("a", np.ones((1, 2)), "adam")}
-        states = init_states(blocks, cfg)
+        states = init_states(layouts(a=((1, 2), "adam")), cfg)
         sched = ScheduleSpec("constant", lr_max=0.1, warmup_steps=0, total_steps=10)
         with pytest.raises(ValueError, match="share one name set"):
-            route_and_step(blocks, states, {"b": np.ones((1, 2))}, 1, sched, cfg)
+            route_and_step({"a": np.ones((1, 2))}, states, {"b": np.ones((1, 2))}, 1, sched, cfg)
 
     def test_clip_is_joint_across_blocks(self):
         cfg = OptimizerConfig(family="adamw", clip_norm=1.0, weight_decay=0.0)
-        blocks = {
-            "a": MatrixBlock("a", np.zeros((1, 2)), "adam"),
-            "b": MatrixBlock("b", np.zeros((1, 2)), "adam"),
-        }
-        states = init_states(blocks, cfg)
+        mats = {"a": np.zeros((1, 2)), "b": np.zeros((1, 2))}
+        states = init_states(layouts(a=((1, 2), "adam"), b=((1, 2), "adam")), cfg)
         grads = {"a": np.array([[3.0, 0.0]]), "b": np.array([[0.0, 4.0]])}
         sched = ScheduleSpec("constant", lr_max=0.1, warmup_steps=0, total_steps=10)
-        route_and_step(blocks, states, grads, 1, sched, cfg)
-        ref = MatrixBlock("a", np.zeros((1, 2)), "adam")
-        ref_state = init_state(ref, cfg)
-        step_adamw(ref, ref_state, grads["a"] * (1.0 / 5.0), 0.1, cfg)
-        assert np.array_equal(blocks["a"].matrix, ref.matrix)
+        route_and_step(mats, states, grads, 1, sched, cfg)
+        ref = step_adamw(np.zeros((1, 2)), init_state((1, 2), "adam", cfg),
+                         grads["a"] * (1.0 / 5.0), 0.1, cfg)
+        assert np.array_equal(mats["a"], ref)
 
     def test_insertion_order_is_irrelevant(self):
         cfg = cfg_for("adamw")
@@ -747,12 +736,12 @@ class TestRouting:
         grads_list = gradient_stream(113, (2, 2), 30)
 
         def run(names):
-            blocks = {n: MatrixBlock(n, np.ones((2, 2)), "adam") for n in names}
-            states = init_states(blocks, cfg)
+            mats = {n: np.ones((2, 2)) for n in names}
+            states = init_states(layouts(**{n: ((2, 2), "adam") for n in names}), cfg)
             for k, g in enumerate(grads_list, start=1):
-                route_and_step(blocks, states, {n: g * (i + 1) for i, n in enumerate(sorted(names))},
+                route_and_step(mats, states, {n: g * (i + 1) for i, n in enumerate(sorted(names))},
                                k, sched, cfg)
-            return {n: blocks[n].matrix for n in names}
+            return mats
 
         fwd = run(["a", "b", "c"])
         rev = run(["c", "b", "a"])
@@ -762,24 +751,50 @@ class TestRouting:
     def test_lr_follows_schedule_warmup(self):
         cfg = cfg_for("adamw", weight_decay=0.5)
         sched = ScheduleSpec("constant", lr_max=1.0, warmup_steps=10, total_steps=100)
-        blocks = {"a": MatrixBlock("a", 2.0 * np.ones((1, 1)), "adam")}
-        states = init_states(blocks, cfg)
-        route_and_step(blocks, states, {"a": np.zeros((1, 1))}, 5, sched, cfg)
-        assert blocks["a"].matrix[0, 0] == 2.0 - 0.5 * (0.5 * 2.0)
+        mats = {"a": 2.0 * np.ones((1, 1))}
+        states = init_states(layouts(a=((1, 1), "adam")), cfg)
+        route_and_step(mats, states, {"a": np.zeros((1, 1))}, 5, sched, cfg)
+        assert mats["a"][0, 0] == 2.0 - 0.5 * (0.5 * 2.0)
 
     def test_output_blocks_stay_on_adamw(self):
         grads = gradient_stream(127, (3, 2), 30)
         cfg_l = cfg_for("soap_lite", lite=LitePolicy(chi=8.0, beta2=1.0))
         cfg_a = cfg_for("adamw")
         sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=30)
-        blocks = {"head": MatrixBlock("head", np.ones((3, 2)), "output")}
-        states = init_states(blocks, cfg_l)
-        ref = {"head": MatrixBlock("head", np.ones((3, 2)), "output")}
-        ref_states = init_states(ref, cfg_a)
+        mats, ref = {"head": np.ones((3, 2))}, {"head": np.ones((3, 2))}
+        states = init_states(layouts(head=((3, 2), "output")), cfg_l)
+        ref_states = init_states(layouts(head=((3, 2), "output")), cfg_a)
         for k, g in enumerate(grads, start=1):
-            route_and_step(blocks, states, {"head": g}, k, sched, cfg_l)
+            route_and_step(mats, states, {"head": g}, k, sched, cfg_l)
             route_and_step(ref, ref_states, {"head": g}, k, sched, cfg_a)
-            assert np.array_equal(blocks["head"].matrix, ref["head"].matrix)
+            assert np.array_equal(mats["head"], ref["head"])
+
+
+class TestSteppersReturnNewMatrices:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_route_and_step_writes_into_no_matrix(self, family):
+        # every stepper returns the block's new matrix, so five steps run on
+        # read-only matrices and gradients; soap refreshes its basis by QR at
+        # steps 2 and 4
+        extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family in LITE_FAMILIES else {}
+        if family in FAMILY_KEYS["qr_refresh_every"]:
+            extra["qr_refresh_every"] = 2
+        cfg = cfg_for(family, **extra)
+        shapes = {"muon": (4, 3), "adam": (3, 2), "embedding": (5, 3), "output": (3, 2)}
+        mats = {role: np.ones(shape) for role, shape in shapes.items()}
+        states = init_states(layouts(**{role: (shape, role) for role, shape in shapes.items()}), cfg)
+        streams = {role: gradient_stream(151 + i, shape, 5) for i, (role, shape) in enumerate(shapes.items())}
+        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=5)
+        for k in range(5):
+            grads = {role: streams[role][k] for role in shapes}
+            for a in (*mats.values(), *grads.values()):
+                a.flags.writeable = False
+            before = {role: m.copy() for role, m in mats.items()}
+            route_and_step(mats, states, grads, k + 1, sched, cfg)
+            for role in shapes:
+                assert not np.array_equal(mats[role], before[role]), (role, k)
+        if family in FAMILY_KEYS["qr_refresh_every"]:
+            assert not np.array_equal(states["muon"].q_l, np.eye(4))
 
 
 class TestDecoupledDecay:
@@ -802,26 +817,26 @@ class TestDecoupledDecay:
         lr, wd = 0.125, 0.25
         w0 = np.array([[1.5, -2.0], [0.5, 3.0]])
         cfg = OptimizerConfig(family=family, weight_decay=wd, clip_norm=1e9, **extra)
-        blocks = {"b": MatrixBlock("b", w0.copy(), role)}
-        states = init_states(blocks, cfg)
+        mats = {"b": w0}
+        states = init_states(layouts(b=((2, 2), role)), cfg)
         sched = ScheduleSpec("constant", lr_max=lr, warmup_steps=0, total_steps=30)
         expected = w0.copy()
         for k in range(1, 31):
-            route_and_step(blocks, states, {"b": np.zeros((2, 2))}, k, sched, cfg)
+            route_and_step(mats, states, {"b": np.zeros((2, 2))}, k, sched, cfg)
             expected = expected * (1.0 - lr * wd)
-            assert np.array_equal(blocks["b"].matrix, expected)
+            assert np.array_equal(mats["b"], expected)
 
     def test_generic_constants_follow_product_closely(self):
         wd = 0.1
         sched = ScheduleSpec("cos", lr_max=3e-3, warmup_steps=5, total_steps=40)
         cfg = OptimizerConfig(family="adamw", weight_decay=wd, clip_norm=1e9)
-        blocks = {"b": MatrixBlock("b", np.full((2, 3), 2.0), "adam")}
-        states = init_states(blocks, cfg)
+        mats = {"b": np.full((2, 3), 2.0)}
+        states = init_states(layouts(b=((2, 3), "adam")), cfg)
         product = 1.0
         for k in range(1, 41):
-            route_and_step(blocks, states, {"b": np.zeros((2, 3))}, k, sched, cfg)
+            route_and_step(mats, states, {"b": np.zeros((2, 3))}, k, sched, cfg)
             product *= 1.0 - lr_at(sched, k) * wd
-        np.testing.assert_allclose(blocks["b"].matrix, 2.0 * product, rtol=1e-12)
+        np.testing.assert_allclose(mats["b"], 2.0 * product, rtol=1e-12)
 
 
 class TestConfigValidation:
@@ -930,10 +945,11 @@ class TestConfigValidation:
             ScheduleSpec("wsd", 1.0, 9, 10)
 
     def test_block_requires_matrix_and_known_role(self):
+        cfg = cfg_for("adamw")
         with pytest.raises(ValueError):
-            MatrixBlock("b", np.ones(3), "adam")
+            init_state((3,), "adam", cfg)
         with pytest.raises(ValueError, match="unknown role"):
-            MatrixBlock("b", np.ones((1, 3)), "conv")
+            init_state((1, 3), "conv", cfg)
 
     def test_family_list_is_public(self):
         assert set(FAMILIES) == {
