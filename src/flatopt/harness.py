@@ -261,11 +261,11 @@ def _block_telemetry(state, update_rms):
 def run_experiment(config: ExperimentConfig):
     """Seeded landscape, optimizer loop, CSV rows every log_every steps.
 
-    Returns (records, summary). A non-finite loss stops the loop and sets
-    summary["status"] = "diverged" with a "divergence at step N" message;
-    that is an outcome, not an error. A family other than adamw that would
-    run plain adamw on every block of the landscape raises ConfigError before
-    any output is written.
+    Returns (records, summary). A non-finite loss sets summary["status"] =
+    "diverged": in the loop, which it stops, with "divergence at step N"; as
+    the final loss with "divergence after step N". That is an outcome, not an
+    error. A family other than adamw that would run plain adamw on every
+    block of the landscape raises ConfigError before any output is written.
     """
     land = build_landscape(config)
     family = config.optimizer.family
@@ -292,7 +292,8 @@ def run_experiment(config: ExperimentConfig):
                     summary["message"] = f"divergence at step {step}"
                     summary["final_loss"] = loss
                     return records, summary
-                grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                # last block first: the order the recorded CSV bytes were summed in
+                grad_norm = math.sqrt(sum(float((g * g).sum()) for g in reversed(grads.values())))
                 before = dict(mats)
                 route_and_step(mats, states, grads, step, config.schedule, config.optimizer)
                 summary["steps_completed"] = step
@@ -308,7 +309,10 @@ def run_experiment(config: ExperimentConfig):
                     if out is not None:
                         out.write(record_to_row(record) + "\n")
                         out.flush()
-            summary["final_loss"] = float(land.loss(land.pack(mats)))
+            summary["final_loss"] = land.loss_and_block_grads(mats, land.fixed_batch)[0]
+            if not math.isfinite(summary["final_loss"]):
+                summary["status"] = "diverged"
+                summary["message"] = f"divergence after step {config.steps}"
     finally:
         if out is not None:
             out.close()

@@ -1,7 +1,8 @@
 """Objective functions for the experiments: anisotropic quadratics, a
 valley-with-flat-floor surrogate, and a small tanh MLP with hand-rolled
 backpropagation, finite-difference mean row and column Hessians, and the
-gradient-Gram alignment experiment.
+gradient-Gram alignment experiment. Every landscape has one objective,
+``loss_and_block_grads(mats, batch)``, over a dict of named 2-D blocks.
 """
 
 from __future__ import annotations
@@ -35,23 +36,21 @@ class BlockLayout:
 class Landscape:
     """Differentiable objective over named 2-D parameter blocks.
 
-    A run holds one dict, ``mats = unpack(initial_point)``, whose matrices
-    the steppers replace and never write into. For each batch of
-    ``step_batches(first, last)`` (``None`` on deterministic landscapes) it
-    calls ``loss_and_block_grads(mats, batch)``: loss and block gradients.
-    ``loss`` and ``grad`` are callables of the flat vector w; the harness
-    reads the final loss through ``loss``, and ``block_fd_hessian``
-    differences ``grad`` one coordinate at a time unless a subclass has a
-    faster route. The flows in ``dynamics`` integrate a QuadraticSpec, not
-    a Landscape. ``blocks`` names the 2-D segments of w.
+    ``objective(mats)`` returns the loss and a gradient dict in ``blocks``
+    order. A run holds one dict, ``mats = unpack(initial_point)``, whose
+    matrices the steppers replace and never write into, and calls
+    ``loss_and_block_grads(mats, batch)`` for each batch of
+    ``step_batches(first, last)``. ``fixed_batch``, the batch of the final
+    loss and of ``block_fd_hessian``, is ``None`` where the objective is
+    deterministic. The flows in ``dynamics`` integrate a QuadraticSpec.
     """
 
-    def __init__(self, dim, loss, grad, blocks=None, initial_point=None):
-        self.dim = dim
-        self.loss = loss
-        self.grad = grad
-        self.blocks = blocks or {}
-        self.initial_point = initial_point if initial_point is not None else np.zeros(dim)
+    def __init__(self, blocks, initial_point, objective):
+        self.blocks = blocks
+        self.dim = sum(b.size for b in blocks.values())
+        self.initial_point = initial_point
+        self._objective = objective
+        self.fixed_batch = None
 
     def unpack(self, w):
         """Flat vector -> named block matrices."""
@@ -70,32 +69,38 @@ class Landscape:
         return itertools.repeat(None, last - first + 1)
 
     def loss_and_block_grads(self, mats, batch):
-        """Loss and per-block gradients at ``mats``; deterministic landscapes
-        ignore the batch."""
-        w = self.pack(mats)
-        return self.loss(w), self.unpack(self.grad(w))
+        """Loss and per-block gradients at ``mats`` on the batch."""
+        return self._objective(mats)
 
-    def block_fd_hessian(self, name, w, entries):
-        """Central differences of block ``name``'s gradient at w for steps on
-        ``entries``, flat indices into the block: the |entries| x |entries|
-        matrix d grad[entries] / d w[entries], column j for the step on
-        entries[j]. Entry c steps by 1e-5 * (1 + |w_c|)."""
-        w = np.asarray(w, dtype=float)
-        coords = self.blocks[name].start + np.asarray(entries)
+    def block_fd_hessian(self, name, mats, entries):
+        """Central differences of block ``name``'s gradient at ``mats`` on
+        ``fixed_batch`` for steps on ``entries``, flat indices into the
+        block: the |entries| x |entries| matrix d grad[entries] /
+        d block[entries], column j for the step on entries[j]. Entry e steps
+        by 1e-5 * (1 + |block_e|)."""
+        shape, block = mats[name].shape, mats[name].ravel()
+
+        def grad_at(b):
+            grads = self.loss_and_block_grads({**mats, name: b.reshape(shape)}, self.fixed_batch)[1]
+            return grads[name].ravel()[entries]
+
         cols = []
-        for c in coords:
-            h = 1e-5 * (1.0 + abs(float(w[c])))
-            wp = w.copy(); wp[c] += h
-            wm = w.copy(); wm[c] -= h
-            cols.append((self.grad(wp)[coords] - self.grad(wm)[coords]) / (2.0 * h))
+        for e in entries:
+            h = 1e-5 * (1.0 + abs(float(block[e])))
+            plus, minus = block.copy(), block.copy()
+            plus[e] += h
+            minus[e] -= h
+            cols.append((grad_at(plus) - grad_at(minus)) / (2.0 * h))
         return np.stack(cols, axis=1)
 
 
 def quadratic_landscape(spec: QuadraticSpec) -> Landscape:
     """f(w) = 1/2 sum lambda_i w_i^2 + b^T w as one "adam" block."""
-    blocks = {"all": BlockLayout(0, (1, spec.dim), "adam")}
-    return Landscape(spec.dim, spec.loss, spec.grad, blocks=blocks,
-                     initial_point=spec.start())
+    def objective(mats):
+        w = mats["all"][0]
+        return spec.loss(w), {"all": spec.grad(w).reshape(1, -1)}
+
+    return Landscape({"all": BlockLayout(0, (1, spec.dim), "adam")}, spec.start(), objective)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,28 +132,18 @@ def river_valley_landscape(spec: RiverValleySpec) -> Landscape:
     mu = ls / 1e4
     s, f = spec.sharp_dim, spec.flat_dim
 
-    def split(w):
-        w = np.asarray(w, dtype=float)
-        return w[:s], w[s:]
-
-    def loss(w):
-        xs, xf = split(w)
+    def objective(mats):
+        xs, xf = mats["sharp"][0], mats["flat"][0]
         r = xs - 0.1 * np.sin(xf)
-        return float(0.5 * ls * (r * r).sum() + 0.5 * mu * (xf * xf).sum())
-
-    def grad(w):
-        xs, xf = split(w)
-        r = xs - 0.1 * np.sin(xf)
-        gs = ls * r
+        loss = float(0.5 * ls * (r * r).sum() + 0.5 * mu * (xf * xf).sum())
         gf = -ls * (0.1 * np.cos(xf) * r) + mu * xf
-        return np.concatenate([gs, gf])
+        return loss, {"sharp": (ls * r).reshape(1, -1), "flat": gf.reshape(1, -1)}
 
     blocks = {
         "sharp": BlockLayout(0, (1, s), "adam"),
         "flat": BlockLayout(s, (1, f), "adam"),
     }
-    return Landscape(s + f, loss, grad, blocks=blocks,
-                     initial_point=np.ones(s + f))
+    return Landscape(blocks, np.ones(s + f), objective)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,11 +195,11 @@ _STACK_BYTES = 1 << 19
 
 
 class MlpLandscape(Landscape):
-    """MLP objective over the fixed batch, plus fresh-minibatch sampling for
-    gradient-noise experiments. All randomness is derived from the seed by
-    label, so every quantity is reproducible from (spec, seed). ``loss`` and
-    ``grad`` are methods here, so a landscape holds no reference to itself
-    and is freed as soon as its last user lets go of it."""
+    """MLP objective on the data batch ``fixed_batch`` or on fresh
+    minibatches. All randomness is derived from the seed by label, so every
+    quantity is reproducible from (spec, seed). The objective is a method,
+    not a stored callable, so a landscape holds no reference to itself and
+    is freed as soon as its last user lets go of it."""
 
     def __init__(self, spec: MlpSpec, seed: int):
         self.spec = spec
@@ -226,12 +221,9 @@ class MlpLandscape(Landscape):
             (SplitMix64(derive_seed(seed, f"init/l{i}")).normal(shape) / math.sqrt(shape[0])).ravel()
             for i, shape in enumerate(shapes)
         ])
-        # not Landscape.__init__: its loss and grad attributes would shadow the methods
-        self.dim = offset
-        self.blocks = blocks
-        self.initial_point = init
+        super().__init__(blocks, init, None)
         x, y = self._make_batches(["data"])
-        self._fixed = x[0], y[0]
+        self.fixed_batch = x[0], y[0]
 
     def _make_batches(self, labels):
         """The minibatches (x, y) of the labels, stacked on a leading axis: x
@@ -283,9 +275,8 @@ class MlpLandscape(Landscape):
         """Mean squared error on the batch (x, y) and its reverse-mode
         gradients, per block."""
         x, y = batch
-        weights = [mats[f"layer{i}"] for i in range(self.spec.n_layers)]
-        r, grads = self._backprop(weights, x, y, 0)
-        return float((r * r).sum()) / r.size, grads
+        r, grads = self._backprop([mats[name] for name in self.blocks], x, y, 0)
+        return float((r * r).sum()) / r.size, {name: grads[name] for name in self.blocks}
 
     def _backprop(self, weights, x, y, first, only_first=False):
         """Residual and reverse-mode MSE gradients of layers ``first`` and up
@@ -310,7 +301,7 @@ class MlpLandscape(Landscape):
                 delta = (delta @ weights[i].swapaxes(-1, -2)) * (1.0 - a ** 2)
         return r, grads
 
-    def block_fd_hessian(self, name, w, entries):
+    def block_fd_hessian(self, name, mats, entries):
         """The base class's central differences on the fixed batch, as
         stacked passes: the batch runs forward to the block's input once,
         then each chunk of perturbed copies of the block, stacked on a
@@ -318,8 +309,8 @@ class MlpLandscape(Landscape):
         down to the block. Every slice repeats the full pass's arithmetic, so
         the result is the base class's byte for byte."""
         first = list(self.blocks).index(name)
-        weights = list(self.unpack(w).values())
-        x, y = self._fixed
+        weights = [mats[block] for block in self.blocks]
+        x, y = self.fixed_batch
         a = self._forward(weights, x, range(first))[-1]
         block = weights[first]
         entries = np.asarray(entries)
@@ -342,45 +333,40 @@ class MlpLandscape(Landscape):
         return out
 
     def loss_on_batch(self, w, batch) -> float:
+        """The loss at flat w; stays while the benchmark tracer's SPAN_TARGETS names it."""
         return self.loss_and_block_grads(self.unpack(w), batch)[0]
 
     def block_grads_on_batch(self, w, batch):
+        """The block gradients at flat w; stays while SPAN_TARGETS names it."""
         return self.loss_and_block_grads(self.unpack(w), batch)[1]
 
     def grad_on_batch(self, w, batch):
-        grads = self.block_grads_on_batch(w, batch)
-        return np.concatenate([grads[f"layer{i}"].ravel()
-                               for i in range(self.spec.n_layers)])
-
-    def loss(self, w):
-        return self.loss_on_batch(w, self._fixed)
-
-    def grad(self, w):
-        return self.grad_on_batch(w, self._fixed)
+        """The flat gradient at flat w; stays while SPAN_TARGETS names it."""
+        return np.concatenate([g.ravel() for g in self.block_grads_on_batch(w, batch).values()])
 
 
 def mlp_landscape(spec: MlpSpec, seed: int) -> MlpLandscape:
     return MlpLandscape(spec, seed)
 
 
-def mean_row_hessian(landscape: Landscape, block_name: str, w):
-    """Average over rows of the per-row Hessians of one block (n x n for an
-    m x n block): the Hessian of the loss with respect to a single row's
-    parameters, extracted row by row and symmetrized."""
+def mean_row_hessian(landscape: Landscape, block_name: str, mats):
+    """Average over rows of the per-row Hessians of one block of ``mats`` (n
+    x n for an m x n block): the Hessian of the loss with respect to a
+    single row's parameters, extracted row by row and symmetrized."""
     m, n = landscape.blocks[block_name].shape
     acc = np.zeros((n, n))
     for i in range(m):
-        h = landscape.block_fd_hessian(block_name, w, i * n + np.arange(n))
+        h = landscape.block_fd_hessian(block_name, mats, i * n + np.arange(n))
         acc += 0.5 * (h + h.T)
     return acc / m
 
 
-def mean_col_hessian(landscape: Landscape, block_name: str, w):
+def mean_col_hessian(landscape: Landscape, block_name: str, mats):
     """Average over columns of the symmetrized per-column Hessians (m x m)."""
     m, n = landscape.blocks[block_name].shape
     acc = np.zeros((m, m))
     for j in range(n):
-        h = landscape.block_fd_hessian(block_name, w, j + n * np.arange(m))
+        h = landscape.block_fd_hessian(block_name, mats, j + n * np.arange(m))
         acc += 0.5 * (h + h.T)
     return acc / n
 
@@ -439,12 +425,11 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
         # k above the side collapses onto it; each size is kept once, in grid order
         return list(dict.fromkeys(min(int(k), side) for k in k_grid))
 
-    w = land.pack(mats)
     curves = {}
     for name, layout in land.blocks.items():
         m, n = layout.shape
-        row_ref = mean_row_hessian(land, name, w)
-        col_ref = mean_col_hessian(land, name, w)
+        row_ref = mean_row_hessian(land, name, mats)
+        col_ref = mean_col_hessian(land, name, mats)
         curves[name] = {
             "row": gram_alignment_curve(row_ref, gram_r[name] / n_batches, min(d_s, n), sizes(n)),
             "col": gram_alignment_curve(col_ref, gram_l[name] / n_batches, min(d_s, m), sizes(m)),

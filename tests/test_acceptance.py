@@ -144,7 +144,7 @@ def test_03_composite_projection_oracle():
         u, _, v = svd_oracle(g)
         a = u[:, :n] @ (sigma[:, None] * v.T)
         ctrl = RankController(scale_l=math.sqrt(0.6 * 0.4) / frobenius(a), target_dim=k)
-        p, _ = composite_sharp_projection(a, ctrl)
+        p, _ = composite_sharp_projection(a, ctrl, ns_polar(a))
         _, _, va = svd_oracle(a)
         p_top = va[:, :k] @ va[:, :k].T
         assert frobenius(p - p_top) < 1e-2
@@ -161,7 +161,7 @@ def test_03_composite_projection_oracle():
         ctrl = RankController(scale_l=1.0 / math.sqrt(n), target_dim=d_s)
         landed = None
         for update in range(200):
-            p, _ = composite_sharp_projection(a, ctrl)
+            p, _ = composite_sharp_projection(a, ctrl, ns_polar(a))
             mass = float((p * p).sum())
             if d_s - 1.0 <= mass <= d_s + 1.0:
                 landed = update

@@ -65,6 +65,30 @@ schedule.kind = constant
 schedule.lr_max = 1000.0
 """
 
+# the last update overflows: the loop sees only finite losses, the final one is inf
+LAST_STEP_OVERFLOWS = {
+    "mlp": """\
+run.seed = 1
+run.steps = 6
+landscape.kind = mlp
+landscape.widths = 4, 6, 6, 3
+landscape.batch_size = 4
+optimizer.family = muon
+optimizer.clip_norm = inf
+schedule.kind = constant
+schedule.lr_max = 1e30
+""",
+    "quadratic": """\
+run.seed = 1
+run.steps = 1
+landscape.kind = quadratic
+landscape.eigenvalues = 1e10, 1
+optimizer.family = adamw
+schedule.kind = constant
+schedule.lr_max = 1e300
+""",
+}
+
 
 # A non-default setting for every config key read off a dataclass field:
 # key -> (raw value, parsed value).
@@ -321,7 +345,7 @@ class TestBuildLandscape:
         cfg = parse_config(MINIMAL + "landscape.offsets = 0.5, -0.5\n")
         land = build_landscape(cfg)
         assert land.dim == 2
-        assert land.loss(np.zeros(2)) == 0.0
+        assert land.loss_and_block_grads(land.unpack(np.zeros(2)), None)[0] == 0.0
 
     def test_river_valley_and_mlp(self):
         assert build_landscape(parse_config(RIVER_VALLEY)).dim == 4
@@ -420,6 +444,16 @@ class TestRunExperiment:
 
     def test_divergence_emits_no_warnings(self, recwarn):
         run_experiment(parse_config(DIVERGENT))
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("kind", sorted(LAST_STEP_OVERFLOWS))
+    def test_overflow_on_the_last_update_is_a_divergence(self, kind, recwarn):
+        config = parse_config(LAST_STEP_OVERFLOWS[kind])
+        records, summary = run_experiment(config)
+        assert summary["status"] == "diverged"
+        assert summary["message"] == f"divergence after step {config.steps}"
+        assert summary["steps_completed"] == config.steps == len(records)
+        assert not math.isfinite(summary["final_loss"])
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -554,6 +588,11 @@ class TestCli:
         code = main(["run", "--config", self.write(tmp_path, DIVERGENT)])
         assert code == 10
         assert "divergence at step 78" in capsys.readouterr().out
+
+    def test_overflow_on_the_last_update_exits_diverged(self, tmp_path, capsys):
+        code = main(["run", "--config", self.write(tmp_path, LAST_STEP_OVERFLOWS["mlp"])])
+        assert code == 10
+        assert capsys.readouterr().out == "divergence after step 6\n"
 
     def test_quadratic_report(self, capsys):
         code = main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",

@@ -37,6 +37,38 @@ def fd_gradient(loss, w, coords, step=1e-6):
     return np.array(out)
 
 
+def loss_at(land, w):
+    """The loss at the flat point w on the landscape's fixed batch."""
+    return land.loss_and_block_grads(land.unpack(w), land.fixed_batch)[0]
+
+
+def grad_at(land, w):
+    """The block gradients at the flat point w, raveled in blocks order."""
+    grads = land.loss_and_block_grads(land.unpack(w), land.fixed_batch)[1]
+    return np.concatenate([grads[name].ravel() for name in land.blocks])
+
+
+QUADRATIC = QuadraticSpec(np.array([5.0, 2.0, 0.5]), np.array([1.0, 0.0, -1.0]))
+
+
+def river_valley_flat(dim, curvature):
+    """The river valley's loss and gradient over the flat vector (sharp
+    coordinates first), written out from the definition."""
+    mu = curvature / 1e4
+
+    def loss(w):
+        xs, xf = w[:dim], w[dim:]
+        r = xs - 0.1 * np.sin(xf)
+        return float(0.5 * curvature * (r * r).sum() + 0.5 * mu * (xf * xf).sum())
+
+    def grad(w):
+        xs, xf = w[:dim], w[dim:]
+        r = xs - 0.1 * np.sin(xf)
+        return np.concatenate([curvature * r, -curvature * (0.1 * np.cos(xf) * r) + mu * xf])
+
+    return loss, grad
+
+
 def reference_fd_hessian_on_coords(grad_fn, w, coords):
     """The per-coordinate central differences that ``block_fd_hessian``
     replaced on the MLP: one full gradient per step, column j for coords[j]."""
@@ -55,7 +87,8 @@ def reference_mean_fd_hessian(landscape, w, coord_sets):
     size = len(coord_sets[0])
     acc = np.zeros((size, size))
     for coords in coord_sets:
-        h = reference_fd_hessian_on_coords(landscape.grad, w, coords)
+        h = reference_fd_hessian_on_coords(
+            lambda v: landscape.grad_on_batch(v, landscape.fixed_batch), w, coords)
         acc += 0.5 * (h + h.T)
     return acc / len(coord_sets)
 
@@ -77,13 +110,13 @@ class TestQuadraticLandscape:
 
     def test_loss_and_gradient(self):
         land = quadratic_landscape(self.spec)
-        w = np.array([1.0, 2.0])
-        assert land.loss(w) == 0.5 * (2.0 + 4.0) + (1.0 - 2.0)
-        assert np.array_equal(land.grad(w), np.array([3.0, 1.0]))
+        loss, grads = land.loss_and_block_grads({"all": np.array([[1.0, 2.0]])}, None)
+        assert loss == 0.5 * (2.0 + 4.0) + (1.0 - 2.0)
+        assert np.array_equal(grads["all"], np.array([[3.0, 1.0]]))
 
     def test_gradient_vanishes_at_stationary_point(self):
         land = quadratic_landscape(self.spec)
-        assert np.abs(land.grad(self.spec.stationary_point())).max() == 0.0
+        assert np.abs(grad_at(land, self.spec.stationary_point())).max() == 0.0
 
     def test_initial_point_is_displaced_stationary(self):
         land = quadratic_landscape(self.spec)
@@ -98,20 +131,20 @@ class TestRiverValley:
         xs, xf = w[:2], w[2:]
         r = xs - 0.1 * np.sin(xf)
         expected = 0.5 * 100.0 * (r * r).sum() + 0.5 * (100.0 / 1e4) * (xf * xf).sum()
-        assert land.loss(w) == pytest.approx(expected, rel=1e-15)
+        assert loss_at(land, w) == pytest.approx(expected, rel=1e-15)
 
     def test_gradient_against_finite_differences(self):
         spec = RiverValleySpec(sharp_dim=3, flat_dim=3, sharp_curvature=50.0)
         land = river_valley_landscape(spec)
         w = SplitMix64(9).normal((6,))
-        g = land.grad(w)
-        fd = fd_gradient(land.loss, w, range(6))
+        g = grad_at(land, w)
+        fd = fd_gradient(lambda v: loss_at(land, v), w, range(6))
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_sharp_block_curvature(self):
         spec = RiverValleySpec(sharp_dim=2, flat_dim=2, sharp_curvature=100.0)
         land = river_valley_landscape(spec)
-        h = mean_row_hessian(land, "sharp", np.ones(4))
+        h = mean_row_hessian(land, "sharp", land.unpack(np.ones(4)))
         np.testing.assert_allclose(h, 100.0 * np.eye(2), rtol=1e-5, atol=1e-3)
 
     def test_blocks_sharp_first(self):
@@ -158,7 +191,7 @@ class TestMlp:
         b = mlp_landscape(self.spec, seed=21)
         c = mlp_landscape(self.spec, seed=22)
         assert np.array_equal(a.initial_point, b.initial_point)
-        assert a.loss(a.initial_point) == b.loss(b.initial_point)
+        assert loss_at(a, a.initial_point) == loss_at(b, b.initial_point)
         assert not np.array_equal(a.initial_point, c.initial_point)
         xa, ya = a.fresh_batch(3)
         xb, yb = b.fresh_batch(3)
@@ -167,11 +200,8 @@ class TestMlp:
 
     def test_zero_output_weights_kill_upstream_gradients(self):
         land = mlp_landscape(self.spec, seed=5)
-        mats = land.unpack(land.initial_point.copy())
-        mats = {k: v.copy() for k, v in mats.items()}
-        mats["layer2"][:] = 0.0
-        w = land.pack(mats)
-        grads = land.block_grads_on_batch(w, land._fixed)
+        mats = dict(land.unpack(land.initial_point), layer2=np.zeros((10, 4)))
+        _, grads = land.loss_and_block_grads(mats, land.fixed_batch)
         assert np.array_equal(grads["layer0"], np.zeros((6, 10)))
         assert np.array_equal(grads["layer1"], np.zeros((10, 10)))
         assert np.abs(grads["layer2"]).max() > 0.0
@@ -179,15 +209,15 @@ class TestMlp:
     def test_gradient_against_finite_differences(self):
         land = mlp_landscape(self.spec, seed=11)
         w = land.initial_point.copy()
-        g = land.grad(w)
+        g = grad_at(land, w)
         coords = SplitMix64(2).integers(0, land.dim, n=20)
-        fd = fd_gradient(land.loss, w, coords)
+        fd = fd_gradient(lambda v: loss_at(land, v), w, coords)
         np.testing.assert_allclose(g[coords], fd, rtol=1e-4, atol=1e-9)
 
     def test_teacher_weights_reach_the_noise_floor(self):
         land = mlp_landscape(self.spec, seed=17)
-        w_teacher = land.pack({f"layer{i}": t for i, t in enumerate(land._teacher)})
-        loss = land.loss(w_teacher)
+        teacher = {f"layer{i}": t for i, t in enumerate(land._teacher)}
+        loss, _ = land.loss_and_block_grads(teacher, land.fixed_batch)
         # residual at the teacher is exactly the injected noise
         assert 0.0 < loss < 10.0 * self.spec.noise_sigma ** 2
 
@@ -197,16 +227,17 @@ class TestMlp:
         cfg = OptimizerConfig("adamw", clip_norm=1e9)
         sched = ScheduleSpec("constant", 1e-2, 0, 50)
         states = init_states(land.blocks, cfg)
-        initial = land.loss(land.initial_point)
+        initial = loss_at(land, land.initial_point)
         for step in range(1, 51):
-            _, grads = land.loss_and_block_grads(mats, land._fixed)
+            _, grads = land.loss_and_block_grads(mats, land.fixed_batch)
             route_and_step(mats, states, grads, step, sched, cfg)
-        assert land.loss(land.pack(mats)) < 0.5 * initial
+        assert land.loss_and_block_grads(mats, land.fixed_batch)[0] < 0.5 * initial
 
 
 class TestLossAndBlockGrads:
-    """The block entry point agrees bit for bit with the flat-vector routes
-    on the batch it is given."""
+    """The one objective of every landscape: one gradient per block, in
+    ``blocks`` order, agreeing bit for bit with the flat-vector formulas and
+    adapters on the batch it is given."""
 
     def mats_at(self, land, seed):
         w = SplitMix64(seed).normal((land.dim,))
@@ -217,7 +248,7 @@ class TestLossAndBlockGrads:
         land = mlp_landscape(MlpSpec(widths=widths, batch_size=8), seed=7)
         mats = self.mats_at(land, 3)
         w = land.pack(mats)
-        batches = [land.fresh_batch(1), land.fresh_batch(9), land._fixed,
+        batches = [land.fresh_batch(1), land.fresh_batch(9), land.fixed_batch,
                    *land.step_batches(2, 3)]
         for batch in batches:
             loss, grads = land.loss_and_block_grads(mats, batch)
@@ -227,20 +258,32 @@ class TestLossAndBlockGrads:
             for name in grads:
                 assert np.array_equal(grads[name], flat[name])
 
-    @pytest.mark.parametrize("land", [
-        quadratic_landscape(QuadraticSpec(np.array([5.0, 2.0, 0.5]), np.array([1.0, 0.0, -1.0]))),
-        river_valley_landscape(RiverValleySpec(3, 3, 50.0)),
+    @pytest.mark.parametrize("land,flat", [
+        (quadratic_landscape(QUADRATIC), (QUADRATIC.loss, QUADRATIC.grad)),
+        (river_valley_landscape(RiverValleySpec(3, 3, 50.0)), river_valley_flat(3, 50.0)),
     ], ids=["quadratic", "river_valley"])
-    def test_deterministic_matches_flat_loss_and_grad(self, land):
+    def test_deterministic_matches_flat_loss_and_grad(self, land, flat):
+        loss_fn, grad_fn = flat
         mats = self.mats_at(land, 5)
         w = land.pack(mats)
         for batch in land.step_batches(1, 2):
             loss, grads = land.loss_and_block_grads(mats, batch)
-            assert loss == land.loss(w)
-            expected = land.unpack(land.grad(w))
+            assert loss == loss_fn(w)
+            expected = land.unpack(grad_fn(w))
             assert list(grads) == list(expected)
             for name in grads:
                 assert np.array_equal(grads[name], expected[name])
+
+    @pytest.mark.parametrize("land", [
+        quadratic_landscape(QUADRATIC),
+        river_valley_landscape(RiverValleySpec(3, 3, 50.0)),
+        mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=7),
+    ], ids=["quadratic", "river_valley", "mlp"])
+    def test_one_gradient_per_block_in_blocks_order(self, land):
+        _, grads = land.loss_and_block_grads(self.mats_at(land, 6), land.fixed_batch)
+        assert list(grads) == list(land.blocks)
+        for name, layout in land.blocks.items():
+            assert grads[name].shape == layout.shape
 
 
 def reference_batch(land, label):
@@ -315,8 +358,8 @@ class TestStepBatches:
     def test_fixed_batch_is_the_data_stream(self):
         land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=4)
         x, y = reference_batch(land, "data")
-        assert land._fixed[0].tobytes() == x.tobytes()
-        assert land._fixed[1].tobytes() == y.tobytes()
+        assert land.fixed_batch[0].tobytes() == x.tobytes()
+        assert land.fixed_batch[1].tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("land", [
         quadratic_landscape(QuadraticSpec(np.array([2.0, 1.0]), np.zeros(2))),
@@ -325,11 +368,12 @@ class TestStepBatches:
     def test_deterministic_landscapes_yield_none(self, land):
         assert list(land.step_batches(3, 5)) == [None, None, None]
         assert list(land.step_batches(1, 0)) == []
+        assert land.fixed_batch is None
 
 
 def test_mlp_landscape_freed_without_a_collection():
     land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=1)
-    land.loss(land.initial_point)
+    loss_at(land, land.initial_point)
     ref = weakref.ref(land)
     del land
     assert ref() is None
@@ -338,31 +382,32 @@ def test_mlp_landscape_freed_without_a_collection():
 class TestFdHessians:
     def test_quadratic_block_hessian_is_exact_diagonal(self):
         land = quadratic_landscape(QuadraticSpec(np.array([3.0, 1.0]), np.zeros(2)))
-        h = mean_row_hessian(land, "all", np.array([0.7, -0.2]))
+        h = mean_row_hessian(land, "all", {"all": np.array([[0.7, -0.2]])})
         np.testing.assert_allclose(h, np.diag([3.0, 1.0]), atol=1e-6)
         assert np.array_equal(h, h.T)
 
     def block_quadratic(self, lam):
-        """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2."""
+        """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2, w the block's
+        entries in row-major order."""
         lam = np.asarray(lam, dtype=float)
-        blocks = {"w": BlockLayout(0, (2, 3), "muon")}
-        return Landscape(
-            6,
-            loss=lambda w: 0.5 * float(lam @ (np.asarray(w) ** 2)),
-            grad=lambda w: lam * np.asarray(w, dtype=float),
-            blocks=blocks)
+
+        def objective(mats):
+            w = mats["w"].ravel()
+            return 0.5 * float(lam @ w ** 2), {"w": (lam * w).reshape(2, 3)}
+
+        return Landscape({"w": BlockLayout(0, (2, 3), "muon")}, np.zeros(6), objective)
 
     def test_mean_row_hessian_averages_row_blocks(self):
         lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
         land = self.block_quadratic(lam)
-        h = mean_row_hessian(land, "w", 0.3 * np.ones(6))
+        h = mean_row_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
         expected = np.diag(0.5 * (lam[:3] + lam[3:]))
         np.testing.assert_allclose(h, expected, atol=1e-6)
 
     def test_mean_col_hessian_averages_column_blocks(self):
         lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
         land = self.block_quadratic(lam)
-        h = mean_col_hessian(land, "w", 0.3 * np.ones(6))
+        h = mean_col_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
         expected = np.diag([lam[:3].mean(), lam[3:].mean()])
         np.testing.assert_allclose(h, expected, atol=1e-6)
 
@@ -378,25 +423,26 @@ class TestFdHessians:
         compute each slice as the 2-D product."""
         land = mlp_landscape(MlpSpec(widths=widths, batch_size=batch_size), seed=4)
         w = land.initial_point + 0.3 * SplitMix64(9).normal((land.dim,))
+        mats = land.unpack(w)
         for name, layout in land.blocks.items():
             m, n = layout.shape
             rows = [layout.start + i * n + np.arange(n) for i in range(m)]
             cols = [layout.start + j + n * np.arange(m) for j in range(n)]
-            assert np.array_equal(mean_row_hessian(land, name, w),
+            assert np.array_equal(mean_row_hessian(land, name, mats),
                                   reference_mean_fd_hessian(land, w, rows))
-            assert np.array_equal(mean_col_hessian(land, name, w),
+            assert np.array_equal(mean_col_hessian(land, name, mats),
                                   reference_mean_fd_hessian(land, w, cols))
 
     def test_mlp_stacked_passes_split_into_chunks(self, monkeypatch):
         """One entry per pass gives the bytes of one pass over every entry,
         and both give the base class's per-coordinate loop."""
         land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
-        w = land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,))
+        mats = land.unpack(land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,)))
         entries = np.arange(0, 64, 3)
-        one_pass = land.block_fd_hessian("layer1", w, entries)
-        assert np.array_equal(one_pass, Landscape.block_fd_hessian(land, "layer1", w, entries))
+        one_pass = land.block_fd_hessian("layer1", mats, entries)
+        assert np.array_equal(one_pass, Landscape.block_fd_hessian(land, "layer1", mats, entries))
         monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
-        assert np.array_equal(land.block_fd_hessian("layer1", w, entries), one_pass)
+        assert np.array_equal(land.block_fd_hessian("layer1", mats, entries), one_pass)
 
     def test_top_eigenspace_orders_by_eigenvalue(self):
         basis = top_eigenspace(np.diag([1.0, 5.0, 3.0]), 2)

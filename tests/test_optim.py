@@ -377,7 +377,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None, polar=None: (np.eye(a.shape[1]), None))
+                            lambda a, ctrl, polar: (np.eye(a.shape[1]), None))
         g = SplitMix64(71).normal((6, 4))
         pol = self.policy(chi=3.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
@@ -393,7 +393,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None, polar=None: (np.zeros((a.shape[1],) * 2), None))
+                            lambda a, ctrl, polar: (np.zeros((a.shape[1],) * 2), None))
         g = SplitMix64(73).normal((6, 4))
         pol = self.policy(chi=2.0, beta1=-0.25, beta2=0.5)
         cfg = cfg_for("muon_lite", theta=0.5, weight_decay=0.0, lite=pol)
@@ -412,7 +412,7 @@ class TestMuonLite:
         import flatopt.optim as optim_mod
 
         monkeypatch.setattr(optim_mod, "composite_sharp_projection",
-                            lambda a, ctrl, schedule=None, polar=None: (np.zeros((a.shape[1],) * 2), None))
+                            lambda a, ctrl, polar: (np.zeros((a.shape[1],) * 2), None))
         grads = gradient_stream(79, (8, 4), 20)
         cfg_m = cfg_for("muon", weight_decay=0.0)
         cfg_l = cfg_for("muon_lite", weight_decay=0.0,
@@ -440,8 +440,8 @@ class TestMuonLite:
             w_new = step_muon(w_new, s_new, g, 0.02, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(optim_mod, "composite_sharp_projection",
-                              lambda a, ctrl, schedule=None, polar=None:
-                              polar_mod.composite_sharp_projection(a, ctrl))
+                              lambda a, ctrl, polar:
+                              polar_mod.composite_sharp_projection(a, ctrl, polar_mod.ns_polar(a)))
                 w_ref = step_muon(w_ref, s_ref, g, 0.02, cfg)
             assert np.array_equal(w_new, w_ref)
             assert s_new.rank_ctrl == s_ref.rank_ctrl

@@ -102,7 +102,7 @@ class TestCompositeProjection:
         # threshold between the two singular values keeps only the top one
         m = np.diag([3.0, 1.0])
         ctrl = RankController(scale_l=2.0 / frobenius(m), target_dim=1)
-        p, t = composite_sharp_projection(m, ctrl)
+        p, t = composite_sharp_projection(m, ctrl, ns_polar(m))
         assert np.abs(t - np.diag([1.0, 0.0])).max() < 1e-3
         assert np.abs(p - np.diag([1.0, 0.0])).max() < 1e-3
 
@@ -110,7 +110,7 @@ class TestCompositeProjection:
         rng = np.random.default_rng(16)
         q, _ = np.linalg.qr(rng.normal(size=(7, 3)))
         ctrl = RankController(scale_l=0.5 / frobenius(q), target_dim=3)
-        p, t = composite_sharp_projection(q, ctrl)
+        p, t = composite_sharp_projection(q, ctrl, ns_polar(q))
         assert np.abs(p - np.eye(3)).max() < 1e-2
         assert np.abs(t - q).max() < 1e-2
 
@@ -119,7 +119,7 @@ class TestCompositeProjection:
         sig = np.array([10.0, 9.0, 8.0, 7.0, 0.4, 0.3, 0.2, 0.1])
         a = matrix_with_spectrum(rng, 16, 8, sig)
         ctrl = RankController(scale_l=1.0 / frobenius(a), target_dim=4)
-        p, _ = composite_sharp_projection(a, ctrl)
+        p, _ = composite_sharp_projection(a, ctrl, ns_polar(a))
         _, _, v = svd_oracle(a)
         p_oracle = v[:, :4] @ v[:, :4].T
         assert frobenius(p - p_oracle) < 1e-2
@@ -129,7 +129,7 @@ class TestCompositeProjection:
         sig = np.array([5.0, 4.0, 0.2, 0.1])
         a = matrix_with_spectrum(rng, 9, 4, sig)
         ctrl = RankController(scale_l=1.0 / frobenius(a), target_dim=2)
-        p, _ = composite_sharp_projection(a, ctrl)
+        p, _ = composite_sharp_projection(a, ctrl, ns_polar(a))
         assert frobenius(p - p.T) < 5e-3
         assert frobenius(p @ p - p) < 5e-2
 
@@ -139,16 +139,21 @@ class TestCompositeProjection:
         np.zeros((6, 3)),
     ], ids=["tall", "square", "zero"])
     def test_supplied_polar_is_bitwise_the_same(self, a):
+        # the supplied NS(M) gives the bytes of T = 1/2 NS(M) + 1/2 NS(M/tau - NS(M))
+        # with NS(M) recomputed; a zero matrix gives zero factors
         ctrl = RankController(scale_l=0.5 / np.sqrt(a.shape[1]), target_dim=2)
-        p, t = composite_sharp_projection(a, ctrl)
-        p_s, t_s = composite_sharp_projection(a, ctrl, polar=ns_polar(a))
-        assert np.array_equal(p_s, p)
-        assert np.array_equal(t_s, t)
+        p, t = composite_sharp_projection(a, ctrl, ns_polar(a))
+        expected = np.zeros_like(a)
+        if frobenius(a) > 0.0:
+            first = ns_polar(a.copy())
+            expected = 0.5 * first + 0.5 * ns_polar(a / (ctrl.scale_l * frobenius(a)) - first)
+        assert np.array_equal(t, expected)
+        assert np.array_equal(p, expected.T @ expected)
 
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
-            composite_sharp_projection(np.ones((2, 5)),
-                                       RankController(scale_l=1.0, target_dim=1))
+            composite_sharp_projection(np.ones((2, 5)), RankController(scale_l=1.0, target_dim=1),
+                                       ns_polar(np.ones((2, 5))))
 
 
 class TestRankController:
@@ -184,7 +189,7 @@ def test_controller_drives_mass_toward_target():
     ctrl = RankController(scale_l=1.0 / np.sqrt(12), target_dim=6)
     mass = None
     for _ in range(200):
-        p, _ = composite_sharp_projection(a, ctrl)
+        p, _ = composite_sharp_projection(a, ctrl, ns_polar(a))
         mass = frobenius(p) ** 2
         ctrl = update_rank_controller(ctrl, frobenius(p))
     assert 5.0 <= mass <= 7.0
