@@ -77,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--lambda-max", type=_finite_float, required=True)
     p_q.add_argument("--points", type=_int_at_least(1), required=True)
 
-    p_a = sub.add_parser("align", help="gradient-Gram coverage curves for an MLP config")
+    p_a = sub.add_parser("align", help="gradient-Gram coverage curves for an MLP config",
+                         description="Reads only the config's landscape and seed; "
+                                     "trains with adamw at constant lr 1e-3.")
     p_a.add_argument("--config", required=True)
     p_a.add_argument("--train-steps", type=_int_at_least(0), default=100)
     p_a.add_argument("--d-s", type=_int_at_least(1), default=4)

@@ -216,8 +216,8 @@ def _rk4_per_coordinate(quadratic: QuadraticSpec, make_rhs, state0, times, h: fl
 def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams, t_end: float,
              h: float = FINE_STEP) -> DynamicsState:
     """RK4 integration of flow_rhs up to t_end; the reference trajectory for
-    discretization-order checks. A flow that overflows raises ValueError
-    from the returned state's check.
+    discretization-order checks, in arrays that ``state`` does not hold. A
+    flow that overflows raises ValueError from the returned state's check.
 
     Without a projector or a metric each coordinate's (w, m) is an
     independent system, g = lam w + b, wdot = -eta(t) (m + beta g),
@@ -235,7 +235,7 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
     d = quadratic.dim
     if params.projector_sharp is not None or params.metric is not None:
         w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
-                    (state.w, state.m), state.t, t_end, h)
+                    (state.w.copy(), state.m.copy()), state.t, t_end, h)
         return DynamicsState(w, m, t_end)
     alpha, beta, eta_at = params.alpha, params.beta_pair()[0], params.eta_at
 

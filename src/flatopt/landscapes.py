@@ -1,7 +1,7 @@
 """Objective functions for the experiments: anisotropic quadratics, a
-valley-with-flat-floor surrogate, and a small tanh MLP with hand-rolled
-backpropagation, finite-difference mean row and column Hessians, and the
-gradient-Gram alignment experiment. Every landscape has one objective,
+valley-with-flat-floor surrogate, a small tanh MLP with hand-rolled
+backpropagation and its finite-difference mean row and column Hessians, and
+the gradient-Gram alignment experiment. Every landscape has one objective,
 ``loss_and_block_grads(mats, batch)``, over a dict of named 2-D blocks.
 """
 
@@ -41,7 +41,7 @@ class Landscape:
     matrices the steppers replace and never write into, and calls
     ``loss_and_block_grads(mats, batch)`` for each batch of
     ``step_batches(first, last)``. ``fixed_batch``, the batch of the final
-    loss and of ``block_fd_hessian``, is ``None`` where the objective is
+    loss and of the MLP's curvature, is ``None`` where the objective is
     deterministic. The flows in ``dynamics`` integrate a QuadraticSpec.
     """
 
@@ -71,27 +71,6 @@ class Landscape:
     def loss_and_block_grads(self, mats, batch):
         """Loss and per-block gradients at ``mats`` on the batch."""
         return self._objective(mats)
-
-    def block_fd_hessian(self, name, mats, entries):
-        """Central differences of block ``name``'s gradient at ``mats`` on
-        ``fixed_batch`` for steps on ``entries``, flat indices into the
-        block: the |entries| x |entries| matrix d grad[entries] /
-        d block[entries], column j for the step on entries[j]. Entry e steps
-        by 1e-5 * (1 + |block_e|)."""
-        shape, block = mats[name].shape, mats[name].ravel()
-
-        def grad_at(b):
-            grads = self.loss_and_block_grads({**mats, name: b.reshape(shape)}, self.fixed_batch)[1]
-            return grads[name].ravel()[entries]
-
-        cols = []
-        for e in entries:
-            h = 1e-5 * (1.0 + abs(float(block[e])))
-            plus, minus = block.copy(), block.copy()
-            plus[e] += h
-            minus[e] -= h
-            cols.append((grad_at(plus) - grad_at(minus)) / (2.0 * h))
-        return np.stack(cols, axis=1)
 
 
 def quadratic_landscape(spec: QuadraticSpec) -> Landscape:
@@ -302,12 +281,12 @@ class MlpLandscape(Landscape):
         return r, grads
 
     def block_fd_hessian(self, name, mats, entries):
-        """The base class's central differences on the fixed batch, as
-        stacked passes: the batch runs forward to the block's input once,
-        then each chunk of perturbed copies of the block, stacked on a
-        leading axis, runs the rest of the forward pass and the backward pass
-        down to the block. Every slice repeats the full pass's arithmetic, so
-        the result is the base class's byte for byte."""
+        """Central differences of block ``name``'s gradient on ``fixed_batch``:
+        column j is d grad[entries] / d block[e], e = entries[j] (flat indices),
+        for a step of 1e-5 * (1 + |block_e|). The batch runs forward to the
+        block's input once; chunks of perturbed block copies, stacked on a
+        leading axis, run the rest of the forward and backward pass, each
+        slice with a full pass's arithmetic: a per-coordinate loop's bytes."""
         first = list(self.blocks).index(name)
         weights = [mats[block] for block in self.blocks]
         x, y = self.fixed_batch
@@ -349,10 +328,10 @@ def mlp_landscape(spec: MlpSpec, seed: int) -> MlpLandscape:
     return MlpLandscape(spec, seed)
 
 
-def mean_row_hessian(landscape: Landscape, block_name: str, mats):
+def mean_row_hessian(landscape, block_name: str, mats):
     """Average over rows of the per-row Hessians of one block of ``mats`` (n
     x n for an m x n block): the Hessian of the loss with respect to a
-    single row's parameters, extracted row by row and symmetrized."""
+    single row's parameters, from ``landscape.block_fd_hessian``, symmetrized."""
     m, n = landscape.blocks[block_name].shape
     acc = np.zeros((n, n))
     for i in range(m):
@@ -361,7 +340,7 @@ def mean_row_hessian(landscape: Landscape, block_name: str, mats):
     return acc / m
 
 
-def mean_col_hessian(landscape: Landscape, block_name: str, mats):
+def mean_col_hessian(landscape, block_name: str, mats):
     """Average over columns of the symmetrized per-column Hessians (m x m)."""
     m, n = landscape.blocks[block_name].shape
     acc = np.zeros((m, m))
@@ -369,13 +348,6 @@ def mean_col_hessian(landscape: Landscape, block_name: str, mats):
         h = landscape.block_fd_hessian(block_name, mats, j + n * np.arange(m))
         acc += 0.5 * (h + h.T)
     return acc / n
-
-
-def top_eigenspace(matrix, k: int):
-    """Orthonormal basis of the top-k eigenspace, from the symmetric-Jacobi
-    oracle; the n x k matrix of leading eigenvectors."""
-    _, vecs = sym_eig(matrix)
-    return vecs[:, :k]
 
 
 def gram_alignment_curve(reference, gram, d_s: int, k_grid):
@@ -388,21 +360,24 @@ def gram_alignment_curve(reference, gram, d_s: int, k_grid):
     for k in k_grid:
         if k < d_s:
             raise ValueError(f"k = {k} below the reference dimension d_s = {d_s}")
-    ref_basis = top_eigenspace(reference, d_s)
+    ref_basis = sym_eig(reference)[1][:, :d_s]
     _, vecs = sym_eig(gram)
     return [(int(k), coverage_score(ref_basis, vecs[:, :int(k)])) for k in k_grid]
 
 
-def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
-                         k_grid, n_batches: int = 32):
+GRAM_BATCHES = 32  # fresh minibatch gradients per gradient Gram estimate
+
+
+def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int, k_grid):
     """Train briefly, then ask whether the top curvature directions of each
     block are covered by the top eigenspaces of the gradient Gram estimates.
 
-    Trains with adamw (constant lr 1e-3) on fresh minibatches, accumulates
-    mean G^T G and G G^T over n_batches fresh gradients at the trained
-    point, and compares their top-k eigenspaces against the mean row/column
-    Hessians. Each k is clamped to the side's dimension and a size repeated
-    by the clamp is dropped. Returns {block: {"row": curve, "col": curve}}.
+    Reads only the MLP spec and seed: trains with adamw (constant lr 1e-3)
+    on fresh minibatches, accumulates mean G^T G and G G^T over GRAM_BATCHES
+    fresh gradients at the trained point, and compares their top-k
+    eigenspaces against the mean row/column Hessians. Each k is clamped to
+    the side's dimension and a size repeated by the clamp is dropped.
+    Returns {block: {"row": curve, "col": curve}}.
     """
     land = mlp_landscape(spec, seed)
     mats = land.unpack(land.initial_point)
@@ -415,7 +390,7 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
 
     gram_r = {name: np.zeros((layout.shape[1],) * 2) for name, layout in land.blocks.items()}
     gram_l = {name: np.zeros((layout.shape[0],) * 2) for name, layout in land.blocks.items()}
-    for batch in land.step_batches(train_steps + 1, train_steps + n_batches):
+    for batch in land.step_batches(train_steps + 1, train_steps + GRAM_BATCHES):
         _, grads = land.loss_and_block_grads(mats, batch)
         for name, g in grads.items():
             gram_r[name] += g.T @ g
@@ -431,7 +406,7 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int,
         row_ref = mean_row_hessian(land, name, mats)
         col_ref = mean_col_hessian(land, name, mats)
         curves[name] = {
-            "row": gram_alignment_curve(row_ref, gram_r[name] / n_batches, min(d_s, n), sizes(n)),
-            "col": gram_alignment_curve(col_ref, gram_l[name] / n_batches, min(d_s, m), sizes(m)),
+            "row": gram_alignment_curve(row_ref, gram_r[name] / GRAM_BATCHES, min(d_s, n), sizes(n)),
+            "col": gram_alignment_curve(col_ref, gram_l[name] / GRAM_BATCHES, min(d_s, m), sizes(m)),
         }
     return curves

@@ -177,7 +177,7 @@ class OptimizerConfig:
 @dataclasses.dataclass
 class BlockOptState:
     """Per-block optimizer state: the block's role and the fields its routed
-    stepper needs; everything else stays None."""
+    stepper needs, else None; ``step`` is SOAP's QR refresh clock."""
 
     m: np.ndarray
     role: str
@@ -303,7 +303,6 @@ def _mask_and_update(state: BlockOptState, pol: LitePolicy, g, denom, core):
 
 def step_adamw(w, state, g, lr, cfg):
     """AdamW; a mask controller (adam_lite) adds the LITE stage."""
-    state.step += 1
     denom = _ema_mv(state, g, cfg)
     direction = state.m / denom
     if state.mask_ctrl is not None:
@@ -313,14 +312,12 @@ def step_adamw(w, state, g, lr, cfg):
 
 def step_n_adamw(w, state, g, lr, cfg):
     """AdamW with a Nesterov-style numerator m + beta*g."""
-    state.step += 1
     denom = _ema_mv(state, g, cfg)
     return _apply(w, (state.m + cfg.nesterov_beta * g) / denom, lr, cfg.weight_decay)
 
 
 def step_lion(w, state, g, lr, cfg):
     """Sign update from the old-momentum blend; sign(0) contributes nothing."""
-    state.step += 1
     u = cfg.theta * state.m + (1.0 - cfg.theta) * g
     state.m = cfg.beta_v * state.m + (1.0 - cfg.beta_v) * g
     return _apply(w, np.sign(u), lr, cfg.weight_decay)
@@ -328,7 +325,6 @@ def step_lion(w, state, g, lr, cfg):
 
 def step_mars(w, state, g, lr, cfg):
     """AdamW on the variance-reduced gradient c = g + gamma*theta/(1-theta)*(g - prev_g)."""
-    state.step += 1
     c = g + cfg.mars_gamma * cfg.theta / (1.0 - cfg.theta) * (g - state.prev_g)
     denom = _ema_mv(state, c, cfg)
     state.prev_g = g.copy()
@@ -337,7 +333,6 @@ def step_mars(w, state, g, lr, cfg):
 
 def step_ademamix(w, state, g, lr, cfg):
     """Two-timescale momentum: a fast EMA plus kappa times a slow EMA."""
-    state.step += 1
     a1, a2 = cfg.alpha_fast, cfg.alpha_slow
     state.m = (1.0 - a1) * state.m + a1 * g
     state.m_slow = (1.0 - a2) * state.m_slow + a2 * g
@@ -355,7 +350,6 @@ def step_muon(w, state, g, lr, cfg):
     u is a positive multiple of the blended momentum m + g/theta and every
     consumer is scale-invariant, so the two conventions define one update.
     """
-    state.step += 1
     state.m = cfg.theta * state.m + g
     u = cfg.theta * state.m + g
     wide = u.shape[0] < u.shape[1]

@@ -137,12 +137,15 @@ def stability_bound(lam_max: float, alpha: float, beta: float) -> float:
     """Largest stable step size on the sharpest mode.
 
     eta <= 2(2-alpha) / (lam_max * max{1 + 2*beta - alpha*beta, 2*beta*(1-alpha)}).
-    Degenerate alpha >= 2 returns 0 (the numerator has vanished).
+    Degenerate alpha >= 2 returns 0 (the numerator has vanished). The D < 1
+    term holds only for beta >= 0; a negative beta is rejected.
     """
     if lam_max <= 0.0:
         raise ValueError(f"lam_max must be positive, got {lam_max}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if alpha >= 2.0:
         return 0.0
     denom = lam_max * max(1.0 + 2.0 * beta - alpha * beta, 2.0 * beta * (1.0 - alpha))

@@ -290,6 +290,19 @@ class TestRk4Flow:
         assert np.array_equal(out.w, state.w)
         assert np.array_equal(out.m, state.m)
 
+    @pytest.mark.parametrize("params", [
+        FlowParams(alpha=0.1),
+        FlowParams(alpha=0.1, beta=(0.4, 0.9), chi=3.0, projector_sharp=np.eye(2)),
+        FlowParams(alpha=0.1, metric=np.diag([2.0, 1.0])),
+    ], ids=["decoupled", "projector", "metric"])
+    def test_zero_span_returns_fresh_arrays(self, params):
+        state = DynamicsState(np.array([2.0, -1.0]), np.array([0.5, 0.25]), t=1.0)
+        out = rk4_flow(state, QuadraticSpec([3.0, 1.0]), params, t_end=1.0)
+        assert not np.shares_memory(out.w, state.w)
+        assert not np.shares_memory(out.m, state.m)
+        out.w[0] = out.m[0] = 7.0
+        assert state.w[0] == 2.0 and state.m[0] == 0.5
+
     def test_matches_matrix_exponential_solution(self):
         # per-mode linear system d/dt (w, m) = A (w, m) + (0, b) with beta = 0
         lam, b, alpha, eta = 1.7, 0.4, 0.6, 0.3

@@ -20,7 +20,6 @@ from flatopt.landscapes import (
     mlp_landscape,
     quadratic_landscape,
     river_valley_landscape,
-    top_eigenspace,
 )
 from flatopt.optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from flatopt.quadratic import QuadraticSpec
@@ -70,8 +69,9 @@ def river_valley_flat(dim, curvature):
 
 
 def reference_fd_hessian_on_coords(grad_fn, w, coords):
-    """The per-coordinate central differences that ``block_fd_hessian``
-    replaced on the MLP: one full gradient per step, column j for coords[j]."""
+    """The per-coordinate central differences that the MLP's stacked
+    ``block_fd_hessian`` reproduces byte for byte: one full gradient per
+    step, column j for coords[j]."""
     h_cols = []
     for j in coords:
         h = 1e-5 * (1.0 + abs(float(w[j])))
@@ -140,12 +140,6 @@ class TestRiverValley:
         g = grad_at(land, w)
         fd = fd_gradient(lambda v: loss_at(land, v), w, range(6))
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
-
-    def test_sharp_block_curvature(self):
-        spec = RiverValleySpec(sharp_dim=2, flat_dim=2, sharp_curvature=100.0)
-        land = river_valley_landscape(spec)
-        h = mean_row_hessian(land, "sharp", land.unpack(np.ones(4)))
-        np.testing.assert_allclose(h, 100.0 * np.eye(2), rtol=1e-5, atol=1e-3)
 
     def test_blocks_sharp_first(self):
         land = river_valley_landscape(RiverValleySpec(2, 2, 1.0))
@@ -379,34 +373,29 @@ def test_mlp_landscape_freed_without_a_collection():
     assert ref() is None
 
 
+class BlockQuadratic(Landscape):
+    """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2, w the block's entries
+    in row-major order; its block Hessian is diag(lam), given in closed form."""
+
+    def __init__(self, lam):
+        self.lam = np.asarray(lam, dtype=float)
+        super().__init__({"w": BlockLayout(0, (2, 3), "muon")}, np.zeros(6), None)
+
+    def block_fd_hessian(self, name, mats, entries):
+        return np.diag(self.lam[entries])
+
+
 class TestFdHessians:
-    def test_quadratic_block_hessian_is_exact_diagonal(self):
-        land = quadratic_landscape(QuadraticSpec(np.array([3.0, 1.0]), np.zeros(2)))
-        h = mean_row_hessian(land, "all", {"all": np.array([[0.7, -0.2]])})
-        np.testing.assert_allclose(h, np.diag([3.0, 1.0]), atol=1e-6)
-        assert np.array_equal(h, h.T)
-
-    def block_quadratic(self, lam):
-        """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2, w the block's
-        entries in row-major order."""
-        lam = np.asarray(lam, dtype=float)
-
-        def objective(mats):
-            w = mats["w"].ravel()
-            return 0.5 * float(lam @ w ** 2), {"w": (lam * w).reshape(2, 3)}
-
-        return Landscape({"w": BlockLayout(0, (2, 3), "muon")}, np.zeros(6), objective)
-
     def test_mean_row_hessian_averages_row_blocks(self):
         lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
-        land = self.block_quadratic(lam)
+        land = BlockQuadratic(lam)
         h = mean_row_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
         expected = np.diag(0.5 * (lam[:3] + lam[3:]))
         np.testing.assert_allclose(h, expected, atol=1e-6)
 
     def test_mean_col_hessian_averages_column_blocks(self):
         lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
-        land = self.block_quadratic(lam)
+        land = BlockQuadratic(lam)
         h = mean_col_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
         expected = np.diag([lam[:3].mean(), lam[3:].mean()])
         np.testing.assert_allclose(h, expected, atol=1e-6)
@@ -435,20 +424,17 @@ class TestFdHessians:
 
     def test_mlp_stacked_passes_split_into_chunks(self, monkeypatch):
         """One entry per pass gives the bytes of one pass over every entry,
-        and both give the base class's per-coordinate loop."""
+        and both give the per-coordinate loop's."""
         land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
-        mats = land.unpack(land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,)))
+        w = land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,))
+        mats = land.unpack(w)
         entries = np.arange(0, 64, 3)
         one_pass = land.block_fd_hessian("layer1", mats, entries)
-        assert np.array_equal(one_pass, Landscape.block_fd_hessian(land, "layer1", mats, entries))
+        coords = land.blocks["layer1"].start + entries
+        assert np.array_equal(one_pass, reference_fd_hessian_on_coords(
+            lambda v: grad_at(land, v), w, coords))
         monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
         assert np.array_equal(land.block_fd_hessian("layer1", mats, entries), one_pass)
-
-    def test_top_eigenspace_orders_by_eigenvalue(self):
-        basis = top_eigenspace(np.diag([1.0, 5.0, 3.0]), 2)
-        assert basis.shape == (3, 2)
-        assert abs(basis[1, 0]) == pytest.approx(1.0, abs=1e-10)
-        assert abs(basis[2, 1]) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAlignmentCurves:
@@ -479,7 +465,7 @@ class TestAlignmentCurves:
         sides = {name: {"row": layout.shape[1], "col": layout.shape[0]}
                  for name, layout in mlp_landscape(spec, 29).blocks.items()}
         curves = alignment_experiment(spec, seed=29, train_steps=2, d_s=2,
-                                      k_grid=(2, 4, 8, 8), n_batches=4)
+                                      k_grid=(2, 4, 8, 8))
         assert set(curves) == set(sides)
         for name, by_side in curves.items():
             for side, curve in by_side.items():
@@ -500,14 +486,14 @@ class TestAlignmentCurves:
 
         monkeypatch.setattr(landscapes, "mlp_landscape", build_read_only)
         alignment_experiment(MlpSpec(widths=(6, 8, 4), batch_size=8), seed=29, train_steps=5,
-                             d_s=2, k_grid=(2, 4), n_batches=4)
+                             d_s=2, k_grid=(2, 4))
         (land, initial), = lands
         assert np.array_equal(land.initial_point, initial)
 
     def test_experiment_produces_valid_curves(self):
         spec = MlpSpec(widths=(6, 8, 4), batch_size=8, noise_sigma=0.01)
         curves = alignment_experiment(spec, seed=29, train_steps=5, d_s=2,
-                                      k_grid=(2, 4), n_batches=4)
+                                      k_grid=(2, 4))
         assert set(curves) == {"layer0", "layer1"}
         for name, sides in curves.items():
             for side in ("row", "col"):

@@ -115,6 +115,14 @@ class TestStabilityBound:
         with pytest.raises(ValueError):
             stability_bound(1.0, -0.1, 0.0)
 
+    @pytest.mark.parametrize("beta", [-0.5, -1.0, -1.0 / 1.5, -1e-12, math.nan])
+    def test_negative_beta_rejected(self, beta):
+        # the D < 1 term assumes beta >= 0: at beta = -0.5, lam 10, alpha 0.5
+        # the formula gave 1.2, yet the mode is unstable at eta = 0.6
+        assert analyze_mode(10.0, 0.5, -0.5, 0.6).dominant_modulus > 1.0
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            stability_bound(10.0, 0.5, beta)
+
     def test_hessian_damping_tightens_the_bound(self):
         alphas = np.linspace(0.01, 1.9, 50)
         for alpha in alphas:
