@@ -21,7 +21,7 @@ from . import __version__
 from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        ademamix_ode_residual, nesterov_forms_trace, rk4_flow,
                        semi_implicit_step)
-from .harness import ConfigError, parse_config, run_experiment
+from .harness import ConfigError, parse_config, parse_list, run_experiment
 from .landscapes import alignment_experiment
 from .quadratic import QuadraticSpec, analyze_mode
 
@@ -51,8 +51,8 @@ def _finite_float(raw: str) -> float:
 
 
 def _k_grid(raw: str) -> list:
-    """argparse type: a non-empty comma-separated list of integers."""
-    sizes = [int(part) for part in raw.split(",") if part.strip()]
+    """argparse type: a non-empty list of integers under the config list rule."""
+    sizes = list(parse_list(raw, int))
     if not sizes:
         raise argparse.ArgumentTypeError("needs at least one subspace size")
     return sizes
@@ -97,7 +97,7 @@ def _load_config(path: str):
 
 
 def _cmd_run(args) -> int:
-    _, summary = run_experiment(_load_config(args.config))
+    summary = run_experiment(_load_config(args.config))
     if summary["status"] == "diverged":
         print(summary["message"])
         return EXIT_DIVERGED
@@ -106,11 +106,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_quadratic_report(args) -> int:
-    print("lambda,T,D,discriminant,regime,dominant_modulus")
+    rows = ["lambda,T,D,discriminant,regime,dominant_modulus"]
     for lam in np.linspace(args.lambda_min, args.lambda_max, args.points):
         r = analyze_mode(float(lam), args.alpha, args.beta, args.eta)
-        print(f"{r.lam:.17g},{r.T:.17g},{r.D:.17g},{r.discriminant:.17g},"
-              f"{r.regime},{r.dominant_modulus:.17g}")
+        rows.append(f"{r.lam:.17g},{r.T:.17g},{r.D:.17g},{r.discriminant:.17g},"
+                    f"{r.regime},{r.dominant_modulus:.17g}")
+    print("\n".join(rows))  # all or nothing: a mode that fails prints no partial table
     return EXIT_OK
 
 

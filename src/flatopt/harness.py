@@ -56,17 +56,6 @@ class ExperimentConfig:
     schedule: ScheduleSpec
 
 
-@dataclasses.dataclass(frozen=True)
-class TrajectoryRecord:
-    """One logged optimizer step: scalars first, then per-block telemetry."""
-
-    step: int
-    lr: float
-    loss: float
-    global_grad_norm: float
-    blocks: dict
-
-
 def _parse_int(raw: str) -> int:
     return int(raw, 0)
 
@@ -78,17 +67,18 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_floats(raw: str):
-    return tuple(_parse_float(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_ints(raw: str):
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+def parse_list(raw: str, parse_item) -> tuple:
+    """Comma-separated items, each stripped and parsed; none may be empty."""
+    items = [part.strip() for part in raw.split(",")] if raw.strip() else []
+    if "" in items:
+        raise ValueError(f"empty item in list '{raw}'")
+    return tuple(map(parse_item, items))
 
 
 # field annotation -> value parser; an optional field ("X | None") parses as X
 _PARSERS = {"str": str, "int": _parse_int, "float": _parse_float,
-            "tuple": _parse_ints, "np.ndarray": _parse_floats}
+            "tuple": lambda raw: parse_list(raw, _parse_int),
+            "np.ndarray": lambda raw: parse_list(raw, _parse_float)}
 
 
 def _keys(cls, skip=()):
@@ -238,11 +228,10 @@ def csv_header(block_names) -> str:
     return ",".join(cols)
 
 
-def record_to_row(record: TrajectoryRecord) -> str:
-    cells = [str(record.step), _fmt(record.lr), _fmt(record.loss), _fmt(record.global_grad_norm)]
-    for name in sorted(record.blocks):
-        per = record.blocks[name]
-        cells.extend(_fmt(per[col]) for col in BLOCK_COLUMNS)
+def record_to_row(step, lr, loss, global_grad_norm, blocks) -> str:
+    cells = [str(step), _fmt(lr), _fmt(loss), _fmt(global_grad_norm)]
+    for name in sorted(blocks):
+        cells.extend(_fmt(blocks[name][col]) for col in BLOCK_COLUMNS)
     return ",".join(cells)
 
 
@@ -258,10 +247,11 @@ def _block_telemetry(state, update_rms):
     return per
 
 
-def run_experiment(config: ExperimentConfig):
+def run_experiment(config: ExperimentConfig) -> dict:
     """Seeded landscape, optimizer loop, CSV rows every log_every steps.
 
-    Returns (records, summary). A non-finite loss sets summary["status"] =
+    Returns the summary; the CSV is the run's only log, and without an
+    output_path no telemetry is computed. A non-finite loss sets status
     "diverged": in the loop, which it stops, with "divergence at step N"; as
     the final loss with "divergence after step N". That is an outcome, not an
     error. A family other than adamw that would run plain adamw on every
@@ -275,15 +265,13 @@ def run_experiment(config: ExperimentConfig):
                           f"'{config.landscape_kind}': every block would run plain adamw")
     mats = land.unpack(land.initial_point)
     states = init_states(land.blocks, config.optimizer)
-    names = sorted(mats)
 
-    records = []
     summary = {"status": "ok", "steps_completed": 0, "final_loss": math.nan, "message": ""}
     out = open(config.output_path, "w", newline="") if config.output_path else None
     # divergence is an expected outcome, so overflow must produce inf quietly
     try:
         if out is not None:
-            out.write(csv_header(names) + "\n")
+            out.write(csv_header(mats) + "\n")
         with np.errstate(over="ignore", invalid="ignore"):
             for step, batch in enumerate(land.step_batches(1, config.steps), start=1):
                 loss, grads = land.loss_and_block_grads(mats, batch)
@@ -291,24 +279,22 @@ def run_experiment(config: ExperimentConfig):
                     summary["status"] = "diverged"
                     summary["message"] = f"divergence at step {step}"
                     summary["final_loss"] = loss
-                    return records, summary
-                # last block first: the order the recorded CSV bytes were summed in
-                grad_norm = math.sqrt(sum(float((g * g).sum()) for g in reversed(grads.values())))
-                before = dict(mats)
+                    return summary
+                logged = out is not None and step % config.log_every == 0
+                before = dict(mats) if logged else None
                 route_and_step(mats, states, grads, step, config.schedule, config.optimizer)
                 summary["steps_completed"] = step
-                if step % config.log_every == 0:
+                if logged:
+                    # unchanged by the step; summed last block first, as the recorded bytes were
+                    grad_norm = math.sqrt(sum(float((g * g).sum()) for g in reversed(grads.values())))
                     per_block = {}
-                    for name in names:
+                    for name in mats:
                         delta = mats[name] - before[name]
                         rms = math.sqrt(float((delta * delta).sum()) / delta.size)
                         per_block[name] = _block_telemetry(states[name], rms)
-                    record = TrajectoryRecord(step=step, lr=lr_at(config.schedule, step),
-                                              loss=loss, global_grad_norm=grad_norm, blocks=per_block)
-                    records.append(record)
-                    if out is not None:
-                        out.write(record_to_row(record) + "\n")
-                        out.flush()
+                    out.write(record_to_row(step, lr_at(config.schedule, step), loss,
+                                            grad_norm, per_block) + "\n")
+                    out.flush()
             summary["final_loss"] = land.loss_and_block_grads(mats, land.fixed_batch)[0]
             if not math.isfinite(summary["final_loss"]):
                 summary["status"] = "diverged"
@@ -316,4 +302,4 @@ def run_experiment(config: ExperimentConfig):
     finally:
         if out is not None:
             out.close()
-    return records, summary
+    return summary

@@ -353,13 +353,15 @@ def mean_col_hessian(landscape, block_name: str, mats):
 def gram_alignment_curve(reference, gram, d_s: int, k_grid):
     """Coverage of reference's top-d_s eigenspace by gram's top-k eigenspaces.
 
-    Returns [(k, coverage)] over k_grid; every k must be >= d_s so the
-    coverage score's column-count precondition holds. gram is
+    Returns [(k, coverage)] over k_grid; every k must lie in [d_s, len(gram)]
+    so the coverage score's column-count precondition holds. gram is
     eigendecomposed once and each k takes its leading k eigenvectors.
     """
     for k in k_grid:
         if k < d_s:
             raise ValueError(f"k = {k} below the reference dimension d_s = {d_s}")
+        if k > len(gram):
+            raise ValueError(f"k = {k} above the gram's dimension {len(gram)}")
     ref_basis = sym_eig(reference)[1][:, :d_s]
     _, vecs = sym_eig(gram)
     return [(int(k), coverage_score(ref_basis, vecs[:, :int(k)])) for k in k_grid]

@@ -104,6 +104,8 @@ def characteristic_roots(t: float, d: float):
     Returns (roots, regime, theta) where theta is the oscillation angle
     arccos(T/sqrt(D)) for underdamped modes and None otherwise.
     """
+    if not (math.isfinite(t) and math.isfinite(d)):
+        raise ValueError(f"recurrence coefficients T = {t}, D = {d} are not finite")
     regime = classify_regime(t, d)
     if regime == "critical":
         return (complex(t), complex(t)), regime, None
@@ -115,8 +117,7 @@ def characteristic_roots(t: float, d: float):
         r_small = d / r_big  # disc > 0, so |r_big| >= sqrt(disc) > 0
         hi, lo = (r_big, r_small) if r_big >= r_small else (r_small, r_big)
         return (complex(hi), complex(lo)), regime, None
-    if d <= 0.0:
-        raise ValueError(f"underdamped regime with D = {d} <= 0 is inconsistent")
+    # underdamped with finite T and D: D > fl(T*T) >= 0, so sqrt(D) is real
     s = math.sqrt(-disc)
     theta = math.acos(t / math.sqrt(d))
     return (complex(t, s), complex(t, -s)), regime, theta

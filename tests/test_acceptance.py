@@ -441,7 +441,7 @@ def test_13_byte_identical_reruns():
             for attempt in ("a", "b"):
                 path = f"{root}/run{idx}{attempt}.csv"
                 cfg = parse_config(text + f"run.output_path = {path}\n")
-                _, summary = run_experiment(cfg)
+                summary = run_experiment(cfg)
                 assert summary["status"] == "ok", summary
                 with open(path, "rb") as fh:
                     outputs.append(fh.read())

@@ -17,7 +17,6 @@ from flatopt.cli import main
 from flatopt.harness import (
     BLOCK_COLUMNS,
     ConfigError,
-    TrajectoryRecord,
     _keys,
     build_landscape,
     csv_header,
@@ -216,7 +215,7 @@ class TestParseConfig:
     def test_infinite_clip_norm_is_accepted(self):
         cfg = parse_config(MINIMAL + "optimizer.clip_norm = inf\n")
         assert cfg.optimizer.clip_norm == math.inf
-        assert run_experiment(cfg)[1]["status"] == "ok"
+        assert run_experiment(cfg)["status"] == "ok"
 
     @pytest.mark.parametrize("mutation,fragment", [
         ("garbage line", "line 1: expected 'section.key = value'"),
@@ -316,7 +315,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("config,fragment", [
         (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1.0, 2.0"),
          "eigenvalues must be sorted descending"),
-        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = ,"), "non-empty"),
+        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="), "non-empty"),
         (MINIMAL + "landscape.offsets = 1.0\n", "matching non-empty"),
         (MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "200, 101, 4"),
          "parameter count 20604 exceeds the 20000 budget"),
@@ -336,6 +335,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(config)
 
+    @pytest.mark.parametrize("key,raw", [
+        ("landscape.eigenvalues", ","),
+        ("landscape.eigenvalues", "100, , 1"),
+        ("landscape.eigenvalues", "2.0, 1.0,"),
+        ("landscape.widths", "6, , 8, 4"),
+        ("landscape.widths", ", 6, 8, 4"),
+    ])
+    def test_empty_list_item_is_malformed(self, key, raw):
+        # an empty item used to be dropped, so "6, , 8, 4" ran a 2-layer MLP
+        base = MLP_BASE.format(family="adamw") if key == "landscape.widths" else MINIMAL
+        with pytest.raises(ConfigError, match=f"line 4: malformed value '{raw}' for '{key}'"):
+            parse_config(with_setting(base, key, raw))
+
+    def test_list_items_parse_like_scalars(self):
+        # a list item takes its scalar's syntax, so hex works as for run.seed
+        text = with_setting(MLP_BASE.format(family="adamw"), "landscape.widths", "0x6, 8, 8, 4")
+        assert parse_config(text).landscape.widths == (6, 8, 8, 4)
+        with pytest.raises(ConfigError, match="malformed value '1, 2.5'"):
+            parse_config(with_setting(MLP_BASE.format(family="adamw"), "landscape.widths", "1, 2.5"))
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
@@ -353,22 +372,30 @@ class TestBuildLandscape:
         assert mlp.dim == 6 * 8 + 8 * 8 + 8 * 4
 
 
+def run_csv(tmp_path, text, name="run.csv"):
+    """Run text with its CSV in tmp_path: (summary, header cells, row cells)."""
+    path = tmp_path / name
+    summary = run_experiment(parse_config(text + f"run.output_path = {path}\n"))
+    header, *rows = path.read_text().splitlines()
+    return summary, header.split(","), [row.split(",") for row in rows]
+
+
 class TestRunExperiment:
-    def test_summary_of_a_clean_run(self):
-        records, summary = run_experiment(parse_config(MINIMAL))
+    def test_summary_of_a_clean_run(self, tmp_path):
+        summary, _, rows = run_csv(tmp_path, MINIMAL)
         assert summary["status"] == "ok"
         assert summary["steps_completed"] == 20
         assert math.isfinite(summary["final_loss"])
         assert summary["message"] == ""
-        assert [r.step for r in records] == list(range(1, 21))
+        assert [row[0] for row in rows] == [str(step) for step in range(1, 21)]
 
-    def test_log_every_thins_the_records(self):
-        records, _ = run_experiment(parse_config(MINIMAL + "run.log_every = 5\n"))
-        assert [r.step for r in records] == [5, 10, 15, 20]
+    def test_log_every_thins_the_records(self, tmp_path):
+        _, _, rows = run_csv(tmp_path, MINIMAL + "run.log_every = 5\n")
+        assert [row[0] for row in rows] == ["5", "10", "15", "20"]
 
-    def test_loss_decreases_on_the_quadratic(self):
-        records, summary = run_experiment(parse_config(MINIMAL))
-        assert summary["final_loss"] < records[0].loss
+    def test_loss_decreases_on_the_quadratic(self, tmp_path):
+        summary, _, rows = run_csv(tmp_path, MINIMAL)
+        assert summary["final_loss"] < float(rows[0][2])
 
     def test_double_run_writes_identical_bytes(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -395,29 +422,36 @@ class TestRunExperiment:
 
     def test_no_output_path_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        records, _ = run_experiment(parse_config(MINIMAL))
-        assert records
+        summary = run_experiment(parse_config(MINIMAL))
+        assert summary["status"] == "ok"
         assert list(tmp_path.iterdir()) == []
 
-    def test_trivial_lite_run_matches_baseline_losses(self):
-        base, _ = run_experiment(parse_config(MLP_BASE.format(family="muon")))
-        lite, _ = run_experiment(parse_config(MLP_BASE.format(family="muon_lite")))
-        assert [r.loss for r in base] == [r.loss for r in lite]
+    def test_no_output_path_computes_no_telemetry(self, monkeypatch):
+        for name in ("_block_telemetry", "record_to_row"):
+            monkeypatch.setattr(f"flatopt.harness.{name}",
+                                lambda *a: pytest.fail("telemetry without an output_path"))
+        summary = run_experiment(parse_config(MLP_BASE.format(family="muon_lite")))
+        assert summary["steps_completed"] == 30
 
-    def test_lite_run_populates_subspace_telemetry(self):
-        records, summary = run_experiment(parse_config(MLP_BASE.format(family="muon_lite")))
+    def test_trivial_lite_run_matches_baseline_losses(self, tmp_path):
+        _, _, base = run_csv(tmp_path, MLP_BASE.format(family="muon"), "base.csv")
+        _, _, lite = run_csv(tmp_path, MLP_BASE.format(family="muon_lite"), "lite.csv")
+        assert [row[2] for row in base] == [row[2] for row in lite]
+
+    def test_lite_run_populates_subspace_telemetry(self, tmp_path):
+        summary, header, rows = run_csv(tmp_path, MLP_BASE.format(family="muon_lite"))
         assert summary["status"] == "ok"
-        last = records[-1].blocks
-        assert last["layer1"]["l"] is not None          # rank-threshold scale
-        assert last["layer1"]["sharp_mass"] is not None
-        assert last["layer0"]["l_s"] is not None        # masked elementwise stepper
-        assert last["layer0"]["l_smooth"] is not None
-        assert last["layer2"]["l"] is None              # output stays on adamw
+        last = dict(zip(header, rows[-1]))
+        assert last["layer1.l"] != "nan"                # rank-threshold scale
+        assert last["layer1.sharp_mass"] != "nan"
+        assert last["layer0.l_s"] != "nan"              # masked elementwise stepper
+        assert last["layer0.l_smooth"] != "nan"
+        assert last["layer2.l"] == "nan"                # output stays on adamw
         for name in ("layer0", "layer1", "layer2"):
-            assert last[name]["update_rms"] is not None
+            assert last[f"{name}.update_rms"] != "nan"
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_run_leaves_the_initial_point_unchanged(self, monkeypatch, family):
+    def test_run_leaves_the_initial_point_unchanged(self, tmp_path, monkeypatch, family):
         # the run steps views of the initial point; a write into one of them
         # raises on the read-only vector
         lands = []
@@ -429,17 +463,39 @@ class TestRunExperiment:
             return land
 
         monkeypatch.setattr("flatopt.harness.build_landscape", build_read_only)
-        _, summary = run_experiment(parse_config(MLP_BASE.format(family=family) + "run.log_every = 4\n"))
+        summary, _, _ = run_csv(tmp_path, MLP_BASE.format(family=family) + "run.log_every = 4\n")
         assert summary["status"] == "ok"
         (land, initial), = lands
         assert np.array_equal(land.initial_point, initial)
 
-    def test_divergence_is_an_outcome_not_an_error(self):
-        records, summary = run_experiment(parse_config(DIVERGENT))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_steppers_never_write_into_grads(self, tmp_path, monkeypatch, family):
+        # the logged gradient norm is summed after the step, so a write into
+        # grads would move CSV bytes; here it raises on the read-only arrays
+        def build_read_only_grads(config):
+            land = build_landscape(config)
+            objective = land.loss_and_block_grads
+
+            def frozen(mats, batch):
+                loss, grads = objective(mats, batch)
+                for g in grads.values():
+                    g.flags.writeable = False
+                return loss, grads
+
+            land.loss_and_block_grads = frozen
+            return land
+
+        monkeypatch.setattr("flatopt.harness.build_landscape", build_read_only_grads)
+        summary, _, rows = run_csv(tmp_path, MLP_BASE.format(family=family))
+        assert summary["status"] == "ok"
+        assert len(rows) == 30
+
+    def test_divergence_is_an_outcome_not_an_error(self, tmp_path):
+        summary, _, rows = run_csv(tmp_path, DIVERGENT)
         assert summary["status"] == "diverged"
         assert summary["message"] == "divergence at step 78"
         assert summary["steps_completed"] == 77
-        assert len(records) == 77
+        assert len(rows) == 77
         assert not math.isfinite(summary["final_loss"])
 
     def test_divergence_emits_no_warnings(self, recwarn):
@@ -447,22 +503,20 @@ class TestRunExperiment:
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("kind", sorted(LAST_STEP_OVERFLOWS))
-    def test_overflow_on_the_last_update_is_a_divergence(self, kind, recwarn):
-        config = parse_config(LAST_STEP_OVERFLOWS[kind])
-        records, summary = run_experiment(config)
+    def test_overflow_on_the_last_update_is_a_divergence(self, tmp_path, kind, recwarn):
+        steps = parse_config(LAST_STEP_OVERFLOWS[kind]).steps
+        summary, _, rows = run_csv(tmp_path, LAST_STEP_OVERFLOWS[kind])
         assert summary["status"] == "diverged"
-        assert summary["message"] == f"divergence after step {config.steps}"
-        assert summary["steps_completed"] == config.steps == len(records)
+        assert summary["message"] == f"divergence after step {steps}"
+        assert summary["steps_completed"] == steps == len(rows)
         assert not math.isfinite(summary["final_loss"])
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestCsvCells:
     def test_seventeen_digit_roundtrip(self):
-        record = TrajectoryRecord(step=3, lr=1.0 / 3.0, loss=math.pi,
-                                  global_grad_norm=1e-17,
-                                  blocks={"b": {c: None for c in BLOCK_COLUMNS}})
-        cells = record_to_row(record).split(",")
+        cells = record_to_row(3, 1.0 / 3.0, math.pi, 1e-17,
+                              {"b": {c: None for c in BLOCK_COLUMNS}}).split(",")
         assert float(cells[1]) == 1.0 / 3.0
         assert float(cells[2]) == math.pi
         assert float(cells[3]) == 1e-17
@@ -526,7 +580,7 @@ class TestCli:
         MLP_BASE.format(family="muon_lite") + "lite.chi = nan\n",
         MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1, nan"),
-        MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = ,"),
+        MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="),
         # infinite knobs, which would diverge or zero the step, and AdEMAMix
         # EMA rates outside (0, 1]
         MLP_BASE.format(family="muon_lite") + "lite.chi = inf\n",
@@ -539,13 +593,17 @@ class TestCli:
         MINIMAL + "optimizer.epsilon = inf\n",
         MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = -0.5\n",
         MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = 0\n",
+        # an empty list item, which used to drop a layer or an eigenvalue
+        MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "6, , 8, 4"),
+        MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 100, , 1"),
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
             "chi_norm", "nesterov_beta-adamw", "unknown-family", "lr_max-nan",
             "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum",
             "chi-inf", "beta2-inf", "chi_embedding-inf", "ademamix_kappa-inf",
             "weight_decay-inf", "nesterov_beta-inf", "lr_max-inf", "epsilon-inf",
-            "alpha_fast-negative", "alpha_fast-zero"])
+            "alpha_fast-negative", "alpha_fast-zero", "widths-empty-item",
+            "eigenvalues-empty-item"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")
@@ -562,10 +620,15 @@ class TestCli:
          "every --k-grid size must be >= --d-s 2"),
         (["align", "--config", "{mlp}", "--train-steps", "-3"], 2,
          "argument --train-steps: must be >= 0"),
-        (["align", "--config", "{mlp}", "--k-grid", ","], 2,
+        (["align", "--config", "{mlp}", "--k-grid", ""], 2,
          "argument --k-grid: needs at least one subspace size"),
+        (["align", "--config", "{mlp}", "--k-grid", "2,,4"], 2,
+         "argument --k-grid: invalid _k_grid value: '2,,4'"),
+        (["align", "--config", "{mlp}", "--k-grid", ","], 2,
+         "argument --k-grid: invalid _k_grid value: ','"),
     ], ids=["align-over-budget", "run-output-in-missing-dir", "align-d_s-zero",
-            "align-k-below-d_s", "align-negative-train-steps", "align-empty-k-grid"])
+            "align-k-below-d_s", "align-negative-train-steps", "align-empty-k-grid",
+            "align-k-grid-empty-item", "align-k-grid-comma"])
     def test_rejected_without_traceback(self, tmp_path, capsys, monkeypatch, argv, code, message):
         # none of these may reach the alignment training loop
         monkeypatch.setattr("flatopt.cli.alignment_experiment",
@@ -606,6 +669,15 @@ class TestCli:
             cells = line.split(",")
             assert len(cells) == 6
             assert cells[4] in ("underdamped", "overdamped", "critical")
+
+    def test_quadratic_report_overflowed_mode_is_a_numerical_error(self, capsys):
+        # eta*lam overflows, so T = D = -inf: no regime or modulus to report
+        code = main(["quadratic-report", "--alpha", "0.1", "--beta", "1", "--eta", "1e300",
+                     "--lambda-min", "1e9", "--lambda-max", "1e10", "--points", "3"])
+        out = capsys.readouterr()
+        assert code == 4
+        assert out.out == ""
+        assert "numerical error: recurrence coefficients T = -inf, D = -inf are not finite" in out.err
 
     def test_quadratic_report_needs_points(self, capsys):
         assert main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",

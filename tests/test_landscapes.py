@@ -459,6 +459,12 @@ class TestAlignmentCurves:
         with pytest.raises(ValueError, match="below the reference dimension"):
             gram_alignment_curve(ref, ref, d_s=2, k_grid=[1])
 
+    def test_k_above_gram_dimension_rejected(self):
+        # slicing would give only 3 eigenvectors and still label them k = 4
+        ref = np.eye(3)
+        with pytest.raises(ValueError, match="k = 4 above the gram's dimension 3"):
+            gram_alignment_curve(ref, ref, d_s=2, k_grid=[2, 4])
+
     def test_clamped_sizes_appear_once(self):
         # 8 exceeds the 6- and 4-sized sides; the clamp must not repeat a size
         spec = MlpSpec(widths=(6, 8, 4), batch_size=8)

@@ -87,6 +87,12 @@ class TestRoots:
         assert regime == "overdamped"
         assert roots[0].real * roots[1].real < 0.0
 
+    @pytest.mark.parametrize("t,d", [(-math.inf, -math.inf), (0.5, math.inf),
+                                     (math.nan, 0.5), (0.5, math.nan)])
+    def test_non_finite_coefficients_rejected(self, t, d):
+        with pytest.raises(ValueError, match="are not finite"):
+            characteristic_roots(t, d)
+
     def test_root_identities(self):
         rng = np.random.default_rng(30)
         for _ in range(200):

@@ -1,0 +1,50 @@
+"""The README's examples and the harness docstring's config are live: each
+config parses and runs, and each ``flatopt`` command line parses."""
+
+import dataclasses
+import re
+import shlex
+from pathlib import Path
+
+from flatopt import cli, harness
+from flatopt.harness import parse_config, run_experiment
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def fenced_blocks():
+    """The bodies of the README's ``` fences, in order."""
+    return re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_config_example_runs(tmp_path):
+    configs = [block for block in fenced_blocks() if block.startswith("run.seed")]
+    assert len(configs) == 1
+    config = parse_config(configs[0])
+    # three steps of the example's run, its schedule unchanged, every step logged
+    csv = tmp_path / "run.csv"
+    summary = run_experiment(dataclasses.replace(config, steps=3, log_every=1,
+                                                 output_path=str(csv)))
+    assert (summary["status"], summary["steps_completed"]) == ("ok", 3)
+    lines = csv.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["step", "1", "2", "3"]
+
+
+def test_readme_cli_lines_parse():
+    commands = []
+    for block in fenced_blocks():
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("flatopt "):
+                commands.append(shlex.split(line.split("#", 1)[0])[1:])
+    assert [argv[0] for argv in commands] == ["run", "quadratic-report", "align",
+                                              "dynamics-check", "version"]
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+
+def test_harness_docstring_config_parses():
+    example = harness.__doc__.split("Example::", 1)[1].split("\n\n")[1]
+    config = parse_config(example)
+    assert config.optimizer.family == "muon_lite"
+    assert config.landscape.widths == (6, 8, 8, 4)
