@@ -52,7 +52,10 @@ def _finite_float(raw: str) -> float:
 
 def _k_grid(raw: str) -> list:
     """argparse type: a non-empty list of integers under the config list rule."""
-    sizes = list(parse_list(raw, int))
+    try:
+        sizes = list(parse_list(raw, int))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
     if not sizes:
         raise argparse.ArgumentTypeError("needs at least one subspace size")
     return sizes

@@ -13,11 +13,11 @@ and the stated systems are exact).
 
 The quadratic is diagonal, so a flow without a projector or a metric splits
 into one small system per coordinate. rk4_flow on such a flow, and the
-two-timescale flow always, integrate one coordinate at a time as Python
-floats: each expression is the vector one written per entry, and a float
-rounds as a numpy entry does, so the bytes are the vector integration's. A
-projector or a metric couples the coordinates, and rk4_flow integrates such
-a flow as vectors.
+two-timescale flow always, run each coordinate's RK4 steps as straight-line
+code on Python floats: each expression is the vector one written per entry,
+and a float rounds as a numpy entry does, so the bytes are the vector
+integration's. A projector or a metric couples the coordinates, and _rk4
+integrates such a flow as arrays. _fine_steps sets the steps of both.
 """
 
 from __future__ import annotations
@@ -166,49 +166,46 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     return DynamicsState(w_new, m_new, state.t + h)
 
 
-def _rk4(rhs, y, t: float, t_end: float, h: float):
-    """Classical 4-stage integration of y' = rhs(t, y) from t to t_end in
-    ceil((t_end - t) / h) equal steps.
-
-    y is a sequence of components, each a float or an array, and rhs returns
-    one derivative per component; a span <= 0 hands y back unchanged, and
-    otherwise the result is a tuple. The stages combine each component as
-    a + (0.5 * step) * b and a + (step / 6.0) * (b1 + 2 b2 + 2 b3 + b4),
-    so a float component rounds exactly as one entry of an array would.
-    The stage states are built as lists, the cheapest sequence to build.
-    """
-    span = t_end - t
+def _fine_steps(span: float, h: float):
+    """Number and size of the ceil(span / h) equal steps over span (none if
+    span <= 0); the 1e-12 slack keeps a whole number of h from gaining one."""
     if span <= 0:
-        return y
+        return 0, 0.0
     n_steps = max(1, int(math.ceil(span / h - 1e-12)))
-    step = span / n_steps
+    return n_steps, span / n_steps
+
+
+def _rk4(quadratic: QuadraticSpec, params: FlowParams, w, m, t: float, t_end: float, h: float):
+    """Classical 4-stage integration of a coupled flow (a projector or a
+    metric) from t to t_end, on the arrays (w, m)."""
+    n_steps, step = _fine_steps(t_end - t, h)
     half, sixth = 0.5 * step, step / 6.0
     for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + step, [a + step * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        k1w, k1m = _flow(w, m, t, quadratic, params)
+        k2w, k2m = _flow(w + half * k1w, m + half * k1m, t + half, quadratic, params)
+        k3w, k3m = _flow(w + half * k2w, m + half * k2m, t + half, quadratic, params)
+        k4w, k4m = _flow(w + step * k3w, m + step * k3m, t + step, quadratic, params)
+        w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         t += step
-    return tuple(y)
+    return w, m
 
 
-def _rk4_per_coordinate(quadratic: QuadraticSpec, make_rhs, state0, times, h: float):
+def _rk4_per_coordinate(quadratic: QuadraticSpec, make_advance, state0, times, h: float):
     """Integrate a flow whose coordinates are decoupled, one coordinate at a
-    time. state0 holds the flow's variables as vectors of the quadratic's
-    dimension d, and make_rhs(lam, b) returns the right-hand side of one
-    coordinate's variables as Python floats. Returns the trajectory sampled
-    at times, one row per time, each row the variables concatenated."""
+    time. state0 holds the flow's variables as d-vectors; make_advance(lam, b)
+    returns advance(y, t, n_steps, step), which runs one coordinate's
+    variables, as Python floats, through n_steps RK4 steps from t. Returns the
+    trajectory sampled at times, each row the variables concatenated."""
     d = quadratic.dim
     traj = np.empty((len(times), len(state0) * d))
     traj[0] = np.concatenate([np.asarray(v, dtype=float) for v in state0])
     start = traj[0].tolist()
     for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
-        rhs = make_rhs(lam, b)
+        advance = make_advance(lam, b)
         y = start[i::d]
         for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
-            y = _rk4(rhs, y, t, t_next, h)
+            y = advance(y, t, *_fine_steps(t_next - t, h))
             traj[k, i::d] = y
     return traj
 
@@ -234,19 +231,33 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
     _require_dimension(state, quadratic)
     d = quadratic.dim
     if params.projector_sharp is not None or params.metric is not None:
-        w, m = _rk4(lambda t, y: _flow(y[0], y[1], t, quadratic, params),
-                    (state.w.copy(), state.m.copy()), state.t, t_end, h)
+        w, m = _rk4(quadratic, params, state.w.copy(), state.m.copy(), state.t, t_end, h)
         return DynamicsState(w, m, t_end)
     alpha, beta, eta_at = params.alpha, params.beta_pair()[0], params.eta_at
 
-    def make_rhs(lam, b):
-        def rhs(t, y):
+    def make_advance(lam, b):
+        def advance(y, t, n_steps, step):
             w, m = y
-            g = lam * w + b
-            return -eta_at(t) * (m + beta * g), -alpha * m + g
-        return rhs
+            half, sixth = 0.5 * step, step / 6.0
+            for _ in range(n_steps):
+                g = lam * w + b
+                k1w, k1m = -eta_at(t) * (m + beta * g), -alpha * m + g
+                w2, m2 = w + half * k1w, m + half * k1m
+                g = lam * w2 + b
+                k2w, k2m = -eta_at(t + half) * (m2 + beta * g), -alpha * m2 + g
+                w3, m3 = w + half * k2w, m + half * k2m
+                g = lam * w3 + b
+                k3w, k3m = -eta_at(t + half) * (m3 + beta * g), -alpha * m3 + g
+                w4, m4 = w + step * k3w, m + step * k3m
+                g = lam * w4 + b
+                k4w, k4m = -eta_at(t + step) * (m4 + beta * g), -alpha * m4 + g
+                w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                t += step
+            return w, m
+        return advance
 
-    traj = _rk4_per_coordinate(quadratic, make_rhs, (state.w, state.m), [state.t, t_end], h)
+    traj = _rk4_per_coordinate(quadratic, make_advance, (state.w, state.m), [state.t, t_end], h)
     return DynamicsState(traj[-1, :d], traj[-1, d:], t_end)
 
 
@@ -323,10 +334,8 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     state0 = (w, mf, ms) is given.
 
     The quadratic is diagonal, so each coordinate's (w, mf, ms) is an
-    independent system of three Python floats, integrated one coordinate at
-    a time. Every expression is the vector one written per entry, and a
-    float rounds as a numpy entry does, so the result is bit for bit the
-    vector integration's.
+    independent system, stepped as three Python floats bit for bit as the
+    vector integration.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all()
@@ -337,14 +346,29 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     if state0 is None:
         state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
 
-    def make_rhs(lam, b):
-        def rhs(_t, y):
+    def make_advance(lam, b):
+        def advance(y, _t, n_steps, step):
             w, f, s = y
-            g = lam * w + b
-            return -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
-        return rhs
+            half, sixth = 0.5 * step, step / 6.0
+            for _ in range(n_steps):
+                g = lam * w + b
+                k1w, k1f, k1s = -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
+                w2, f2, s2 = w + half * k1w, f + half * k1f, s + half * k1s
+                g = lam * w2 + b
+                k2w, k2f, k2s = -eta * (f2 + kap * s2), -a1 * f2 + a1 * g, -a2 * s2 + a2 * g
+                w3, f3, s3 = w + half * k2w, f + half * k2f, s + half * k2s
+                g = lam * w3 + b
+                k3w, k3f, k3s = -eta * (f3 + kap * s3), -a1 * f3 + a1 * g, -a2 * s3 + a2 * g
+                w4, f4, s4 = w + step * k3w, f + step * k3f, s + step * k3s
+                g = lam * w4 + b
+                k4w, k4f, k4s = -eta * (f4 + kap * s4), -a1 * f4 + a1 * g, -a2 * s4 + a2 * g
+                w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                f = f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+                s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+            return w, f, s
+        return advance
 
-    traj = _rk4_per_coordinate(quadratic, make_rhs, state0, t_grid.tolist(), FINE_STEP)
+    traj = _rk4_per_coordinate(quadratic, make_advance, state0, t_grid.tolist(), FINE_STEP)
     return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 

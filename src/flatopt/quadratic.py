@@ -106,10 +106,12 @@ def characteristic_roots(t: float, d: float):
     """
     if not (math.isfinite(t) and math.isfinite(d)):
         raise ValueError(f"recurrence coefficients T = {t}, D = {d} are not finite")
+    disc = t * t - d
+    if not math.isfinite(disc):
+        raise ValueError(f"discriminant T*T - D overflows at T = {t}, D = {d}")
     regime = classify_regime(t, d)
     if regime == "critical":
         return (complex(t), complex(t)), regime, None
-    disc = t * t - d
     if regime == "overdamped":
         # pair the subtraction-free root with D/r to dodge cancellation
         s = math.sqrt(disc)

@@ -341,6 +341,16 @@ class TestRk4Flow:
             with pytest.raises(ValueError, match="non-finite"):
                 rk4_flow(start, spec, FlowParams(alpha=0.1, eta_of_t=1.0), t_end=1.0)
 
+    def test_overflow_in_one_decoupled_coordinate_rejected(self):
+        # only the lambda < 0 coordinate overflows; beta, an offset and a
+        # callable eta run the per-coordinate path with every term in play
+        spec = QuadraticSpec([2.0, -1e6], [0.3, -0.2])
+        params = FlowParams(alpha=0.1, beta=0.5, eta_of_t=lambda t: 1.0 + 0.5 * t)
+        start = DynamicsState(np.ones(2), np.zeros(2), t=0.25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite entries in dynamics state"):
+                rk4_flow(start, spec, params, t_end=1.0, h=0.01)
+
 
 def ishd_acceleration(w, wdot, quadratic: QuadraticSpec, alpha_t: float, beta_t: float,
                       gamma_t: float):
@@ -605,13 +615,16 @@ def vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=None):
      (np.array([1.0, 2.0, 3.0]), np.array([0.1, -0.2, 0.3]), np.array([0.2, 0.0, -0.4]))),
     # a repeated time is a zero span: the state is carried over unchanged
     (TestAdemamixFlow.spec, TestAdemamixFlow.cfg, np.array([0.0, 0.5, 0.5, 0.75]), None),
-], ids=["dynamics-check", "offsets", "state0", "repeated-time"])
+    # lambda = -1e6 overflows to inf and then NaN: those must match bit for bit too
+    (QuadraticSpec([-1e6]), TestAdemamixFlow.cfg, np.linspace(0.0, 5.0, 11), None),
+], ids=["dynamics-check", "offsets", "state0", "repeated-time", "overflow"])
 def test_ademamix_trajectory_matches_vector_formulation_bitwise(quadratic, cfg, t_grid, state0):
-    got = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
-    want = vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=state0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
+        want = vector_ademamix_trajectory(quadratic, cfg, t_grid, state0=state0)
     for g, w in zip(got, want):
         assert g.shape == w.shape
-        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
 
 
 def heavy_ball_matrix(lam, alpha, beta, eta):

@@ -623,12 +623,14 @@ class TestCli:
         (["align", "--config", "{mlp}", "--k-grid", ""], 2,
          "argument --k-grid: needs at least one subspace size"),
         (["align", "--config", "{mlp}", "--k-grid", "2,,4"], 2,
-         "argument --k-grid: invalid _k_grid value: '2,,4'"),
+         "argument --k-grid: empty item in list '2,,4'"),
         (["align", "--config", "{mlp}", "--k-grid", ","], 2,
-         "argument --k-grid: invalid _k_grid value: ','"),
+         "argument --k-grid: empty item in list ','"),
+        (["align", "--config", "{mlp}", "--k-grid", "2,x"], 2,
+         "argument --k-grid: invalid literal for int() with base 10: 'x'"),
     ], ids=["align-over-budget", "run-output-in-missing-dir", "align-d_s-zero",
             "align-k-below-d_s", "align-negative-train-steps", "align-empty-k-grid",
-            "align-k-grid-empty-item", "align-k-grid-comma"])
+            "align-k-grid-empty-item", "align-k-grid-comma", "align-k-grid-not-integer"])
     def test_rejected_without_traceback(self, tmp_path, capsys, monkeypatch, argv, code, message):
         # none of these may reach the alignment training loop
         monkeypatch.setattr("flatopt.cli.alignment_experiment",
@@ -678,6 +680,15 @@ class TestCli:
         assert code == 4
         assert out.out == ""
         assert "numerical error: recurrence coefficients T = -inf, D = -inf are not finite" in out.err
+
+    def test_quadratic_report_overflowed_discriminant_is_a_numerical_error(self, capsys):
+        # T and D are finite, but T*T overflows: no discriminant or modulus to report
+        code = main(["quadratic-report", "--alpha", "0.1", "--beta", "1", "--eta", "1e300",
+                     "--lambda-min", "1e4", "--lambda-max", "1e5", "--points", "2"])
+        out = capsys.readouterr()
+        assert code == 4
+        assert out.out == ""
+        assert out.err.startswith("numerical error: discriminant T*T - D overflows")
 
     def test_quadratic_report_needs_points(self, capsys):
         assert main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",

@@ -93,6 +93,12 @@ class TestRoots:
         with pytest.raises(ValueError, match="are not finite"):
             characteristic_roots(t, d)
 
+    @pytest.mark.parametrize("t,d", [(1e200, 0.5), (-1e160, 0.5), (1e154, -1.7e308)])
+    def test_overflowing_discriminant_rejected(self, t, d):
+        # T and D are finite, but T*T - D is not: no root or regime to report
+        with pytest.raises(ValueError, match="discriminant T\\*T - D overflows"):
+            characteristic_roots(t, d)
+
     def test_root_identities(self):
         rng = np.random.default_rng(30)
         for _ in range(200):
