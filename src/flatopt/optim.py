@@ -177,7 +177,8 @@ class OptimizerConfig:
 @dataclasses.dataclass
 class BlockOptState:
     """Per-block optimizer state: the block's role and the fields its routed
-    stepper needs, else None; ``step`` is SOAP's QR refresh clock."""
+    stepper needs, else None; ``step`` counts SOAP's steps, and the QR refresh
+    runs at the start of the step after every qr_refresh_every-th one."""
 
     m: np.ndarray
     role: str
@@ -369,9 +370,14 @@ def step_muon(w, state, g, lr, cfg):
 
 
 def step_soap(w, state, g, lr, cfg):
-    """Adam moments in the eigenbasis of the Gram EMAs, refreshed by QR every
-    qr_refresh_every steps; a mask controller (soap_lite) adds the LITE stage
-    on the rotated update. The Gram EMAs and the refresh follow the update."""
+    """Adam moments in the eigenbasis of the Gram EMAs; a mask controller
+    (soap_lite) adds the LITE stage on the rotated update. The Gram EMAs follow
+    the update. The basis is refreshed by QR at the start of the step after
+    every qr_refresh_every-th step, the first step that reads it, so a run
+    computes no basis after its last step."""
+    if state.step and state.step % cfg.qr_refresh_every == 0:
+        state.q_l, _ = qr_decompose(state.gram_l @ state.q_l)
+        state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
     state.step += 1
     g_rot = state.q_l.T @ g @ state.q_r
     state.m = cfg.theta * state.m + (1.0 - cfg.theta) * g
@@ -385,9 +391,6 @@ def step_soap(w, state, g, lr, cfg):
     th = cfg.theta_shampoo
     state.gram_l = th * state.gram_l + (1.0 - th) * (g @ g.T)
     state.gram_r = th * state.gram_r + (1.0 - th) * (g.T @ g)
-    if state.step % cfg.qr_refresh_every == 0:
-        state.q_l, _ = qr_decompose(state.gram_l @ state.q_l)
-        state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
     return new_w
 
 

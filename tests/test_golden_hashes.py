@@ -34,9 +34,9 @@ def _load_script():
 GOLDEN = _load_script()
 
 
-def test_entries_are_45_unique_names():
+def test_entries_are_47_unique_names():
     names = [name for name, _ in GOLDEN.entries()]
-    assert len(names) == 45
+    assert len(names) == 47
     assert len(set(names)) == len(names)
 
 
@@ -61,4 +61,4 @@ def test_outputs_match_the_record():
     if "SKIPPED CHECK" in proc.stderr:
         pytest.skip(proc.stderr.strip())
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("45 entries, 0 differing lines\n")
+    assert proc.stdout.endswith("47 entries, 0 differing lines\n")

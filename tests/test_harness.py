@@ -659,6 +659,39 @@ class TestCli:
         assert code == 10
         assert capsys.readouterr().out == "divergence after step 6\n"
 
+    @pytest.mark.parametrize("steps,code,last_line", [
+        (2, 0, "ok steps=2 final_loss=1.1535883068548822e+306"),
+        (4, 4, "numerical error: matrix entries must be finite"),
+    ], ids=["run_ends_at_the_overflow", "next_step_reads_the_basis"])
+    def test_soap_gram_overflow_fails_at_the_step_that_reads_the_basis(
+            self, tmp_path, capsys, steps, code, last_line):
+        # step 2's gradient (entries up to 6e154) overflows g @ g.T in the
+        # Gram EMA while the losses stay finite (about 1e306). The basis is
+        # refreshed at the start of step 3, so steps 1 and 2 are written either
+        # way: a 2-step run never reads the basis and ends ok, a longer one
+        # exits 4 when its QR meets the overflowed Gram
+        csv = tmp_path / "run.csv"
+        config = self.write(tmp_path, f"""\
+run.seed = 1
+run.steps = {steps}
+run.output_path = {csv}
+landscape.kind = mlp
+landscape.widths = 6, 8, 8, 4
+landscape.batch_size = 8
+landscape.noise_sigma = 1e153
+optimizer.family = soap
+optimizer.clip_norm = inf
+optimizer.qr_refresh_every = 2
+schedule.kind = constant
+schedule.lr_max = 1000
+""")
+        assert main(["run", "--config", config]) == code
+        out = capsys.readouterr()
+        assert (out.out + out.err).strip() == last_line
+        rows = [row.split(",") for row in csv.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert all(math.isfinite(float(row[2])) for row in rows)
+
     def test_quadratic_report(self, capsys):
         code = main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",
                      "--eta", "0.01", "--lambda-min", "0.1", "--lambda-max", "10",

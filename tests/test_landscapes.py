@@ -87,8 +87,7 @@ def reference_mean_fd_hessian(landscape, w, coord_sets):
     size = len(coord_sets[0])
     acc = np.zeros((size, size))
     for coords in coord_sets:
-        h = reference_fd_hessian_on_coords(
-            lambda v: landscape.grad_on_batch(v, landscape.fixed_batch), w, coords)
+        h = reference_fd_hessian_on_coords(lambda v: grad_at(landscape, v), w, coords)
         acc += 0.5 * (h + h.T)
     return acc / len(coord_sets)
 
@@ -258,8 +257,8 @@ class TestLossAndBlockGrads:
     ], ids=["quadratic", "river_valley"])
     def test_deterministic_matches_flat_loss_and_grad(self, land, flat):
         loss_fn, grad_fn = flat
-        mats = self.mats_at(land, 5)
-        w = land.pack(mats)
+        w = SplitMix64(5).normal((land.dim,))
+        mats = land.unpack(w)
         for batch in land.step_batches(1, 2):
             loss, grads = land.loss_and_block_grads(mats, batch)
             assert loss == loss_fn(w)

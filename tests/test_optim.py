@@ -35,6 +35,7 @@ from flatopt.optim import (
     step_soap,
 )
 from flatopt.landscapes import BlockLayout
+from flatopt.linalg import qr_decompose
 from flatopt.polar import ns_polar
 from flatopt.rng import SplitMix64
 
@@ -491,6 +492,54 @@ class TestSoap:
         assert np.abs(state.q_l.T @ state.q_l - np.eye(8)).max() < 1e-10
         assert np.abs(state.q_r.T @ state.q_r - np.eye(5)).max() < 1e-10
 
+    def test_run_of_whole_periods_computes_no_unread_basis(self, monkeypatch):
+        # 20 steps at refresh every 10 read two bases: the identity and the one
+        # refreshed at the start of step 11; the one after step 20 is never read
+        import flatopt.optim as optim_mod
+
+        calls = []
+        monkeypatch.setattr(optim_mod, "qr_decompose",
+                            lambda a: calls.append(a.shape) or qr_decompose(a))
+        cfg = cfg_for("soap", qr_refresh_every=10)
+        w = np.ones((8, 5))
+        state = init_state(w.shape, "muon", cfg)
+        for g in gradient_stream(167, (8, 5), 20):
+            w = step_soap(w, state, g, 0.01, cfg)
+        assert calls == [(8, 8), (5, 5)]
+
+    @pytest.mark.parametrize("family", ["soap", "soap_lite"])
+    @pytest.mark.parametrize("steps,every", [(20, 10), (21, 10), (6, 3), (7, 3), (5, 1)])
+    def test_matches_eager_refresh_reference_bitwise(self, family, steps, every):
+        # the reference refreshes at the end of every every-th step, step_soap
+        # at the start of the next one; nothing reads the Gram EMAs or the
+        # basis in between, so every step rotates by the same basis
+        extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family == "soap_lite" else {}
+        cfg = cfg_for(family, qr_refresh_every=every, **extra)
+        w_new = w_ref = np.ones((8, 5))
+        s_new, s_ref = init_state(w_new.shape, "muon", cfg), init_state(w_ref.shape, "muon", cfg)
+        for g in gradient_stream(157, (8, 5), steps):
+            read = (s_ref.q_l, s_ref.q_r)
+            w_new = step_soap(w_new, s_new, g, 0.01, cfg)
+            w_ref = eager_refresh_step_soap(w_ref, s_ref, g, 0.01, cfg)
+            assert np.array_equal(w_new, w_ref)
+            for name in ("m", "v", "gram_l", "gram_r"):
+                assert np.array_equal(getattr(s_new, name), getattr(s_ref, name)), name
+            assert s_new.mask_ctrl == s_ref.mask_ctrl
+            assert s_new.last_sharp_mass == s_ref.last_sharp_mass
+        # the basis held after the run is the one its last step read
+        assert np.array_equal(s_new.q_l, read[0]) and np.array_equal(s_new.q_r, read[1])
+
+
+def eager_refresh_step_soap(w, state, g, lr, cfg):
+    """step_soap with the QR refresh at the end of every qr_refresh_every-th
+    step, the last step of a run included: the eager order that step_soap's
+    refresh at the start of the reading step must reproduce bit for bit."""
+    new_w = step_soap(w, state, g, lr, dataclasses.replace(cfg, qr_refresh_every=10 ** 9))
+    if state.step % cfg.qr_refresh_every == 0:
+        state.q_l, _ = qr_decompose(state.gram_l @ state.q_l)
+        state.q_r, _ = qr_decompose(state.gram_r @ state.q_r)
+    return new_w
+
 
 def uniform_gradients(seed, shape, steps):
     """Streams where every entry of a step's gradient is the same positive
@@ -686,18 +735,19 @@ class TestRouting:
     @pytest.mark.parametrize("role", ROLES)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_allocated_array_is_used(self, family, role):
-        # init_state allocates the arrays KINDS lists for the routed kind; one
-        # step with a non-zero gradient (and a QR refresh) must move each of
-        # them, or the table lists state its stepper never reads
+        # init_state allocates the arrays KINDS lists for the routed kind; two
+        # steps with non-zero gradients (the second opening with a QR refresh)
+        # must move each of them, or the table lists state its stepper never reads
         extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family in LITE_FAMILIES else {}
         if family in FAMILY_KEYS["qr_refresh_every"]:
             extra["qr_refresh_every"] = 1
         cfg = cfg_for(family, **extra)
         states = init_states(layouts(b=((4, 3), role)), cfg)
         initial = init_state((4, 3), role, cfg)
-        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=1)
-        route_and_step({"b": np.ones((4, 3))}, states, {"b": gradient_stream(149, (4, 3), 1)[0]},
-                       1, sched, cfg)
+        sched = ScheduleSpec("constant", lr_max=0.01, warmup_steps=0, total_steps=2)
+        mats = {"b": np.ones((4, 3))}
+        for k, g in enumerate(gradient_stream(149, (4, 3), 2), start=1):
+            route_and_step(mats, states, {"b": g}, k, sched, cfg)
         arrays = [f.name for f in dataclasses.fields(initial)
                   if isinstance(getattr(initial, f.name), np.ndarray)]
         assert "m" in arrays
@@ -775,7 +825,7 @@ class TestSteppersReturnNewMatrices:
     def test_route_and_step_writes_into_no_matrix(self, family):
         # every stepper returns the block's new matrix, so five steps run on
         # read-only matrices and gradients; soap refreshes its basis by QR at
-        # steps 2 and 4
+        # the start of steps 3 and 5
         extra = {"lite": LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)} if family in LITE_FAMILIES else {}
         if family in FAMILY_KEYS["qr_refresh_every"]:
             extra["qr_refresh_every"] = 2
