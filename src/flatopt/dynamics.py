@@ -1,6 +1,6 @@
 """Continuous-time views of the optimizers: the damped second-order system,
-its first-order momentum flow (one flow that splits into a sharp part and a
-chi-amplified flat part when a sharp projector is set), a semi-implicit
+its first-order momentum flow (split by optim.lite_weights into a sharp part
+and a chi-amplified flat part when a sharp projector is set), a semi-implicit
 Euler discretization that reproduces the discrete update at h = 1, an RK4
 reference integrator, the two Nesterov formulations traced side by side, and
 the third-order identity satisfied by the two-timescale momentum flow.
@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .linalg import sym_eig
+from .optim import lite_weights
 from .quadratic import QuadraticSpec
 
 PROJECTOR_TOL = 1e-8
@@ -59,9 +60,13 @@ class FlowParams:
     split flow where the chi-amplified complement uses beta2. eta_of_t is a
     float or a callable of time. projector_sharp is the constant
     sharp-subspace projector P; metric is a constant SPD matrix F (None means
-    identity). Both are checked once here, and F is eigendecomposed once.
-    Without a projector P = I, so chi != 1 or beta1 != beta2 would have no
-    effect and is rejected.
+    identity). Both are checked once here, F is eigendecomposed once and P's
+    split weights are formed once by optim.lite_weights. Without a projector
+    P = I, so chi != 1 or beta1 != beta2 would have no effect and is rejected.
+
+    P must be a projector, so the optimizer identity covers 0/1 masks only:
+    the ramp band is fractional (l_smooth <= 0.95 l_s), and the split's algebra
+    holds there, but the per-mode split of criteria 7 and 8 needs P^2 = P.
     """
 
     alpha: float
@@ -72,6 +77,7 @@ class FlowParams:
     metric: np.ndarray | None = None
     _metric_eig: tuple | None = dataclasses.field(default=None, init=False, repr=False,
                                                   compare=False)
+    _split: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -92,6 +98,7 @@ class FlowParams:
             if np.abs(p @ p - p).max() > PROJECTOR_TOL * scale:
                 raise ValueError("projector_sharp is not idempotent")
             object.__setattr__(self, "projector_sharp", p)
+            object.__setattr__(self, "_split", lite_weights(self.chi, b1, b2, p, np.eye(len(p))))
         if self.metric is not None:
             f = np.asarray(self.metric, dtype=float)
             evals, vecs = sym_eig(f)
@@ -112,15 +119,13 @@ class FlowParams:
 
 
 def _direction(params: FlowParams, m, g):
-    """F^{-1} u for the velocity wdot = -eta F^{-1} u. With a sharp projector P,
-    u = P(m + beta1 g) + chi((m + beta2 g) - P(m + beta2 g)); without one,
-    u = m + beta1 g."""
-    b1, b2 = params.beta_pair()
+    """F^{-1} u for the velocity wdot = -eta F^{-1} u: u = w_m m + w_g g with
+    the optim.lite_weights of the sharp projector P, or u = m + beta g."""
     if params.projector_sharp is None:
-        u = m + b1 * g
+        u = m + params.beta_pair()[0] * g
     else:
-        p = params.projector_sharp
-        u = p @ (m + b1 * g) + params.chi * ((m + b2 * g) - p @ (m + b2 * g))
+        w_m, w_g = params._split
+        u = w_m @ m + w_g @ g
     if params.metric is None:
         return u
     evals, vecs = params._metric_eig
@@ -138,10 +143,8 @@ def _flow(w, m, t: float, quadratic: QuadraticSpec, params: FlowParams):
 
 
 def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
-    """wdot = -eta F^{-1} u, mdot = -alpha m + grad f. Without a projector
-    u = m + beta grad f; with one, the sharp projection keeps rate eta and
-    damping beta1 while the flat complement is amplified by chi and damped
-    with beta2."""
+    """wdot = -eta F^{-1} u and mdot = -alpha m + grad f, where u is the LITE
+    split w_m m + w_g grad f with a projector, else m + beta grad f."""
     _require_dimension(state, quadratic)
     return _flow(state.w, state.m, state.t, quadratic, params)
 

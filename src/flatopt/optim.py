@@ -14,7 +14,9 @@ never writes into the matrix or the gradient.
 LITE is a stage of step_muon, step_soap and step_adamw, not a stepper of its
 own: it runs when the block's state holds a controller, splits the base
 update into sharp and flat parts (composite projector or smoothed
-second-moment mask) and reweights them by chi and (beta1, beta2).
+second-moment mask) and reweights them by lite_weights, as dynamics' split
+flow does: an adam_lite or soap_lite step is one step of that flow at h = 1,
+but muon_lite's is not, as its map is the polar factor, not a linear metric.
 
 Bit-exactness: with chi=1 and beta1=beta2=0 a lite family reproduces its
 baseline entrywise over whole trajectories, because both run the one base
@@ -276,29 +278,23 @@ def _ema_mv(state: BlockOptState, g, cfg: OptimizerConfig):
     return np.sqrt(state.v) + cfg.epsilon
 
 
-def _lite_weights(pol: LitePolicy, role: str, sharp, identity):
-    """(momentum, gradient) weights of the LITE blend, sharp + chi*flat and
-    beta1*sharp + chi*beta2*flat with flat = identity - sharp; sharp is the
-    composite projector (identity the eye) or a mask (identity 1.0)."""
-    chi = pol.chi_for(role)
+def lite_weights(chi: float, beta1: float, beta2: float, sharp, identity):
+    """The LITE split's weights (sharp + chi*flat, beta1*sharp + chi*beta2*flat)
+    with flat = identity - sharp, for a projector and the eye or a mask and 1."""
     flat = identity - sharp
-    return sharp + chi * flat, pol.beta1 * sharp + chi * pol.beta2 * flat
+    return sharp + chi * flat, beta1 * sharp + chi * beta2 * flat
 
 
 def _mask_and_update(state: BlockOptState, pol: LitePolicy, g, denom, core):
     """LITE stage of the elementwise-preconditioned steppers: mask the second
     moment, advance the threshold controller, record the sharp mass, and
     reweight core = momentum/denom unless the policy is trivial."""
-    ctrl = state.mask_ctrl
-    mask = smoothed_sharp_mask(state.v, ctrl)
-    mean = float(state.v.sum()) / state.v.size
-    count_s = int((state.v > ctrl.l_s * mean).sum())
-    count_smooth = int((state.v > ctrl.l_smooth * mean).sum())
-    state.mask_ctrl = update_soap_controller(ctrl, count_s, count_smooth)
+    mask = smoothed_sharp_mask(state.v, state.mask_ctrl)
+    state.mask_ctrl = update_soap_controller(state.mask_ctrl, state.v)
     state.last_sharp_mass = float(mask.sum())
     if pol.is_trivial(state.role):
         return core
-    w_m, w_g = _lite_weights(pol, state.role, mask, 1.0)
+    w_m, w_g = lite_weights(pol.chi_for(state.role), pol.beta1, pol.beta2, mask, 1.0)
     return w_g * (g / denom) + w_m * core
 
 
@@ -363,7 +359,8 @@ def step_muon(w, state, g, lr, cfg):
         state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
         state.last_sharp_mass = float(p_frob * p_frob)
         if not pol.is_trivial(state.role):
-            w_m, w_g = _lite_weights(pol, state.role, proj, np.eye(proj.shape[0]))
+            w_m, w_g = lite_weights(pol.chi_for(state.role), pol.beta1, pol.beta2, proj,
+                                    np.eye(proj.shape[0]))
             core = core @ w_m + ns_polar(g.T if wide else g) @ w_g
     direction = core.T if wide else core
     return _apply(w, 0.2 * math.sqrt(max(w.shape)) * direction, lr, cfg.weight_decay)

@@ -22,9 +22,9 @@ from .linalg import as_matrix, svd_oracle
 class SoapMaskController:
     """Feedback state for the dual mask thresholds of one block.
 
-    ``l_s`` and ``l_smooth`` scale the tensor mean into the sharp and smooth
-    thresholds. ``d_s`` is the target sharp count, ``d_smooth`` the extra
-    width allotted to the ramp band.
+    ``l_s`` and ``l_smooth`` scale the mean of v into the sharp and smooth
+    thresholds ``thresholds(v)``. ``d_s`` is the target sharp count,
+    ``d_smooth`` the extra width allotted to the ramp band.
     """
 
     d_s: int
@@ -44,6 +44,10 @@ class SoapMaskController:
                 f"threshold scales must be positive, got l_s={self.l_s}, l_smooth={self.l_smooth}"
             )
 
+    def thresholds(self, v):
+        mean = float(v.sum()) / v.size
+        return self.l_s * mean, self.l_smooth * mean
+
 
 def smoothed_sharp_mask(v, ctrl: SoapMaskController):
     """Entrywise mask in [0,1]: 1 where v >= tau_s, 0 where v <= tau_smooth,
@@ -56,11 +60,9 @@ def smoothed_sharp_mask(v, ctrl: SoapMaskController):
     v = as_matrix(v)
     if (v < 0).any():
         raise ValueError("mask input must be non-negative")
-    mean = float(v.sum()) / v.size
-    tau_s = ctrl.l_s * mean
-    tau_smooth = ctrl.l_smooth * mean
+    tau_s, tau_smooth = ctrl.thresholds(v)
     if tau_s == tau_smooth:
-        if mean == 0.0:
+        if not v.any():
             return np.ones_like(v)
         raise ValueError("degenerate thresholds: tau_s == tau_smooth with nonzero mean")
     # clip reproduces all three branches: >= tau_s lands at exactly 1,
@@ -68,19 +70,17 @@ def smoothed_sharp_mask(v, ctrl: SoapMaskController):
     return np.clip((v - tau_smooth) / (tau_s - tau_smooth), 0.0, 1.0)
 
 
-def update_soap_controller(ctrl: SoapMaskController, count_above_s: int,
-                           count_above_smooth: int) -> SoapMaskController:
-    """One feedback step on the threshold scales.
+def update_soap_controller(ctrl: SoapMaskController, v) -> SoapMaskController:
+    """One feedback step on the scales from v's counts above ctrl.thresholds(v).
 
     Grows l_s when at least d_s entries clear the sharp threshold, shrinks it
     otherwise; same for l_smooth against d_s + d_smooth. The smooth scale is
     then clamped to 0.95 * l_s so the ramp band never collapses.
     """
-    if count_above_s < 0 or count_above_smooth < 0:
-        raise ValueError("counts must be >= 0")
-    l_s = ctrl.l_s * (1.05 if count_above_s >= ctrl.d_s else 0.95)
-    l_smooth = ctrl.l_smooth * (1.05 if count_above_smooth >= ctrl.d_s + ctrl.d_smooth else 0.95)
-    l_smooth = min(l_smooth, 0.95 * l_s)
+    tau_s, tau_smooth = ctrl.thresholds(v)
+    l_s = ctrl.l_s * (1.05 if (v > tau_s).sum() >= ctrl.d_s else 0.95)
+    grow_smooth = (v > tau_smooth).sum() >= ctrl.d_s + ctrl.d_smooth
+    l_smooth = min(ctrl.l_smooth * (1.05 if grow_smooth else 0.95), 0.95 * l_s)
     return dataclasses.replace(ctrl, l_s=l_s, l_smooth=l_smooth)
 
 

@@ -19,7 +19,11 @@ from flatopt.dynamics import (
     rk4_flow,
     semi_implicit_step,
 )
+from flatopt.linalg import qr_decompose
+from flatopt.optim import LitePolicy, OptimizerConfig, init_state, step_adamw, step_soap
 from flatopt.quadratic import QuadraticSpec, simulate_recurrence
+from flatopt.rng import SplitMix64
+from flatopt.subspace import smoothed_sharp_mask
 
 
 class TestStateAndParams:
@@ -254,6 +258,72 @@ class TestSemiImplicitStep:
         state = semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec,
                                    params, 0.25)
         assert state.t == 0.25
+
+
+class TestLiteStageIsTheSplitFlow:
+    """One adam_lite or soap_lite step with weight decay 0 is one
+    semi-implicit step of the split flow at h = 1, with alpha = 1 - theta,
+    eta = lr (1 - theta), the betas and the momentum divided by 1 - theta, P
+    the 0/1 mask and F = sqrt(v') + eps in the stepper's basis, where v' is
+    the second moment after the step. v alternates far above and far below
+    the mask's thresholds, so no entry of v' falls in the ramp band."""
+
+    THETA, LR, N = 0.9, 0.1, 8
+    POLICY = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
+
+    def setup_method(self):
+        rng = SplitMix64(31)
+        self.spec = QuadraticSpec(np.linspace(3.0, 0.2, self.N), 0.5 * rng.normal(self.N))
+        self.w0 = rng.normal(self.N)
+        self.m0 = 0.1 * rng.normal(self.N)
+        self.v0 = np.tile([10.0, 0.01], self.N // 2)
+        self.rng = rng
+        self.cfg = OptimizerConfig(family="soap_lite", theta=self.THETA, weight_decay=0.0,
+                                   lite=self.POLICY)
+
+    def lite_state(self, role):
+        state = init_state((1, self.N), role, self.cfg)
+        state.m, state.v = self.m0[None, :].copy(), self.v0[None, :].copy()
+        return state
+
+    def flow_step(self, p, f):
+        scale = 1.0 - self.THETA
+        pol = self.POLICY
+        params = FlowParams(alpha=scale, beta=(pol.beta1 / scale, pol.beta2 / scale),
+                            eta_of_t=self.LR * scale, chi=pol.chi, projector_sharp=p,
+                            metric=f)
+        return semi_implicit_step(DynamicsState(self.w0, self.m0 / scale), self.spec,
+                                  params, 1.0)
+
+    def assert_same_step(self, flow, w_opt, m_opt):
+        def rel_gap(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        assert rel_gap(flow.w, w_opt) < 1e-13
+        assert rel_gap(flow.m, m_opt / (1.0 - self.THETA)) < 1e-15
+
+    def test_adam_lite_step_is_one_flow_step(self):
+        state = self.lite_state("embedding")
+        ctrl = state.mask_ctrl
+        g = self.spec.grad(self.w0)
+        w_opt = step_adamw(self.w0[None, :], state, g[None, :], self.LR, self.cfg)[0]
+        mask = smoothed_sharp_mask(state.v, ctrl)[0]
+        assert sorted(set(mask.tolist())) == [0.0, 1.0]
+        f = np.diag(np.sqrt(state.v[0]) + self.cfg.epsilon)
+        self.assert_same_step(self.flow_step(np.diag(mask), f), w_opt, state.m[0])
+
+    def test_soap_lite_step_is_one_flow_step(self):
+        state = self.lite_state("muon")
+        # at step 0 no QR refresh runs, so the step rotates by this q_r
+        state.q_r, _ = qr_decompose(self.rng.normal((self.N, self.N)))
+        ctrl, q = state.mask_ctrl, state.q_r
+        g = self.spec.grad(self.w0)
+        w_opt = step_soap(self.w0[None, :], state, g[None, :], self.LR, self.cfg)[0]
+        mask = smoothed_sharp_mask(state.v, ctrl)[0]
+        assert sorted(set(mask.tolist())) == [0.0, 1.0]
+        p = q @ np.diag(mask) @ q.T
+        f = q @ np.diag(np.sqrt(state.v[0]) + self.cfg.epsilon) @ q.T
+        self.assert_same_step(self.flow_step(p, f), w_opt, state.m[0])
 
 
 class TestRk4Flow:

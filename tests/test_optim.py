@@ -645,8 +645,8 @@ class TestTrivialPolicySkip:
         import flatopt.optim as optim_mod
 
         calls = []
-        lite_weights = optim_mod._lite_weights
-        monkeypatch.setattr(optim_mod, "_lite_weights",
+        lite_weights = optim_mod.lite_weights
+        monkeypatch.setattr(optim_mod, "lite_weights",
                             lambda *args: calls.append(args) or lite_weights(*args))
         cfg = cfg_for(family, lite=policy,
                       **({"qr_refresh_every": 3} if family == "soap_lite" else {}))

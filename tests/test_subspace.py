@@ -58,33 +58,44 @@ class TestSmoothedMask:
 
 class TestControllerUpdate:
     def test_both_up(self):
-        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=2, d_smooth=1), 2, 3)
+        # mean 1.5: 2 entries above tau_s = 1.5, 3 above tau_smooth = 0.75
+        v = np.array([[4.0, 4.0, 1.0, 0.0, 0.0, 0.0]])
+        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=2, d_smooth=1), v)
         assert ctrl.l_s == 1.05
         assert ctrl.l_smooth == 0.525
 
     def test_clamp_binds(self):
-        ctrl = update_soap_controller(ctrl_with(1.0, 0.98, d_s=2, d_smooth=1), 1, 3)
+        # mean 2: the entries at tau_s = 2 are not above it (strict >), so 1
+        # entry counts as sharp and 3 clear tau_smooth = 1.96
+        v = np.array([[8.0, 2.0, 2.0, 0.0, 0.0, 0.0]])
+        ctrl = update_soap_controller(ctrl_with(1.0, 0.98, d_s=2, d_smooth=1), v)
         assert ctrl.l_s == 0.95
         assert ctrl.l_smooth == pytest.approx(0.9025)
         assert ctrl.l_smooth <= 0.95 * ctrl.l_s
 
     def test_both_down(self):
-        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=2, d_smooth=1), 1, 2)
+        # mean 1.25: 1 entry above tau_s = 1.25, 2 above tau_smooth = 0.625
+        v = np.array([[4.0, 1.0, 0.0, 0.0]])
+        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=2, d_smooth=1), v)
         assert ctrl.l_s == 0.95
         assert ctrl.l_smooth == 0.475
 
     def test_counts_compared_to_different_targets(self):
-        # count_above_s against d_s, count_above_smooth against d_s + d_smooth
-        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=3, d_smooth=2), 3, 4)
+        # count above tau_s against d_s, count above tau_smooth against
+        # d_s + d_smooth: mean 1.625 puts 3 entries above 1.625, 4 above 0.8125
+        v = np.array([[4.0, 4.0, 4.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+        ctrl = update_soap_controller(ctrl_with(1.0, 0.5, d_s=3, d_smooth=2), v)
         assert ctrl.l_s == 1.05
         assert ctrl.l_smooth == 0.475
 
     def test_clamp_survives_random_sequences(self):
         rng = SplitMix64(22)
         ctrl = ctrl_with(1.0, 0.5, d_s=3, d_smooth=2)
-        counts = rng.integers(0, 8, 20000).reshape(10000, 2)
-        for a, b in counts:
-            ctrl = update_soap_controller(ctrl, int(a), int(b))
+        # a random spread per step, near flat to heavy tailed, drives all four
+        # feedback directions, and the clamp binds on about one step in ten
+        z = rng.normal((10000, 9))
+        for row in np.exp(z[:, :8] * z[:, 8:] ** 2):
+            ctrl = update_soap_controller(ctrl, row.reshape(2, 4))
             assert 0.0 < ctrl.l_smooth <= 0.95 * ctrl.l_s + 1e-15
 
     def test_construction_validation(self):
