@@ -23,7 +23,7 @@ from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        semi_implicit_step)
 from .harness import ConfigError, parse_config, parse_list, run_experiment
 from .landscapes import alignment_experiment
-from .quadratic import QuadraticSpec, analyze_mode
+from .quadratic import QuadraticSpec, analyze_mode, simulate_recurrence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -146,15 +146,11 @@ def _cmd_dynamics_check(args) -> int:
 
     params = FlowParams(alpha=0.2, beta=0.0, eta_of_t=0.05)
     state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-    w = state.w.copy()
-    m = state.m.copy()
     s = state
     for _ in range(25):
         s = semi_implicit_step(s, quad, params, 1.0)
-        g = quad.grad(w)
-        m = (1.0 - 0.2) * m + g
-        w = w - 0.05 * (m + 0.0 * g)
-    exact = float(np.abs(s.w - w).max() + np.abs(s.m - m).max())
+    sim = simulate_recurrence(quad, 0.2, 0.0, 0.05, state.w, state.m, 25)
+    exact = float(np.abs(s.w - sim.trajectory[-1]).max() + np.abs(s.m - sim.momentum).max())
     checks.append(("semi_implicit_h1_gap", exact, 0.0))
 
     ref = rk4_flow(state, quad, params, 1.0)

@@ -194,21 +194,22 @@ def _rk4(quadratic: QuadraticSpec, params: FlowParams, w, m, t: float, t_end: fl
     return w, m
 
 
-def _rk4_per_coordinate(quadratic: QuadraticSpec, make_advance, state0, times, h: float):
+def _rk4_per_coordinate(quadratic: QuadraticSpec, advance, state0, times, h: float):
     """Integrate a flow whose coordinates are decoupled, one coordinate at a
-    time. state0 holds the flow's variables as d-vectors; make_advance(lam, b)
-    returns advance(y, t, n_steps, step), which runs one coordinate's
-    variables, as Python floats, through n_steps RK4 steps from t. Returns the
-    trajectory sampled at times, each row the variables concatenated."""
+    time. state0 holds the flow's variables as d-vectors. advance(lam, b, y,
+    t, n_steps, step) runs the variables y of the coordinate with eigenvalue
+    lam and offset b, a sequence of Python floats in state0's order, through
+    n_steps RK4 steps of size step from t, and returns them in that order.
+    Returns the trajectory sampled at times, each row the variables
+    concatenated."""
     d = quadratic.dim
     traj = np.empty((len(times), len(state0) * d))
     traj[0] = np.concatenate([np.asarray(v, dtype=float) for v in state0])
     start = traj[0].tolist()
     for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
-        advance = make_advance(lam, b)
         y = start[i::d]
         for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
-            y = advance(y, t, *_fine_steps(t_next - t, h))
+            y = advance(lam, b, y, t, *_fine_steps(t_next - t, h))
             traj[k, i::d] = y
     return traj
 
@@ -238,29 +239,27 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
         return DynamicsState(w, m, t_end)
     alpha, beta, eta_at = params.alpha, params.beta_pair()[0], params.eta_at
 
-    def make_advance(lam, b):
-        def advance(y, t, n_steps, step):
-            w, m = y
-            half, sixth = 0.5 * step, step / 6.0
-            for _ in range(n_steps):
-                g = lam * w + b
-                k1w, k1m = -eta_at(t) * (m + beta * g), -alpha * m + g
-                w2, m2 = w + half * k1w, m + half * k1m
-                g = lam * w2 + b
-                k2w, k2m = -eta_at(t + half) * (m2 + beta * g), -alpha * m2 + g
-                w3, m3 = w + half * k2w, m + half * k2m
-                g = lam * w3 + b
-                k3w, k3m = -eta_at(t + half) * (m3 + beta * g), -alpha * m3 + g
-                w4, m4 = w + step * k3w, m + step * k3m
-                g = lam * w4 + b
-                k4w, k4m = -eta_at(t + step) * (m4 + beta * g), -alpha * m4 + g
-                w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-                t += step
-            return w, m
-        return advance
+    def advance(lam, b, y, t, n_steps, step):
+        w, m = y
+        half, sixth = 0.5 * step, step / 6.0
+        for _ in range(n_steps):
+            g = lam * w + b
+            k1w, k1m = -eta_at(t) * (m + beta * g), -alpha * m + g
+            w2, m2 = w + half * k1w, m + half * k1m
+            g = lam * w2 + b
+            k2w, k2m = -eta_at(t + half) * (m2 + beta * g), -alpha * m2 + g
+            w3, m3 = w + half * k2w, m + half * k2m
+            g = lam * w3 + b
+            k3w, k3m = -eta_at(t + half) * (m3 + beta * g), -alpha * m3 + g
+            w4, m4 = w + step * k3w, m + step * k3m
+            g = lam * w4 + b
+            k4w, k4m = -eta_at(t + step) * (m4 + beta * g), -alpha * m4 + g
+            w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            t += step
+        return w, m
 
-    traj = _rk4_per_coordinate(quadratic, make_advance, (state.w, state.m), [state.t, t_end], h)
+    traj = _rk4_per_coordinate(quadratic, advance, (state.w, state.m), [state.t, t_end], h)
     return DynamicsState(traj[-1, :d], traj[-1, d:], t_end)
 
 
@@ -349,29 +348,27 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     if state0 is None:
         state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
 
-    def make_advance(lam, b):
-        def advance(y, _t, n_steps, step):
-            w, f, s = y
-            half, sixth = 0.5 * step, step / 6.0
-            for _ in range(n_steps):
-                g = lam * w + b
-                k1w, k1f, k1s = -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
-                w2, f2, s2 = w + half * k1w, f + half * k1f, s + half * k1s
-                g = lam * w2 + b
-                k2w, k2f, k2s = -eta * (f2 + kap * s2), -a1 * f2 + a1 * g, -a2 * s2 + a2 * g
-                w3, f3, s3 = w + half * k2w, f + half * k2f, s + half * k2s
-                g = lam * w3 + b
-                k3w, k3f, k3s = -eta * (f3 + kap * s3), -a1 * f3 + a1 * g, -a2 * s3 + a2 * g
-                w4, f4, s4 = w + step * k3w, f + step * k3f, s + step * k3s
-                g = lam * w4 + b
-                k4w, k4f, k4s = -eta * (f4 + kap * s4), -a1 * f4 + a1 * g, -a2 * s4 + a2 * g
-                w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                f = f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-                s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            return w, f, s
-        return advance
+    def advance(lam, b, y, _t, n_steps, step):
+        w, f, s = y
+        half, sixth = 0.5 * step, step / 6.0
+        for _ in range(n_steps):
+            g = lam * w + b
+            k1w, k1f, k1s = -eta * (f + kap * s), -a1 * f + a1 * g, -a2 * s + a2 * g
+            w2, f2, s2 = w + half * k1w, f + half * k1f, s + half * k1s
+            g = lam * w2 + b
+            k2w, k2f, k2s = -eta * (f2 + kap * s2), -a1 * f2 + a1 * g, -a2 * s2 + a2 * g
+            w3, f3, s3 = w + half * k2w, f + half * k2f, s + half * k2s
+            g = lam * w3 + b
+            k3w, k3f, k3s = -eta * (f3 + kap * s3), -a1 * f3 + a1 * g, -a2 * s3 + a2 * g
+            w4, f4, s4 = w + step * k3w, f + step * k3f, s + step * k3s
+            g = lam * w4 + b
+            k4w, k4f, k4s = -eta * (f4 + kap * s4), -a1 * f4 + a1 * g, -a2 * s4 + a2 * g
+            w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            f = f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+            s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        return w, f, s
 
-    traj = _rk4_per_coordinate(quadratic, make_advance, state0, t_grid.tolist(), FINE_STEP)
+    traj = _rk4_per_coordinate(quadratic, advance, state0, t_grid.tolist(), FINE_STEP)
     return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .landscapes import (Landscape, MlpSpec, RiverValleySpec, mlp_landscape,
+from .landscapes import (Landscape, MlpLandscape, MlpSpec, RiverValleySpec,
                          quadratic_landscape, river_valley_landscape)
 from .optim import (FAMILY_KEYS, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
                     init_states, lr_at, resolve_stepper, route_and_step)
@@ -212,7 +212,7 @@ def build_landscape(config: ExperimentConfig) -> Landscape:
         return quadratic_landscape(config.landscape)
     if config.landscape_kind == "river_valley":
         return river_valley_landscape(config.landscape)
-    return mlp_landscape(config.landscape, config.seed)
+    return MlpLandscape(config.landscape, config.seed)
 
 
 def _fmt(x) -> str:

@@ -53,8 +53,10 @@ class Landscape:
         self.fixed_batch = None
 
     def unpack(self, w):
-        """Flat vector -> named block matrices."""
+        """Flat vector of length ``dim`` -> named block matrices."""
         w = np.asarray(w, dtype=float)
+        if w.shape != (self.dim,):
+            raise ValueError(f"expected a vector of shape ({self.dim},), got {w.shape}")
         return {name: w[b.start:b.start + b.size].reshape(b.shape)
                 for name, b in self.blocks.items()}
 
@@ -324,8 +326,13 @@ class MlpLandscape(Landscape):
         return np.concatenate([g.ravel() for g in self.block_grads_on_batch(w, batch).values()])
 
 
-def mlp_landscape(spec: MlpSpec, seed: int) -> MlpLandscape:
-    return MlpLandscape(spec, seed)
+def _mean_hessian(landscape, block_name: str, mats, entry_sets):
+    """Mean of the symmetrized ``block_fd_hessian`` of each entry set."""
+    acc = np.zeros((len(entry_sets[0]),) * 2)
+    for entries in entry_sets:
+        h = landscape.block_fd_hessian(block_name, mats, entries)
+        acc += 0.5 * (h + h.T)
+    return acc / len(entry_sets)
 
 
 def mean_row_hessian(landscape, block_name: str, mats):
@@ -333,21 +340,13 @@ def mean_row_hessian(landscape, block_name: str, mats):
     x n for an m x n block): the Hessian of the loss with respect to a
     single row's parameters, from ``landscape.block_fd_hessian``, symmetrized."""
     m, n = landscape.blocks[block_name].shape
-    acc = np.zeros((n, n))
-    for i in range(m):
-        h = landscape.block_fd_hessian(block_name, mats, i * n + np.arange(n))
-        acc += 0.5 * (h + h.T)
-    return acc / m
+    return _mean_hessian(landscape, block_name, mats, [i * n + np.arange(n) for i in range(m)])
 
 
 def mean_col_hessian(landscape, block_name: str, mats):
     """Average over columns of the symmetrized per-column Hessians (m x m)."""
     m, n = landscape.blocks[block_name].shape
-    acc = np.zeros((m, m))
-    for j in range(n):
-        h = landscape.block_fd_hessian(block_name, mats, j + n * np.arange(m))
-        acc += 0.5 * (h + h.T)
-    return acc / n
+    return _mean_hessian(landscape, block_name, mats, [j + n * np.arange(m) for j in range(n)])
 
 
 def gram_alignment_curve(reference, gram, d_s: int, k_grid):
@@ -381,7 +380,7 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int, k
     the side's dimension and a size repeated by the clamp is dropped.
     Returns {block: {"row": curve, "col": curve}}.
     """
-    land = mlp_landscape(spec, seed)
+    land = MlpLandscape(spec, seed)
     mats = land.unpack(land.initial_point)
     cfg = OptimizerConfig("adamw")
     sched = ScheduleSpec("constant", 1e-3, 0, max(train_steps, 1))

@@ -184,6 +184,7 @@ class SimulationResult:
     errors: np.ndarray              # trajectory minus the stationary point
     fitted_rates: np.ndarray        # per-mode slope of log|e_k|, nan if unfittable
     diverged: bool
+    momentum: np.ndarray            # m after the last step run
 
 
 def simulate_recurrence(spec: QuadraticSpec, alpha: float, beta: float, eta: float,
@@ -228,7 +229,7 @@ def simulate_recurrence(spec: QuadraticSpec, alpha: float, beta: float, eta: flo
         kc = ks - ks.mean()
         rates[i] = (kc @ (logz - logz.mean())) / (kc @ kc)
     return SimulationResult(trajectory=traj, errors=errors, fitted_rates=rates,
-                           diverged=diverged)
+                           diverged=diverged, momentum=m)
 
 
 @dataclasses.dataclass(frozen=True)

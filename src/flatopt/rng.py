@@ -83,7 +83,7 @@ class SplitMix64:
     """Counter-based SplitMix64 stream; bulk draws are vectorized over numpy."""
 
     def __init__(self, seed):
-        self.state = int(seed) & _MASK
+        self.state = operator.index(seed) & _MASK
 
     def _raw(self, n):
         n = _size(n)

@@ -20,10 +20,10 @@ from flatopt.dynamics import (
 )
 from flatopt.harness import parse_config, run_experiment
 from flatopt.landscapes import (
+    MlpLandscape,
     MlpSpec,
     alignment_experiment,
     gram_alignment_curve,
-    mlp_landscape,
 )
 from flatopt.linalg import frobenius, svd_oracle
 from flatopt.optim import (
@@ -78,7 +78,7 @@ def _first_index_below(values, tol):
 # 1. Trivial acceleration policy reproduces the plain optimizers bit for bit.
 
 def _run_twin_trajectories(base_family, lite_family, steps=200):
-    land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=11)
+    land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=11)
     sched = ScheduleSpec("constant", 0.01, 0, steps)
     cfgs = {
         "base": OptimizerConfig(family=base_family),

@@ -211,6 +211,7 @@ class TestSemiImplicitStep:
         sim = simulate_recurrence(spec, alpha, beta, eta, w0, m0, 200)
         assert not sim.diverged
         assert np.array_equal(np.array(flow), sim.trajectory)
+        assert np.array_equal(state.m, sim.momentum)
 
     def test_nonpositive_h_rejected(self):
         spec = QuadraticSpec([1.0])

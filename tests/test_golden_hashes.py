@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from flatopt import optim
 from flatopt.harness import parse_config
 
 SCRIPT_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_hashes.py"
@@ -38,6 +39,12 @@ def test_entries_are_47_unique_names():
     names = [name for name, _ in GOLDEN.entries()]
     assert len(names) == 47
     assert len(set(names)) == len(names)
+
+
+def test_families_are_the_optimizer_families():
+    # a family added to optim must also enter the byte record
+    assert sorted(GOLDEN.FAMILIES) == sorted(optim.FAMILIES)
+    assert {f for f in GOLDEN.FAMILIES if f.endswith("_lite")} == optim.LITE_FAMILIES
 
 
 def test_every_config_entry_parses():

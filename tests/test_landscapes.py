@@ -11,13 +11,13 @@ from flatopt import landscapes
 from flatopt.landscapes import (
     BlockLayout,
     Landscape,
+    MlpLandscape,
     MlpSpec,
     RiverValleySpec,
     alignment_experiment,
     gram_alignment_curve,
     mean_col_hessian,
     mean_row_hessian,
-    mlp_landscape,
     quadratic_landscape,
     river_valley_landscape,
 )
@@ -103,6 +103,13 @@ class TestLayoutAndPacking:
         assert mats["all"].shape == (1, 2)
         assert np.array_equal(land.pack(mats), w)
 
+    @pytest.mark.parametrize("shape", [(8,), (10,), (20,), (1, 9)])
+    def test_unpack_rejects_another_shape(self, shape):
+        # the 2-3-1 MLP has 9 parameters; a longer vector must not lose its tail
+        land = MlpLandscape(MlpSpec(widths=(2, 3, 1), batch_size=4), seed=1)
+        with pytest.raises(ValueError, match=r"shape \(9,\), got"):
+            land.unpack(np.zeros(shape))
+
 
 class TestQuadraticLandscape:
     spec = QuadraticSpec(np.array([2.0, 1.0]), np.array([1.0, -1.0]))
@@ -160,7 +167,7 @@ class TestMlp:
 
     def test_param_count_and_roles(self):
         assert self.spec.param_count == 6 * 10 + 10 * 10 + 10 * 4
-        land = mlp_landscape(self.spec, seed=7)
+        land = MlpLandscape(self.spec, seed=7)
         assert land.blocks["layer0"].role == "embedding"
         assert land.blocks["layer1"].role == "muon"
         assert land.blocks["layer2"].role == "output"
@@ -180,9 +187,9 @@ class TestMlp:
             MlpSpec(widths=(4, 4, 4), batch_size=0)
 
     def test_everything_reproducible_from_seed(self):
-        a = mlp_landscape(self.spec, seed=21)
-        b = mlp_landscape(self.spec, seed=21)
-        c = mlp_landscape(self.spec, seed=22)
+        a = MlpLandscape(self.spec, seed=21)
+        b = MlpLandscape(self.spec, seed=21)
+        c = MlpLandscape(self.spec, seed=22)
         assert np.array_equal(a.initial_point, b.initial_point)
         assert loss_at(a, a.initial_point) == loss_at(b, b.initial_point)
         assert not np.array_equal(a.initial_point, c.initial_point)
@@ -192,7 +199,7 @@ class TestMlp:
         assert not np.array_equal(xa, a.fresh_batch(4)[0])
 
     def test_zero_output_weights_kill_upstream_gradients(self):
-        land = mlp_landscape(self.spec, seed=5)
+        land = MlpLandscape(self.spec, seed=5)
         mats = dict(land.unpack(land.initial_point), layer2=np.zeros((10, 4)))
         _, grads = land.loss_and_block_grads(mats, land.fixed_batch)
         assert np.array_equal(grads["layer0"], np.zeros((6, 10)))
@@ -200,7 +207,7 @@ class TestMlp:
         assert np.abs(grads["layer2"]).max() > 0.0
 
     def test_gradient_against_finite_differences(self):
-        land = mlp_landscape(self.spec, seed=11)
+        land = MlpLandscape(self.spec, seed=11)
         w = land.initial_point.copy()
         g = grad_at(land, w)
         coords = SplitMix64(2).integers(0, land.dim, n=20)
@@ -208,14 +215,14 @@ class TestMlp:
         np.testing.assert_allclose(g[coords], fd, rtol=1e-4, atol=1e-9)
 
     def test_teacher_weights_reach_the_noise_floor(self):
-        land = mlp_landscape(self.spec, seed=17)
+        land = MlpLandscape(self.spec, seed=17)
         teacher = {f"layer{i}": t for i, t in enumerate(land._teacher)}
         loss, _ = land.loss_and_block_grads(teacher, land.fixed_batch)
         # residual at the teacher is exactly the injected noise
         assert 0.0 < loss < 10.0 * self.spec.noise_sigma ** 2
 
     def test_short_training_run_descends(self):
-        land = mlp_landscape(self.spec, seed=3)
+        land = MlpLandscape(self.spec, seed=3)
         mats = land.unpack(land.initial_point)
         cfg = OptimizerConfig("adamw", clip_norm=1e9)
         sched = ScheduleSpec("constant", 1e-2, 0, 50)
@@ -238,7 +245,7 @@ class TestLossAndBlockGrads:
 
     @pytest.mark.parametrize("widths", [(6, 8, 8, 4), (16, 8, 24, 4)])
     def test_mlp_matches_flat_batch_routes(self, widths):
-        land = mlp_landscape(MlpSpec(widths=widths, batch_size=8), seed=7)
+        land = MlpLandscape(MlpSpec(widths=widths, batch_size=8), seed=7)
         mats = self.mats_at(land, 3)
         w = land.pack(mats)
         batches = [land.fresh_batch(1), land.fresh_batch(9), land.fixed_batch,
@@ -270,7 +277,7 @@ class TestLossAndBlockGrads:
     @pytest.mark.parametrize("land", [
         quadratic_landscape(QUADRATIC),
         river_valley_landscape(RiverValleySpec(3, 3, 50.0)),
-        mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=7),
+        MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=7),
     ], ids=["quadratic", "river_valley", "mlp"])
     def test_one_gradient_per_block_in_blocks_order(self, land):
         _, grads = land.loss_and_block_grads(self.mats_at(land, 6), land.fixed_batch)
@@ -313,7 +320,7 @@ class TestStepBatches:
         ((6, 8, 8, 4), 8, 1, 0),
     ], ids=["32-96-96-16", "32-96-96-16-from-5", "8-16-16-4-gram", "6-8-8-4", "3-1-2", "empty"])
     def test_chunks_yield_the_fresh_batches(self, monkeypatch, widths, batch_size, first, last):
-        land = mlp_landscape(MlpSpec(widths=widths, batch_size=batch_size), seed=6)
+        land = MlpLandscape(MlpSpec(widths=widths, batch_size=batch_size), seed=6)
         drawn = self.spy_on_draws(land, monkeypatch)
         got = list(land.step_batches(first, last))
         assert [label for chunk in drawn for label in chunk] == \
@@ -326,14 +333,14 @@ class TestStepBatches:
             assert x.tobytes() == xf.tobytes() and y.tobytes() == yf.tobytes()
 
     def test_chunk_shorter_than_a_run_on_the_large_mlp(self, monkeypatch):
-        land = mlp_landscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
+        land = MlpLandscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
         drawn = self.spy_on_draws(land, monkeypatch)
         list(land.step_batches(1, 20))
         assert 1 < len(drawn[0]) < 20
         assert all(len(chunk) <= len(drawn[0]) for chunk in drawn)
 
     def test_batches_are_drawn_lazily(self, monkeypatch):
-        land = mlp_landscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
+        land = MlpLandscape(MlpSpec(widths=(32, 96, 96, 16)), seed=1)
         drawn = self.spy_on_draws(land, monkeypatch)
         batches = land.step_batches(1, 1000)
         assert drawn == []
@@ -341,7 +348,7 @@ class TestStepBatches:
         assert len(drawn) == 1 and len(drawn[0]) < 1000
 
     def test_one_chunk_per_step_at_the_smallest_bound(self, monkeypatch):
-        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
+        land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
         whole = [x.tobytes() + y.tobytes() for x, y in land.step_batches(3, 9)]
         monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
         drawn = self.spy_on_draws(land, monkeypatch)
@@ -349,7 +356,7 @@ class TestStepBatches:
         assert drawn == [[f"batch/{k}"] for k in range(3, 10)]
 
     def test_fixed_batch_is_the_data_stream(self):
-        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=4)
+        land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=4)
         x, y = reference_batch(land, "data")
         assert land.fixed_batch[0].tobytes() == x.tobytes()
         assert land.fixed_batch[1].tobytes() == y.tobytes()
@@ -365,7 +372,7 @@ class TestStepBatches:
 
 
 def test_mlp_landscape_freed_without_a_collection():
-    land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=1)
+    land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=1)
     loss_at(land, land.initial_point)
     ref = weakref.ref(land)
     del land
@@ -409,7 +416,7 @@ class TestFdHessians:
         """The stacked passes give the per-coordinate loop's bytes on every
         block; this fails on a numpy or BLAS whose stacked matmul does not
         compute each slice as the 2-D product."""
-        land = mlp_landscape(MlpSpec(widths=widths, batch_size=batch_size), seed=4)
+        land = MlpLandscape(MlpSpec(widths=widths, batch_size=batch_size), seed=4)
         w = land.initial_point + 0.3 * SplitMix64(9).normal((land.dim,))
         mats = land.unpack(w)
         for name, layout in land.blocks.items():
@@ -424,7 +431,7 @@ class TestFdHessians:
     def test_mlp_stacked_passes_split_into_chunks(self, monkeypatch):
         """One entry per pass gives the bytes of one pass over every entry,
         and both give the per-coordinate loop's."""
-        land = mlp_landscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
+        land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
         w = land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,))
         mats = land.unpack(w)
         entries = np.arange(0, 64, 3)
@@ -468,7 +475,7 @@ class TestAlignmentCurves:
         # 8 exceeds the 6- and 4-sized sides; the clamp must not repeat a size
         spec = MlpSpec(widths=(6, 8, 4), batch_size=8)
         sides = {name: {"row": layout.shape[1], "col": layout.shape[0]}
-                 for name, layout in mlp_landscape(spec, 29).blocks.items()}
+                 for name, layout in MlpLandscape(spec, 29).blocks.items()}
         curves = alignment_experiment(spec, seed=29, train_steps=2, d_s=2,
                                       k_grid=(2, 4, 8, 8))
         assert set(curves) == set(sides)
@@ -483,13 +490,15 @@ class TestAlignmentCurves:
         # raises on the read-only vector
         lands = []
 
+        build = landscapes.MlpLandscape
+
         def build_read_only(spec, seed):
-            land = landscapes.MlpLandscape(spec, seed)
+            land = build(spec, seed)
             land.initial_point.flags.writeable = False
             lands.append((land, land.initial_point.copy()))
             return land
 
-        monkeypatch.setattr(landscapes, "mlp_landscape", build_read_only)
+        monkeypatch.setattr(landscapes, "MlpLandscape", build_read_only)
         alignment_experiment(MlpSpec(widths=(6, 8, 4), batch_size=8), seed=29, train_steps=5,
                              d_s=2, k_grid=(2, 4))
         (land, initial), = lands

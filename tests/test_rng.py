@@ -105,6 +105,17 @@ class TestRejections:
             draw(r)
         assert r.state == 1
 
+    @pytest.mark.parametrize("seed", [1.9, "1"])
+    def test_non_integer_seed(self, seed):
+        # a float seed must not truncate to another seed's stream
+        with pytest.raises(TypeError):
+            SplitMix64(seed)
+
+    def test_integer_seeds_are_masked_to_64_bits(self):
+        assert SplitMix64(-1).state == 2 ** 64 - 1
+        assert SplitMix64(np.int64(-2)).state == 2 ** 64 - 2
+        assert SplitMix64(2 ** 64 + 5).state == 5
+
 
 _MASK = (1 << 64) - 1
 
