@@ -95,8 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    """The parsed config file, read as UTF-8 with or without a byte-order mark."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8: {err}") from None
+    return parse_config(text)
 
 
 def _cmd_run(args) -> int:

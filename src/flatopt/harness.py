@@ -6,7 +6,9 @@ comments. Sections: run (seed, steps, log_every, output_path), landscape
 only with a lite family), schedule. Every key outside run.* and
 landscape.kind is a field of OptimizerConfig, LitePolicy, ScheduleSpec or
 the kind's spec (QuadraticSpec, RiverValleySpec, MlpSpec), parsed by its
-annotation; the spec is built, and checked, at parse time. Example::
+annotation. Each type checks its own values (run.* in ExperimentConfig) when
+the parser builds it, and a rejection that begins with a key names its line.
+Example::
 
     run.seed = 42
     run.steps = 200
@@ -31,7 +33,7 @@ import numpy as np
 
 from .landscapes import (Landscape, MlpLandscape, MlpSpec, RiverValleySpec,
                          quadratic_landscape, river_valley_landscape)
-from .optim import (FAMILY_KEYS, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
+from .optim import (LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
                     init_states, lr_at, resolve_stepper, route_and_step)
 from .quadratic import QuadraticSpec
 
@@ -54,6 +56,17 @@ class ExperimentConfig:
     landscape: QuadraticSpec | RiverValleySpec | MlpSpec
     optimizer: OptimizerConfig
     schedule: ScheduleSpec
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
+        if self.schedule.total_steps < self.steps:
+            raise ValueError(f"schedule.total_steps {self.schedule.total_steps} "
+                             f"is below run.steps {self.steps}")
 
 
 def _parse_int(raw: str) -> int:
@@ -111,9 +124,14 @@ _REQUIRED = (("run", "seed"), ("run", "steps"), ("landscape", "kind"),
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Validate and type every key; reject anything outside the schema."""
-    values = {}
-    lines = {}
+    """Type every key, reject text outside the schema, and build the config.
+
+    The parser owns only the rules about the text; each value rule lives on
+    the type it checks. A rule's message that begins with a key, bare (of
+    the section being built) or as 'section.key', is reported at its line.
+    """
+    sections = {section: {} for section in _SCHEMA}  # section -> key -> typed value
+    lines = {}  # (section, key) -> line number
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -128,83 +146,50 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown section '{section}'")
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{name}'")
-        if (section, key) in values:
+        if key in sections[section]:
             raise ConfigError(f"line {lineno}: duplicate key '{name}' (first set on line {lines[(section, key)]})")
         try:
-            values[(section, key)] = _SCHEMA[section][key](raw_value)
+            sections[section][key] = _SCHEMA[section][key](raw_value)
         except (ValueError, TypeError):
             raise ConfigError(f"line {lineno}: malformed value '{raw_value}' for '{name}'") from None
         lines[(section, key)] = lineno
 
     for section, key in _REQUIRED:
-        if (section, key) not in values:
+        if key not in sections[section]:
             raise ConfigError(f"missing required key '{section}.{key}'")
 
-    seed = values[("run", "seed")]
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"line {lines[('run', 'seed')]}: seed must be an unsigned 64-bit integer")
-    steps = values[("run", "steps")]
-    if steps < 1:
-        raise ConfigError(f"line {lines[('run', 'steps')]}: steps must be >= 1")
-    log_every = values.get(("run", "log_every"), 1)
-    if log_every < 1:
-        raise ConfigError(f"line {lines[('run', 'log_every')]}: log_every must be >= 1")
-
-    kind = values[("landscape", "kind")]
+    kind = sections["landscape"].pop("kind")
     if kind not in _LANDSCAPE_SPECS:
         raise ConfigError(f"line {lines[('landscape', 'kind')]}: unknown landscape kind '{kind}'")
     spec_fields = dataclasses.fields(_LANDSCAPE_SPECS[kind])
-    spec_keys = {field.name for field in spec_fields}
-    land_params = {}
-    for (section, key), value in values.items():
-        if section != "landscape" or key == "kind":
-            continue
-        if key not in spec_keys:
-            raise ConfigError(f"line {lines[(section, key)]}: key 'landscape.{key}' "
+    for key in sections["landscape"]:
+        if key not in {field.name for field in spec_fields}:
+            raise ConfigError(f"line {lines[('landscape', key)]}: key 'landscape.{key}' "
                               f"is not valid for landscape kind '{kind}'")
-        land_params[key] = value
     for field in spec_fields:
-        if field.default is dataclasses.MISSING and field.name not in land_params:
+        if field.default is dataclasses.MISSING and field.name not in sections["landscape"]:
             raise ConfigError(f"missing required key 'landscape.{field.name}' for kind '{kind}'")
+    is_lite = sections["optimizer"]["family"] in LITE_FAMILIES
+    for key in sections["lite"]:
+        if not is_lite:
+            raise ConfigError(f"line {lines[('lite', key)]}: {key} requires a lite family")
 
-    family = values[("optimizer", "family")]
-    is_lite = family in LITE_FAMILIES
-    for section, key in values:
-        if section == "lite" and not is_lite:
-            raise ConfigError(f"line {lines[(section, key)]}: {key} requires a lite family")
-        if section == "optimizer" and key in FAMILY_KEYS and family not in FAMILY_KEYS[key]:
-            raise ConfigError(f"line {lines[(section, key)]}: optimizer.{key} is read only by "
-                              f"{' and '.join(FAMILY_KEYS[key])}, not by family '{family}'")
-    lite_items = {key: value for (section, key), value in values.items() if section == "lite"}
+    def build(section, cls, **fields):
+        try:
+            return cls(**fields)
+        except ValueError as err:
+            head = str(err).split(" ", 1)[0]
+            key = tuple(head.split(".")) if "." in head else (section, head)
+            raise ConfigError(f"line {lines[key]}: {err}" if key in lines else str(err)) from None
 
-    try:
-        lite = LitePolicy(**lite_items) if is_lite else None
-        optimizer = OptimizerConfig(
-            family=family,
-            lite=lite,
-            **{key: value for (section, key), value in values.items()
-               if section == "optimizer" and key != "family"})
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    total_steps = values.get(("schedule", "total_steps"), steps)
-    if total_steps < steps:
-        raise ConfigError(f"line {lines[('schedule', 'total_steps')]}: schedule.total_steps "
-                          f"{total_steps} is below run.steps {steps}")
-    try:
-        schedule = ScheduleSpec(
-            kind=values[("schedule", "kind")],
-            lr_max=values[("schedule", "lr_max")],
-            warmup_steps=values.get(("schedule", "warmup_steps"), 0),
-            total_steps=total_steps)
-        landscape = _LANDSCAPE_SPECS[kind](**land_params)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    return ExperimentConfig(seed=seed, steps=steps, log_every=log_every,
-                            output_path=values.get(("run", "output_path"), ""),
-                            landscape_kind=kind, landscape=landscape,
-                            optimizer=optimizer, schedule=schedule)
+    lite = build("lite", LitePolicy, **sections["lite"]) if is_lite else None
+    optimizer = build("optimizer", OptimizerConfig, lite=lite, **sections["optimizer"])
+    # at least 1, so that steps < 1 is reported by the run rule, not by ScheduleSpec
+    schedule = build("schedule", ScheduleSpec, **{
+        "warmup_steps": 0, "total_steps": max(sections["run"]["steps"], 1), **sections["schedule"]})
+    landscape = build("landscape", _LANDSCAPE_SPECS[kind], **sections["landscape"])
+    return build("run", ExperimentConfig, **{"log_every": 1, "output_path": "", **sections["run"]},
+                 landscape_kind=kind, landscape=landscape, optimizer=optimizer, schedule=schedule)
 
 
 def build_landscape(config: ExperimentConfig) -> Landscape:

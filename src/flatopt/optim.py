@@ -120,9 +120,9 @@ class ScheduleSpec:
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError("warmup_steps must lie in [0, total_steps]")
         if self.kind in ("cos", "wsd") and self.warmup_steps >= self.total_steps:
-            raise ValueError(f"{self.kind} schedule needs warmup_steps < total_steps")
+            raise ValueError(f"warmup_steps < total_steps is required by a {self.kind} schedule")
         if self.kind == "wsd" and self.warmup_steps > 0.8 * self.total_steps:
-            raise ValueError("wsd warmup must end before the decay phase at 80% of total_steps")
+            raise ValueError("warmup_steps must end before the wsd decay phase at 80% of total_steps")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,12 +4,15 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import flatopt
 from flatopt import cli
@@ -87,6 +90,18 @@ schedule.kind = constant
 schedule.lr_max = 1e300
 """,
 }
+
+
+# a few steps on a small quadratic, for the byte-mutation property
+SMALL_RUN = b"""\
+run.seed = 3
+run.steps = 4
+landscape.kind = quadratic
+landscape.eigenvalues = 2.0, 1.0
+optimizer.family = adamw
+schedule.kind = constant
+schedule.lr_max = 0.01
+"""
 
 
 # A non-default setting for every config key read off a dataclass field:
@@ -358,6 +373,66 @@ class TestParseConfig:
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
+    @pytest.mark.parametrize("base,settings,fragment", [
+        (MINIMAL, {"optimizer.theta": "1.5"}, "line 8: theta must be in [0, 1)"),
+        (MINIMAL.replace("family = adamw", "family = muon_lite"), {"lite.chi": "0.5"},
+         "line 8: chi must be ≥ 1"),
+        (MINIMAL.replace("family = adamw", "family = muon_lite"),
+         {"lite.beta1": "0.5", "lite.beta2": "0.25"}, "line 9: beta2 must be ≥ beta1"),
+        (MINIMAL, {"schedule.warmup_steps": "30"},
+         "line 8: warmup_steps must lie in [0, total_steps]"),
+        (MINIMAL.replace("kind = constant", "kind = wsd"), {"schedule.warmup_steps": "18"},
+         "line 8: warmup_steps must end before the wsd decay phase"),
+        (MINIMAL, {"schedule.lr_max": "-1"}, "line 7: lr_max must be ≥ 0"),
+        (MINIMAL, {"landscape.eigenvalues": "1.0, 2.0"},
+         "line 4: eigenvalues must be sorted descending"),
+        (RIVER_VALLEY, {"landscape.sharp_curvature": "-1"},
+         "line 6: sharp_curvature must be positive and finite"),
+        (MLP_BASE.format(family="adamw"), {"landscape.noise_sigma": "-1"},
+         "line 9: noise_sigma must be finite and >= 0"),
+        (MINIMAL.replace("family = adamw", "family = mars"), {"optimizer.mars_gamma": "1.0"},
+         "line 8: mars_gamma = 1 discards the current gradient"),
+        (MINIMAL.replace("family = adamw", "family = soap"), {"optimizer.qr_refresh_every": "0"},
+         "line 8: qr_refresh_every must be ≥ 1"),
+        (MINIMAL, {"run.log_every": "0"}, "line 8: log_every must be >= 1"),
+        (MINIMAL, {"run.seed": "-1"}, "line 1: seed must be an unsigned 64-bit integer"),
+        # total_steps defaults to run.steps, yet the run rule is the one reported
+        (MINIMAL, {"run.steps": "0"}, "line 2: steps must be >= 1"),
+    ], ids=["theta", "chi", "beta2-below-beta1", "warmup_steps", "wsd-warmup", "lr_max",
+            "eigenvalues", "sharp_curvature", "noise_sigma", "mars_gamma", "qr_refresh_every",
+            "log_every", "seed", "steps"])
+    def test_value_rejection_names_its_line(self, base, settings, fragment):
+        text = base
+        for key, raw in settings.items():
+            text = with_setting(text, key, raw)
+        with pytest.raises(ConfigError, match="^" + re.escape(fragment)):
+            parse_config(text)
+
+    def test_family_key_at_its_default_is_accepted(self):
+        # OptimizerConfig owns the rule: a key the family does not read may
+        # hold only its default, which is what the family runs with anyway
+        cfg = parse_config(MINIMAL + "optimizer.nesterov_beta = 0.0\n")
+        assert cfg.optimizer == OptimizerConfig("adamw")
+
+
+class TestExperimentConfigRules:
+    @pytest.mark.parametrize("change,fragment", [
+        ({"log_every": 0}, "log_every must be >= 1"),
+        ({"steps": 0}, "steps must be >= 1"),
+        ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
+        ({"seed": 2 ** 64}, "seed must be an unsigned 64-bit integer"),
+        ({"steps": 21}, "schedule.total_steps 20 is below run.steps 21"),
+    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "steps-past-schedule"])
+    def test_python_built_config_gets_the_run_rules(self, change, fragment):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValueError, match="^" + re.escape(fragment) + "$"):
+            dataclasses.replace(cfg, **change)
+
+    def test_run_rules_accept_their_bounds(self):
+        cfg = parse_config(MINIMAL)
+        assert dataclasses.replace(cfg, seed=2 ** 64 - 1, log_every=20).seed == 2 ** 64 - 1
+        assert dataclasses.replace(cfg, seed=0, steps=1).steps == 1
+
 
 class TestBuildLandscape:
     def test_quadratic_with_offsets(self):
@@ -554,6 +629,42 @@ class TestCli:
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "align"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(MLP_BASE.format(family="adamw").encode().replace(b"7", b"\xff", 1))
+        assert main([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} is not UTF-8: 'utf-8' codec can't decode")
+
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok steps=20 ")
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, len(SMALL_RUN) - 1),
+                                    st.sampled_from(["insert", "replace", "delete"]),
+                                    st.integers(0, 255)), max_size=3))
+    def test_mutated_config_bytes_run_or_are_config_errors(self, tmp_path, capsys, edits):
+        data = bytearray(SMALL_RUN)
+        for at, op, byte in edits:
+            at = min(at, len(data))
+            if op == "insert":
+                data[at:at] = bytes([byte])
+            elif op == "replace":
+                data[at:at + 1] = bytes([byte])
+            else:
+                del data[at:at + 1]
+        path = tmp_path / "mutated.cfg"
+        path.write_bytes(bytes(data))
+        code = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 10) or (code == 3 and err.startswith("config error: ")), (code, err)
+        assert "Traceback" not in err
 
     def test_run_bad_config(self, tmp_path, capsys):
         path = self.write(tmp_path, "run.sneed = 1\n" + MINIMAL)
