@@ -22,7 +22,7 @@ from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        ademamix_ode_residual, nesterov_forms_trace, rk4_flow,
                        semi_implicit_step)
 from .harness import ConfigError, parse_config, parse_list, run_experiment
-from .landscapes import alignment_experiment
+from .landscapes import MlpSpec, alignment_experiment
 from .quadratic import QuadraticSpec, analyze_mode, simulate_recurrence
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _cmd_quadratic_report(args) -> int:
 
 def _cmd_align(args) -> int:
     config = _load_config(args.config)
-    if config.landscape_kind != "mlp":
+    if not isinstance(config.landscape, MlpSpec):
         raise ConfigError("align requires landscape.kind = mlp")
     curves = alignment_experiment(config.landscape, config.seed, args.train_steps,
                                   args.d_s, args.k_grid)

@@ -1,14 +1,12 @@
 """Experiment configuration, the deterministic runner, and CSV telemetry.
 
-Config files are line-oriented ``section.key = value`` text with ``#``
-comments. Sections: run (seed, steps, log_every, output_path), landscape
-(kind plus kind-specific parameters), optimizer, lite (acceleration knobs,
-only with a lite family), schedule. Every key outside run.* and
-landscape.kind is a field of OptimizerConfig, LitePolicy, ScheduleSpec or
-the kind's spec (QuadraticSpec, RiverValleySpec, MlpSpec), parsed by its
-annotation. Each type checks its own values (run.* in ExperimentConfig) when
-the parser builds it, and a rejection that begins with a key names its line.
-Example::
+Config files are ``section.key = value`` lines, ended by line feeds only,
+with ``#`` comments. Every key except landscape.kind is a field of a type,
+parsed by its annotation: run.* of ExperimentConfig, optimizer.* of
+OptimizerConfig, lite.* (only with a lite family) of LitePolicy, schedule.*
+of ScheduleSpec, and landscape.* of the spec that landscape.kind names. Each
+type checks its own values when the parser builds it, and a rejection that
+begins with a key names its line. Example::
 
     run.seed = 42
     run.steps = 200
@@ -28,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -50,20 +49,26 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     seed: int
     steps: int
-    log_every: int
-    output_path: str
-    landscape_kind: str
     landscape: QuadraticSpec | RiverValleySpec | MlpSpec
     optimizer: OptimizerConfig
     schedule: ScheduleSpec
+    log_every: int = 1
+    output_path: str = ""
 
     def __post_init__(self):
+        for key in ("seed", "steps", "log_every"):
+            try:
+                operator.index(getattr(self, key))
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        if not isinstance(self.landscape, tuple(_LANDSCAPE_SPECS.values())):
+            raise ValueError(f"landscape must be a landscape spec, not {type(self.landscape).__name__}")
         if self.schedule.total_steps < self.steps:
             raise ValueError(f"schedule.total_steps {self.schedule.total_steps} "
                              f"is below run.steps {self.steps}")
@@ -111,7 +116,7 @@ _LANDSCAPE_SPECS = {"quadratic": QuadraticSpec, "river_valley": RiverValleySpec,
 
 # section -> key -> value parser
 _SCHEMA = {
-    "run": {"seed": _parse_int, "steps": _parse_int, "log_every": _parse_int, "output_path": str},
+    "run": _keys(ExperimentConfig, skip=("landscape", "optimizer", "schedule")),
     "landscape": {"kind": str, **{key: parse for spec in _LANDSCAPE_SPECS.values()
                                   for key, parse in _keys(spec).items()}},
     "optimizer": _keys(OptimizerConfig, skip=("lite",)),
@@ -132,7 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     sections = {section: {} for section in _SCHEMA}  # section -> key -> typed value
     lines = {}  # (section, key) -> line number
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -188,14 +193,14 @@ def parse_config(text: str) -> ExperimentConfig:
     schedule = build("schedule", ScheduleSpec, **{
         "warmup_steps": 0, "total_steps": max(sections["run"]["steps"], 1), **sections["schedule"]})
     landscape = build("landscape", _LANDSCAPE_SPECS[kind], **sections["landscape"])
-    return build("run", ExperimentConfig, **{"log_every": 1, "output_path": "", **sections["run"]},
-                 landscape_kind=kind, landscape=landscape, optimizer=optimizer, schedule=schedule)
+    return build("run", ExperimentConfig, landscape=landscape, optimizer=optimizer,
+                 schedule=schedule, **sections["run"])
 
 
 def build_landscape(config: ExperimentConfig) -> Landscape:
-    if config.landscape_kind == "quadratic":
+    if isinstance(config.landscape, QuadraticSpec):
         return quadratic_landscape(config.landscape)
-    if config.landscape_kind == "river_valley":
+    if isinstance(config.landscape, RiverValleySpec):
         return river_valley_landscape(config.landscape)
     return MlpLandscape(config.landscape, config.seed)
 
@@ -246,8 +251,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     family = config.optimizer.family
     if family != "adamw" and all(resolve_stepper(family, layout.role) == "adamw"
                                  for layout in land.blocks.values()):
+        kind = next(kind for kind, spec in _LANDSCAPE_SPECS.items() if isinstance(config.landscape, spec))
         raise ConfigError(f"{family} changes no block of landscape "
-                          f"'{config.landscape_kind}': every block would run plain adamw")
+                          f"'{kind}': every block would run plain adamw")
     mats = land.unpack(land.initial_point)
     states = init_states(land.blocks, config.optimizer)
 

@@ -112,7 +112,7 @@ class ScheduleSpec:
     def __post_init__(self):
         _require_finite(self)
         if self.kind not in ("cos", "wsd", "constant"):
-            raise ValueError(f"unknown schedule kind '{self.kind}'")
+            raise ValueError(f"kind '{self.kind}' is not a schedule kind")
         if self.lr_max < 0.0:
             raise ValueError("lr_max must be ≥ 0")
         if self.total_steps < 1:
@@ -144,7 +144,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family '{self.family}'")
+            raise ValueError(f"family '{self.family}' is unknown")
         defaults = {field.name: field.default for field in dataclasses.fields(self)}
         for key, readers in FAMILY_KEYS.items():
             if self.family not in readers and getattr(self, key) != defaults[key]:

@@ -20,6 +20,7 @@ from flatopt.cli import main
 from flatopt.harness import (
     BLOCK_COLUMNS,
     ConfigError,
+    ExperimentConfig,
     _keys,
     build_landscape,
     csv_header,
@@ -107,6 +108,10 @@ schedule.lr_max = 0.01
 # A non-default setting for every config key read off a dataclass field:
 # key -> (raw value, parsed value).
 KEY_SETTINGS = {
+    "run.seed": ("9", 9),
+    "run.steps": ("12", 12),
+    "run.log_every": ("5", 5),
+    "run.output_path": ("out.csv", "out.csv"),
     "optimizer.family": ("lion", "lion"),
     "optimizer.theta": ("0.9", 0.9),
     "optimizer.beta_v": ("0.95", 0.95),
@@ -144,7 +149,12 @@ KEY_SETTINGS = {
 COMPANIONS = {"landscape.sharp_dim": ("landscape.flat_dim", "3"),
               "landscape.flat_dim": ("landscape.sharp_dim", "3")}
 
+# fields that hold another section's object rather than a config key
+SECTION_FIELDS = {ExperimentConfig: ("landscape", "optimizer", "schedule"),
+                  OptimizerConfig: ("lite",)}
+
 FIELD_OWNERS = [
+    ("run", ExperimentConfig, MINIMAL, lambda cfg: cfg),
     ("optimizer", OptimizerConfig, MINIMAL, lambda cfg: cfg.optimizer),
     ("lite", LitePolicy, MINIMAL.replace("family = adamw", "family = muon_lite"),
      lambda cfg: cfg.optimizer.lite),
@@ -171,7 +181,7 @@ class TestConfigKeysFromFields:
                              ids=[owner[1].__name__ for owner in FIELD_OWNERS])
     def test_every_key_reaches_its_field(self, section, cls, base, owner):
         for field in dataclasses.fields(cls):
-            if cls is OptimizerConfig and field.name == "lite":
+            if field.name in SECTION_FIELDS.get(cls, ()):
                 continue
             key = f"{section}.{field.name}"
             raw, parsed = KEY_SETTINGS[key]
@@ -203,7 +213,6 @@ class TestParseConfig:
         assert cfg.steps == 20
         assert cfg.log_every == 1
         assert cfg.output_path == ""
-        assert cfg.landscape_kind == "quadratic"
         assert isinstance(cfg.landscape, QuadraticSpec)
         assert np.array_equal(cfg.landscape.eigenvalues, [2.0, 1.0])
         assert np.array_equal(cfg.landscape.offsets, [0.0, 0.0])
@@ -238,6 +247,11 @@ class TestParseConfig:
         ("run.a.b = 1", "must be 'section.key'"),
         ("walrus.seed = 1", "unknown section 'walrus'"),
         ("run.sneed = 1", "unknown key 'run.sneed'"),
+        # the run section's keys are ExperimentConfig's fields, less its objects
+        ("run.landscape = mlp", "line 1: unknown key 'run.landscape'"),
+        ("run.optimizer = adamw", "line 1: unknown key 'run.optimizer'"),
+        ("run.schedule = constant", "line 1: unknown key 'run.schedule'"),
+        ("run.landscape_kind = quadratic", "line 1: unknown key 'run.landscape_kind'"),
         ("run.steps = soon", "malformed value 'soon' for 'run.steps'"),
         ("run.seed = -1", "seed must be an unsigned 64-bit integer"),
         ("run.steps = 0", "steps must be >= 1"),
@@ -250,7 +264,7 @@ class TestParseConfig:
         ("optimizer.family = mars\noptimizer.mars_gamma = 1.0",
          "mars_gamma = 1 discards the current gradient"),
         ("lite.chi_norm = 50.0", "line 1: unknown key 'lite.chi_norm'"),
-        ("optimizer.family = sgd", "unknown family 'sgd'"),
+        ("optimizer.family = sgd", "family 'sgd' is unknown"),
         ("optimizer.nesterov_beta = 0.9",
          "line 1: optimizer.nesterov_beta is read only by n_adamw, not by family 'adamw'"),
         # NaN passes every range check, so the parser refuses it outright
@@ -310,6 +324,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError,
                            match="missing required key 'landscape.eigenvalues' for kind 'quadratic'"):
             parse_config(text)
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029", "\r"])
+    def test_only_a_line_feed_ends_a_line(self, separator):
+        # str.splitlines also breaks at these; "\r" before "\n" is a CRLF ending
+        lines = MINIMAL.splitlines()
+        lines[1] += separator
+        lines.insert(5, "optimizer.theta = 2")
+        with pytest.raises(ConfigError, match="^line 6: theta must be in"):
+            parse_config("\n".join(lines) + "\n")
 
     def test_unknown_landscape_kind(self):
         with pytest.raises(ConfigError, match="unknown landscape kind 'banana'"):
@@ -398,9 +422,11 @@ class TestParseConfig:
         (MINIMAL, {"run.seed": "-1"}, "line 1: seed must be an unsigned 64-bit integer"),
         # total_steps defaults to run.steps, yet the run rule is the one reported
         (MINIMAL, {"run.steps": "0"}, "line 2: steps must be >= 1"),
+        (MINIMAL, {"optimizer.family": "sgd"}, "line 5: family 'sgd' is unknown"),
+        (MINIMAL, {"schedule.kind": "linear"}, "line 6: kind 'linear' is not a schedule kind"),
     ], ids=["theta", "chi", "beta2-below-beta1", "warmup_steps", "wsd-warmup", "lr_max",
             "eigenvalues", "sharp_curvature", "noise_sigma", "mars_gamma", "qr_refresh_every",
-            "log_every", "seed", "steps"])
+            "log_every", "seed", "steps", "family", "schedule-kind"])
     def test_value_rejection_names_its_line(self, base, settings, fragment):
         text = base
         for key, raw in settings.items():
@@ -422,7 +448,15 @@ class TestExperimentConfigRules:
         ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
         ({"seed": 2 ** 64}, "seed must be an unsigned 64-bit integer"),
         ({"steps": 21}, "schedule.total_steps 20 is below run.steps 21"),
-    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "steps-past-schedule"])
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+        ({"log_every": 1.5}, "log_every must be an integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"landscape": "mlp"}, "landscape must be a landscape spec, not str"),
+        ({"landscape": None}, "landscape must be a landscape spec, not NoneType"),
+    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "steps-past-schedule",
+            "steps-float", "log_every-float", "seed-float", "seed-str", "landscape-kind-name",
+            "landscape-none"])
     def test_python_built_config_gets_the_run_rules(self, change, fragment):
         cfg = parse_config(MINIMAL)
         with pytest.raises(ValueError, match="^" + re.escape(fragment) + "$"):
@@ -432,6 +466,13 @@ class TestExperimentConfigRules:
         cfg = parse_config(MINIMAL)
         assert dataclasses.replace(cfg, seed=2 ** 64 - 1, log_every=20).seed == 2 ** 64 - 1
         assert dataclasses.replace(cfg, seed=0, steps=1).steps == 1
+        assert dataclasses.replace(cfg, steps=np.int64(3)).steps == 3
+
+    def test_log_every_and_output_path_default_on_the_type(self):
+        cfg = parse_config(MINIMAL)
+        built = ExperimentConfig(seed=1, steps=2, landscape=cfg.landscape,
+                                 optimizer=cfg.optimizer, schedule=cfg.schedule)
+        assert (built.log_every, built.output_path) == (1, "")
 
 
 class TestBuildLandscape:
@@ -440,6 +481,15 @@ class TestBuildLandscape:
         land = build_landscape(cfg)
         assert land.dim == 2
         assert land.loss_and_block_grads(land.unpack(np.zeros(2)), None)[0] == 0.0
+
+    def test_replaced_landscape_runs_as_its_spec(self, tmp_path):
+        # the spec's type is the kind: swapping it in swaps the landscape
+        path = tmp_path / "run.csv"
+        cfg = dataclasses.replace(parse_config(MINIMAL), landscape=MlpSpec((6, 8, 4), 4),
+                                  steps=2, output_path=str(path))
+        assert run_experiment(cfg)["status"] == "ok"
+        header = path.read_text().splitlines()[0].split(",")
+        assert {col.split(".")[0] for col in header[4:]} == {"layer0", "layer1"}
 
     def test_river_valley_and_mlp(self):
         assert build_landscape(parse_config(RIVER_VALLEY)).dim == 4
@@ -494,6 +544,12 @@ class TestRunExperiment:
         # adamw carries no subspace controllers: those columns render as nan
         assert cells[5:] == ["nan", "nan", "nan", "nan"]
         assert float(cells[2]) == pytest.approx(float(cells[2]))  # loss parses back
+
+    def test_family_that_changes_no_block_names_the_landscape(self):
+        cfg = parse_config(RIVER_VALLEY.replace("family = adamw", "family = muon"))
+        with pytest.raises(ConfigError,
+                           match="^muon changes no block of landscape 'river_valley': "):
+            run_experiment(cfg)
 
     def test_no_output_path_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

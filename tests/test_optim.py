@@ -891,7 +891,7 @@ class TestDecoupledDecay:
 
 class TestConfigValidation:
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
+        with pytest.raises(ValueError, match="family 'sgd' is unknown"):
             OptimizerConfig(family="sgd")
 
     @pytest.mark.parametrize("field,value", [
@@ -980,7 +980,7 @@ class TestConfigValidation:
             LitePolicy(**{field: value})
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="unknown schedule kind"):
+        with pytest.raises(ValueError, match="kind 'linear' is not a schedule kind"):
             ScheduleSpec("linear", 1.0, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", -1.0, 0, 10)
