@@ -149,7 +149,7 @@ def _cmd_dynamics_check(args) -> int:
                                      np.linspace(0.0, 10.0, 101))
     checks.append(("ademamix_ode_residual", residual, 1e-8))
 
-    params = FlowParams(alpha=0.2, beta=0.0, eta_of_t=0.05)
+    params = FlowParams(alpha=0.2, beta=0.0, eta=0.05)
     state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
     s = state
     for _ in range(25):

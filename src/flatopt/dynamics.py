@@ -7,9 +7,10 @@ the third-order identity satisfied by the two-timescale momentum flow.
 
 Every flow integrates a QuadraticSpec, the same quadratic the closed-form
 analysis in ``quadratic`` studies, through its exact gradient; H times a
-vector is the eigenvalues times that vector. The metric, when present, is a
-constant SPD matrix (the regime where the curvature-correction terms vanish
-and the stated systems are exact).
+vector is the eigenvalues times that vector. Every coefficient is constant:
+the step-size scale eta is one float, as the h = 1 identities use it, and
+the metric, when present, is a constant SPD matrix (the regime where the
+curvature-correction terms vanish and the stated systems are exact).
 
 The quadratic is diagonal, so a flow without a projector or a metric splits
 into one small system per coordinate. rk4_flow on such a flow, and the
@@ -57,8 +58,9 @@ class FlowParams:
     """Coefficients of the momentum flow.
 
     beta is a single Hessian-damping weight, or a (beta1, beta2) pair for the
-    split flow where the chi-amplified complement uses beta2. eta_of_t is a
-    float or a callable of time. projector_sharp is the constant
+    split flow where the chi-amplified complement uses beta2. eta is the one
+    constant step-size scale, as the h = 1 identities use it: eta = lr (1 -
+    theta) on every step. projector_sharp is the constant square
     sharp-subspace projector P; metric is a constant SPD matrix F (None means
     identity). Both are checked once here, F is eigendecomposed once and P's
     split weights are formed once by optim.lite_weights. Without a projector
@@ -71,7 +73,7 @@ class FlowParams:
 
     alpha: float
     beta: object = 0.0
-    eta_of_t: object = 1.0
+    eta: float = 1.0
     chi: float = 1.0
     projector_sharp: np.ndarray | None = None
     metric: np.ndarray | None = None
@@ -85,13 +87,14 @@ class FlowParams:
         if isinstance(self.beta, tuple) and len(self.beta) != 2:
             raise ValueError("beta pair must have exactly two entries")
         b1, b2 = self.beta_pair()
-        eta = () if callable(self.eta_of_t) else (float(self.eta_of_t),)
-        if not all(map(math.isfinite, (self.alpha, b1, b2, self.chi) + eta)):
+        if not all(map(math.isfinite, (self.alpha, b1, b2, self.chi, self.eta))):
             raise ValueError("flow coefficients must be finite")
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
         if self.projector_sharp is not None:
             p = np.asarray(self.projector_sharp, dtype=float)
+            if p.ndim != 2 or p.shape[0] != p.shape[1]:
+                raise ValueError(f"projector_sharp must be a square matrix, got shape {p.shape}")
             scale = max(1.0, float(np.abs(p).max()))
             if np.abs(p - p.T).max() > PROJECTOR_TOL * scale:
                 raise ValueError("projector_sharp is not symmetric")
@@ -112,11 +115,6 @@ class FlowParams:
             return float(self.beta[0]), float(self.beta[1])
         return float(self.beta), float(self.beta)
 
-    def eta_at(self, t: float) -> float:
-        if callable(self.eta_of_t):
-            return float(self.eta_of_t(t))
-        return float(self.eta_of_t)
-
 
 def _direction(params: FlowParams, m, g):
     """F^{-1} u for the velocity wdot = -eta F^{-1} u: u = w_m m + w_g g with
@@ -132,21 +130,23 @@ def _direction(params: FlowParams, m, g):
     return vecs @ ((vecs.T @ u) / evals)
 
 
-def _require_dimension(state: DynamicsState, quadratic: QuadraticSpec):
-    if state.w.size != quadratic.dim:
-        raise ValueError(f"state has dimension {state.w.size}, the quadratic {quadratic.dim}")
+def _require_dimension(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
+    for name, a in (("state", state.w), ("projector_sharp", params.projector_sharp),
+                    ("metric", params.metric)):
+        if a is not None and len(a) != quadratic.dim:
+            raise ValueError(f"{name} has dimension {len(a)}, the quadratic {quadratic.dim}")
 
 
-def _flow(w, m, t: float, quadratic: QuadraticSpec, params: FlowParams):
+def _flow(w, m, quadratic: QuadraticSpec, params: FlowParams):
     g = quadratic.grad(w)
-    return -params.eta_at(t) * _direction(params, m, g), -params.alpha * m + g
+    return -params.eta * _direction(params, m, g), -params.alpha * m + g
 
 
 def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
     """wdot = -eta F^{-1} u and mdot = -alpha m + grad f, where u is the LITE
     split w_m m + w_g grad f with a projector, else m + beta grad f."""
-    _require_dimension(state, quadratic)
-    return _flow(state.w, state.m, state.t, quadratic, params)
+    _require_dimension(state, quadratic, params)
+    return _flow(state.w, state.m, quadratic, params)
 
 
 def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
@@ -161,11 +161,10 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("h must be positive and finite")
-    _require_dimension(state, quadratic)
+    _require_dimension(state, quadratic, params)
     g = quadratic.grad(state.w)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
-    eta = params.eta_at(state.t)
-    w_new = state.w - (h * eta) * _direction(params, m_new, g)
+    w_new = state.w - (h * params.eta) * _direction(params, m_new, g)
     return DynamicsState(w_new, m_new, state.t + h)
 
 
@@ -178,28 +177,27 @@ def _fine_steps(span: float, h: float):
     return n_steps, span / n_steps
 
 
-def _rk4(quadratic: QuadraticSpec, params: FlowParams, w, m, t: float, t_end: float, h: float):
+def _rk4(quadratic: QuadraticSpec, params: FlowParams, w, m, span: float, h: float):
     """Classical 4-stage integration of a coupled flow (a projector or a
-    metric) from t to t_end, on the arrays (w, m)."""
-    n_steps, step = _fine_steps(t_end - t, h)
+    metric) over span, on the arrays (w, m)."""
+    n_steps, step = _fine_steps(span, h)
     half, sixth = 0.5 * step, step / 6.0
     for _ in range(n_steps):
-        k1w, k1m = _flow(w, m, t, quadratic, params)
-        k2w, k2m = _flow(w + half * k1w, m + half * k1m, t + half, quadratic, params)
-        k3w, k3m = _flow(w + half * k2w, m + half * k2m, t + half, quadratic, params)
-        k4w, k4m = _flow(w + step * k3w, m + step * k3m, t + step, quadratic, params)
+        k1w, k1m = _flow(w, m, quadratic, params)
+        k2w, k2m = _flow(w + half * k1w, m + half * k1m, quadratic, params)
+        k3w, k3m = _flow(w + half * k2w, m + half * k2m, quadratic, params)
+        k4w, k4m = _flow(w + step * k3w, m + step * k3m, quadratic, params)
         w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        t += step
     return w, m
 
 
 def _rk4_per_coordinate(quadratic: QuadraticSpec, advance, state0, times, h: float):
     """Integrate a flow whose coordinates are decoupled, one coordinate at a
     time. state0 holds the flow's variables as d-vectors. advance(lam, b, y,
-    t, n_steps, step) runs the variables y of the coordinate with eigenvalue
+    n_steps, step) runs the variables y of the coordinate with eigenvalue
     lam and offset b, a sequence of Python floats in state0's order, through
-    n_steps RK4 steps of size step from t, and returns them in that order.
+    n_steps RK4 steps of size step, and returns them in that order.
     Returns the trajectory sampled at times, each row the variables
     concatenated."""
     d = quadratic.dim
@@ -209,7 +207,7 @@ def _rk4_per_coordinate(quadratic: QuadraticSpec, advance, state0, times, h: flo
     for i, (lam, b) in enumerate(zip(quadratic.eigenvalues.tolist(), quadratic.offsets.tolist())):
         y = start[i::d]
         for k, (t, t_next) in enumerate(zip(times[:-1], times[1:]), start=1):
-            y = advance(lam, b, y, t, *_fine_steps(t_next - t, h))
+            y = advance(lam, b, y, *_fine_steps(t_next - t, h))
             traj[k, i::d] = y
     return traj
 
@@ -221,7 +219,7 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
     flow that overflows raises ValueError from the returned state's check.
 
     Without a projector or a metric each coordinate's (w, m) is an
-    independent system, g = lam w + b, wdot = -eta(t) (m + beta g),
+    independent system, g = lam w + b, wdot = -eta (m + beta g),
     mdot = -alpha m + g, integrated as two Python floats one coordinate at a
     time, bit for bit as the vector integration. A projector or a metric
     couples the coordinates, and such a flow is integrated as vectors.
@@ -232,31 +230,30 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
         raise ValueError("t_end must be finite")
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
-    _require_dimension(state, quadratic)
+    _require_dimension(state, quadratic, params)
     d = quadratic.dim
     if params.projector_sharp is not None or params.metric is not None:
-        w, m = _rk4(quadratic, params, state.w.copy(), state.m.copy(), state.t, t_end, h)
+        w, m = _rk4(quadratic, params, state.w.copy(), state.m.copy(), t_end - state.t, h)
         return DynamicsState(w, m, t_end)
-    alpha, beta, eta_at = params.alpha, params.beta_pair()[0], params.eta_at
+    alpha, beta, eta = params.alpha, params.beta_pair()[0], params.eta
 
-    def advance(lam, b, y, t, n_steps, step):
+    def advance(lam, b, y, n_steps, step):
         w, m = y
         half, sixth = 0.5 * step, step / 6.0
         for _ in range(n_steps):
             g = lam * w + b
-            k1w, k1m = -eta_at(t) * (m + beta * g), -alpha * m + g
+            k1w, k1m = -eta * (m + beta * g), -alpha * m + g
             w2, m2 = w + half * k1w, m + half * k1m
             g = lam * w2 + b
-            k2w, k2m = -eta_at(t + half) * (m2 + beta * g), -alpha * m2 + g
+            k2w, k2m = -eta * (m2 + beta * g), -alpha * m2 + g
             w3, m3 = w + half * k2w, m + half * k2m
             g = lam * w3 + b
-            k3w, k3m = -eta_at(t + half) * (m3 + beta * g), -alpha * m3 + g
+            k3w, k3m = -eta * (m3 + beta * g), -alpha * m3 + g
             w4, m4 = w + step * k3w, m + step * k3m
             g = lam * w4 + b
-            k4w, k4m = -eta_at(t + step) * (m4 + beta * g), -alpha * m4 + g
+            k4w, k4m = -eta * (m4 + beta * g), -alpha * m4 + g
             w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-            t += step
         return w, m
 
     traj = _rk4_per_coordinate(quadratic, advance, (state.w, state.m), [state.t, t_end], h)
@@ -348,7 +345,7 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     if state0 is None:
         state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
 
-    def advance(lam, b, y, _t, n_steps, step):
+    def advance(lam, b, y, n_steps, step):
         w, f, s = y
         half, sixth = 0.5 * step, step / 6.0
         for _ in range(n_steps):

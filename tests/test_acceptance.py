@@ -285,7 +285,7 @@ def test_07_flat_direction_acceleration():
 def test_08_discretization_identity():
     qspec = QuadraticSpec(np.array([3.0, 1.0, 0.5]), np.array([1.0, -1.0, 0.5]))
     alpha, beta, eta = 0.3, 0.7, 0.05
-    params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+    params = FlowParams(alpha=alpha, beta=beta, eta=eta)
     w0 = qspec.stationary_point() + 1.0
     m0 = 0.5 * np.ones(3)
 

@@ -2,6 +2,7 @@
 formulations, and the two-timescale momentum identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,13 @@ from flatopt.rng import SplitMix64
 from flatopt.subspace import smoothed_sharp_mask
 
 
+FLOWS = pytest.mark.parametrize("flow", [
+    lambda state, spec, params: flow_rhs(state, spec, params),
+    lambda state, spec, params: semi_implicit_step(state, spec, params, 0.1),
+    lambda state, spec, params: rk4_flow(state, spec, params, t_end=1.0),
+], ids=["flow_rhs", "semi_implicit_step", "rk4_flow"])
+
+
 class TestStateAndParams:
     def test_state_requires_matching_vectors(self):
         with pytest.raises(ValueError, match="matching vectors"):
@@ -35,11 +43,7 @@ class TestStateAndParams:
 
     @pytest.mark.parametrize("state_dim,eigenvalues", [(1, [3.0, 2.0, 1.0]), (2, [1.0])],
                              ids=["1-D state", "2-D state"])
-    @pytest.mark.parametrize("flow", [
-        lambda state, spec, params: flow_rhs(state, spec, params),
-        lambda state, spec, params: semi_implicit_step(state, spec, params, 0.1),
-        lambda state, spec, params: rk4_flow(state, spec, params, t_end=1.0),
-    ], ids=["flow_rhs", "semi_implicit_step", "rk4_flow"])
+    @FLOWS
     def test_state_dimension_must_match_the_quadratic(self, flow, state_dim, eigenvalues):
         # numpy would broadcast the state against a quadratic of another
         # dimension and return a state of the wrong size, or none at all
@@ -47,6 +51,17 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match=f"state has dimension {state_dim}, "
                                              f"the quadratic {len(eigenvalues)}"):
             flow(state, QuadraticSpec(eigenvalues), FlowParams(alpha=0.2))
+
+    @pytest.mark.parametrize("name,params", [
+        ("projector_sharp", FlowParams(alpha=0.2, projector_sharp=np.eye(2))),
+        ("metric", FlowParams(alpha=0.2, metric=np.eye(2))),
+    ], ids=["projector", "metric"])
+    @FLOWS
+    def test_projector_and_metric_must_match_the_quadratic(self, flow, name, params):
+        # numpy would stop at the first product with a core-dimension mismatch
+        state = DynamicsState(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match=f"{name} has dimension 2, the quadratic 3"):
+            flow(state, QuadraticSpec([3.0, 2.0, 1.0]), params)
 
     def test_state_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -62,10 +77,10 @@ class TestStateAndParams:
         split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=np.eye(2))
         assert split.beta_pair() == (0.1, 0.7)
 
-    def test_eta_accepts_callable_of_time(self):
-        params = FlowParams(alpha=0.0, eta_of_t=lambda t: 2.0 * t)
-        assert params.eta_at(0.5) == 1.0
-        assert FlowParams(alpha=0.0, eta_of_t=0.25).eta_at(99.0) == 0.25
+    def test_callable_eta_rejected(self):
+        # eta is one constant; a schedule of time is not a coefficient
+        with pytest.raises(TypeError):
+            FlowParams(alpha=0.1, eta=lambda t: t)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -74,7 +89,7 @@ class TestStateAndParams:
             FlowParams(alpha=0.1, beta=(0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize("bad", [{"alpha": math.nan}, {"beta": math.inf},
-                                     {"eta_of_t": math.nan}, {"chi": math.inf}])
+                                     {"eta": math.nan}, {"chi": math.inf}])
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             FlowParams(**{"alpha": 0.1, "projector_sharp": np.eye(1), **bad})
@@ -100,7 +115,7 @@ class TestFirstOrderRhs:
     def test_quadratic_example(self):
         spec = QuadraticSpec([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.array([0.5, 0.5]))
-        params = FlowParams(alpha=0.3, beta=0.5, eta_of_t=0.1)
+        params = FlowParams(alpha=0.3, beta=0.5, eta=0.1)
         wdot, mdot = flow_rhs(state, spec, params)
         g = np.array([2.0, 1.0])
         assert np.array_equal(wdot, -0.1 * (state.m + 0.5 * g))
@@ -109,16 +124,10 @@ class TestFirstOrderRhs:
     def test_diagonal_metric_rescales_wdot(self):
         spec = QuadraticSpec([2.0, 1.0])
         state = DynamicsState(np.ones(2), np.zeros(2))
-        params = FlowParams(alpha=0.0, beta=1.0, eta_of_t=1.0,
+        params = FlowParams(alpha=0.0, beta=1.0, eta=1.0,
                             metric=np.diag([4.0, 1.0]))
         wdot, _ = flow_rhs(state, spec, params)
         np.testing.assert_allclose(wdot, [-2.0 / 4.0, -1.0], rtol=1e-13)
-
-    def test_time_dependent_eta(self):
-        spec = QuadraticSpec([1.0])
-        params = FlowParams(alpha=0.0, eta_of_t=lambda t: 3.0 * t)
-        wdot, _ = flow_rhs(DynamicsState(np.ones(1), np.ones(1), t=2.0), spec, params)
-        assert wdot[0] == -6.0
 
 
 class TestLiteFlowRhs:
@@ -128,25 +137,25 @@ class TestLiteFlowRhs:
                                    np.array([0.3, 0.1, -0.4]))
 
     def test_identity_projector_reduces_to_base_flow(self):
-        params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=5.0,
+        params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta=0.1, chi=5.0,
                             projector_sharp=np.eye(3))
-        base = FlowParams(alpha=0.2, beta=0.4, eta_of_t=0.1)
+        base = FlowParams(alpha=0.2, beta=0.4, eta=0.1)
         wdot, mdot = flow_rhs(self.state, self.spec, params)
         wdot_base, mdot_base = flow_rhs(self.state, self.spec, base)
         assert np.array_equal(wdot, wdot_base)
         assert np.array_equal(mdot, mdot_base)
 
     def test_zero_projector_amplifies_by_chi(self):
-        params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta_of_t=0.1, chi=2.0,
+        params = FlowParams(alpha=0.2, beta=(0.4, 0.9), eta=0.1, chi=2.0,
                             projector_sharp=np.zeros((3, 3)))
-        base = FlowParams(alpha=0.2, beta=0.9, eta_of_t=0.1)
+        base = FlowParams(alpha=0.2, beta=0.9, eta=0.1)
         wdot, _ = flow_rhs(self.state, self.spec, params)
         wdot_base, _ = flow_rhs(self.state, self.spec, base)
         assert np.array_equal(wdot, 2.0 * wdot_base)
 
     def test_split_projector_mixes_both_rates(self):
         p = np.diag([1.0, 0.0, 0.0])
-        params = FlowParams(alpha=0.0, beta=(0.25, 0.75), eta_of_t=0.5, chi=3.0,
+        params = FlowParams(alpha=0.0, beta=(0.25, 0.75), eta=0.5, chi=3.0,
                             projector_sharp=p)
         wdot, _ = flow_rhs(self.state, self.spec, params)
         g = self.spec.grad(self.state.w)
@@ -162,12 +171,19 @@ class TestLiteFlowRhs:
         with pytest.raises(ValueError, match="not idempotent"):
             FlowParams(alpha=0.1, projector_sharp=0.5 * np.eye(3))
 
+    @pytest.mark.parametrize("p", [np.zeros((2, 3)), np.zeros(3)], ids=["2x3", "vector"])
+    def test_non_square_projector_rejected(self, p):
+        # a 2x3 P failed on numpy's broadcast of P - P^T; a zero vector passed
+        with pytest.raises(ValueError, match=re.escape(
+                f"projector_sharp must be a square matrix, got shape {p.shape}")):
+            FlowParams(alpha=0.1, projector_sharp=p)
+
 
 class TestSemiImplicitStep:
     def test_h_one_reproduces_discrete_update_bitwise(self):
         spec = QuadraticSpec([3.0, 1.0], [0.2, -0.1])
         alpha, beta, eta = 0.1, 0.3, 0.05
-        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        params = FlowParams(alpha=alpha, beta=beta, eta=eta)
         state = DynamicsState(np.array([1.0, -2.0]), np.zeros(2))
         w, m = state.w.copy(), state.m.copy()
         for _ in range(50):
@@ -182,7 +198,7 @@ class TestSemiImplicitStep:
         spec = QuadraticSpec([2.0, 0.5], [0.0, 0.1])
         p = np.diag([1.0, 0.0])
         alpha, b1, b2, eta, chi = 0.2, 0.2, 0.6, 0.1, 2.0
-        params = FlowParams(alpha=alpha, beta=(b1, b2), eta_of_t=eta, chi=chi,
+        params = FlowParams(alpha=alpha, beta=(b1, b2), eta=eta, chi=chi,
                             projector_sharp=p)
         state = DynamicsState(np.array([0.5, 1.5]), np.zeros(2))
         w, m = state.w.copy(), state.m.copy()
@@ -202,7 +218,7 @@ class TestSemiImplicitStep:
         # spec and must walk the same iterates bit for bit
         spec = QuadraticSpec([3.0, 1.0, 0.2], [0.5, -0.1, 0.0])
         w0, m0 = spec.start(), np.array([0.2, 0.0, -0.3])
-        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        params = FlowParams(alpha=alpha, beta=beta, eta=eta)
         state = DynamicsState(w0, m0)
         flow = [state.w]
         for _ in range(200):
@@ -243,13 +259,13 @@ class TestSemiImplicitStep:
 
     def test_first_order_convergence_rate(self):
         # global error against the fine RK4 reference scales like h^1
-        params = FlowParams(alpha=0.5, beta=0.0, eta_of_t=0.3)
+        params = FlowParams(alpha=0.5, beta=0.0, eta=0.3)
         assert 0.8 <= self.order_slope(params) <= 1.2
 
     def test_split_flow_first_order_convergence_rate(self):
         # the RK4 reference integrates the same split flow as the stepper
         p = np.diag([1.0, 0.0])
-        params = FlowParams(alpha=0.5, beta=(0.2, 0.6), eta_of_t=0.3, chi=3.0,
+        params = FlowParams(alpha=0.5, beta=(0.2, 0.6), eta=0.3, chi=3.0,
                             projector_sharp=p)
         assert 0.8 <= self.order_slope(params) <= 1.2
 
@@ -291,7 +307,7 @@ class TestLiteStageIsTheSplitFlow:
         scale = 1.0 - self.THETA
         pol = self.POLICY
         params = FlowParams(alpha=scale, beta=(pol.beta1 / scale, pol.beta2 / scale),
-                            eta_of_t=self.LR * scale, chi=pol.chi, projector_sharp=p,
+                            eta=self.LR * scale, chi=pol.chi, projector_sharp=p,
                             metric=f)
         return semi_implicit_step(DynamicsState(self.w0, self.m0 / scale), self.spec,
                                   params, 1.0)
@@ -339,14 +355,14 @@ class TestRk4Flow:
         spec = QuadraticSpec([4.0, 1.0])
         state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
         with pytest.raises(ValueError, match="h must be positive and finite"):
-            rk4_flow(state, spec, FlowParams(alpha=0.2, eta_of_t=0.05), t_end=1.0, h=h)
+            rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=1.0, h=h)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_non_finite_end_rejected(self, t_end):
         spec = QuadraticSpec([4.0, 1.0])
         state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
         with pytest.raises(ValueError, match="t_end must be finite"):
-            rk4_flow(state, spec, FlowParams(alpha=0.2, eta_of_t=0.05), t_end=t_end)
+            rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=t_end)
 
     def test_state_dimension_must_match(self):
         spec = QuadraticSpec([4.0, 1.0])
@@ -378,7 +394,7 @@ class TestRk4Flow:
         # per-mode linear system d/dt (w, m) = A (w, m) + (0, b) with beta = 0
         lam, b, alpha, eta = 1.7, 0.4, 0.6, 0.3
         spec = QuadraticSpec([lam], [b])
-        params = FlowParams(alpha=alpha, beta=0.0, eta_of_t=eta)
+        params = FlowParams(alpha=alpha, beta=0.0, eta=eta)
         y0 = np.array([1.3, -0.2])
         a = np.array([[0.0, -eta], [lam, -alpha]])
         c = np.array([0.0, b])
@@ -394,9 +410,9 @@ class TestRk4Flow:
     def test_custom_rhs_equivalence(self):
         # an identity projector integrates exactly the unsplit flow
         spec = QuadraticSpec([2.0, 1.0], [0.1, 0.0])
-        split = FlowParams(alpha=0.3, beta=(0.4, 0.9), eta_of_t=0.2, chi=7.0,
+        split = FlowParams(alpha=0.3, beta=(0.4, 0.9), eta=0.2, chi=7.0,
                            projector_sharp=np.eye(2))
-        base = FlowParams(alpha=0.3, beta=0.4, eta_of_t=0.2)
+        base = FlowParams(alpha=0.3, beta=0.4, eta=0.2)
         start = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
         out_split = rk4_flow(start, spec, split, t_end=0.5, h=0.01)
         out_base = rk4_flow(start, spec, base, t_end=0.5, h=0.01)
@@ -410,13 +426,13 @@ class TestRk4Flow:
         start = DynamicsState(np.ones(1), np.zeros(1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                rk4_flow(start, spec, FlowParams(alpha=0.1, eta_of_t=1.0), t_end=1.0)
+                rk4_flow(start, spec, FlowParams(alpha=0.1, eta=1.0), t_end=1.0)
 
     def test_overflow_in_one_decoupled_coordinate_rejected(self):
-        # only the lambda < 0 coordinate overflows; beta, an offset and a
-        # callable eta run the per-coordinate path with every term in play
+        # only the lambda < 0 coordinate overflows; beta, an offset and
+        # eta != 1 run the per-coordinate path with every term in play
         spec = QuadraticSpec([2.0, -1e6], [0.3, -0.2])
-        params = FlowParams(alpha=0.1, beta=0.5, eta_of_t=lambda t: 1.0 + 0.5 * t)
+        params = FlowParams(alpha=0.1, beta=0.5, eta=1.25)
         start = DynamicsState(np.ones(2), np.zeros(2), t=0.25)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite entries in dynamics state"):
@@ -451,7 +467,7 @@ class TestIshdAcceleration:
         # wddot = -alpha wdot - eta beta H wdot - eta (1 + alpha beta) grad f
         alpha, beta, eta, delta = 0.4, 0.6, 0.2, 1e-3
         spec = QuadraticSpec([3.0, 0.5], [0.2, -0.1])
-        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        params = FlowParams(alpha=alpha, beta=beta, eta=eta)
         state = DynamicsState(spec.start(), np.array([0.3, -0.7]))
         states = [state] + [rk4_flow(state, spec, params, k * delta, h=delta / 10)
                             for k in (1, 2)]
@@ -587,37 +603,33 @@ def rowwise_residual(quadratic, cfg, t_grid, grad_weight):
 def vector_rk4_flow(state, quadratic, params, t_end, h):
     """Reference formulation of rk4_flow: the vector state (w, m), flow_rhs
     as its right-hand side, and array RK4 stages."""
-    def rhs(t, w, m):
-        return flow_rhs(DynamicsState(w, m, t), quadratic, params)
+    def rhs(w, m):
+        return flow_rhs(DynamicsState(w, m), quadratic, params)
 
-    w, m, t = state.w, state.m, state.t
-    span = t_end - t
+    w, m = state.w, state.m
+    span = t_end - state.t
     if span > 0:
         n_steps = max(1, int(math.ceil(span / h - 1e-12)))
         step = span / n_steps
         half, sixth = 0.5 * step, step / 6.0
         for _ in range(n_steps):
-            k1 = rhs(t, w, m)
-            k2 = rhs(t + half, w + half * k1[0], m + half * k1[1])
-            k3 = rhs(t + half, w + half * k2[0], m + half * k2[1])
-            k4 = rhs(t + step, w + step * k3[0], m + step * k3[1])
+            k1 = rhs(w, m)
+            k2 = rhs(w + half * k1[0], m + half * k1[1])
+            k3 = rhs(w + half * k2[0], m + half * k2[1])
+            k4 = rhs(w + step * k3[0], m + step * k3[1])
             w = w + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
             m = m + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            t += step
     return w, m
 
 
 def _rk4_flow_case(seed):
     """A decoupled flow drawn from seed: beta != 0, offsets, a clock t0 != 0,
-    h in {1e-3, 0.01, 0.3}, d from 1 to 5, and a callable eta every fourth
-    case."""
+    h in {1e-3, 0.01, 0.3} and d from 1 to 5."""
     rng = np.random.default_rng(seed)
     d = 1 + seed % 5
     spec = QuadraticSpec(np.sort(rng.uniform(0.1, 4.0, d))[::-1], rng.normal(0.0, 0.5, d))
     eta = 0.05 + 0.3 * rng.random()
-    if seed % 4 == 0:
-        eta = (lambda e: lambda t: e * (1.0 + 0.5 * math.sin(3.0 * t)))(eta)
-    params = FlowParams(alpha=rng.uniform(0.05, 0.9), beta=rng.uniform(0.1, 1.0), eta_of_t=eta)
+    params = FlowParams(alpha=rng.uniform(0.05, 0.9), beta=rng.uniform(0.1, 1.0), eta=eta)
     t0 = float(rng.uniform(0.0, 2.0))
     state = DynamicsState(rng.normal(size=d), rng.normal(size=d), t=t0)
     h = (1e-3, 0.01, 0.3)[seed % 3 - 1]
@@ -627,7 +639,7 @@ def _rk4_flow_case(seed):
 
 def test_rk4_flow_dynamics_check_case_matches_vector_formulation_bitwise():
     spec = QuadraticSpec(np.array([4.0, 1.0]), np.zeros(2))
-    params = FlowParams(alpha=0.2, beta=0.0, eta_of_t=0.05)
+    params = FlowParams(alpha=0.2, beta=0.0, eta=0.05)
     state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
     out = rk4_flow(state, spec, params, 1.0)
     w, m = vector_rk4_flow(state, spec, params, 1.0, FINE_STEP)
@@ -723,7 +735,7 @@ class TestEnergyDecay:
         p = lyapunov_certificate(a)
         assert np.linalg.eigvalsh(p).min() > 0.0
         spec = QuadraticSpec([lam])
-        params = FlowParams(alpha=alpha, beta=beta, eta_of_t=eta)
+        params = FlowParams(alpha=alpha, beta=beta, eta=eta)
         state = DynamicsState(np.array([1.0]), np.array([0.0]))
         z = np.array([state.w[0], state.m[0]])
         v_prev = float(z @ p @ z)
