@@ -53,6 +53,15 @@ class DynamicsState:
             raise ValueError("non-finite entries in dynamics state")
 
 
+def _finite_square_matrix(name, a):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 @dataclasses.dataclass(frozen=True)
 class FlowParams:
     """Coefficients of the momentum flow.
@@ -92,9 +101,7 @@ class FlowParams:
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
         if self.projector_sharp is not None:
-            p = np.asarray(self.projector_sharp, dtype=float)
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                raise ValueError(f"projector_sharp must be a square matrix, got shape {p.shape}")
+            p = _finite_square_matrix("projector_sharp", self.projector_sharp)
             scale = max(1.0, float(np.abs(p).max()))
             if np.abs(p - p.T).max() > PROJECTOR_TOL * scale:
                 raise ValueError("projector_sharp is not symmetric")
@@ -103,7 +110,7 @@ class FlowParams:
             object.__setattr__(self, "projector_sharp", p)
             object.__setattr__(self, "_split", lite_weights(self.chi, b1, b2, p, np.eye(len(p))))
         if self.metric is not None:
-            f = np.asarray(self.metric, dtype=float)
+            f = _finite_square_matrix("metric", self.metric)
             evals, vecs = sym_eig(f)
             if evals[-1] <= 0.0:
                 raise ValueError("metric must be symmetric positive definite")

@@ -194,15 +194,10 @@ class MlpLandscape(Landscape):
             blocks[f"layer{i}"] = BlockLayout(offset, shape, _layer_role(i, n_layers))
             offset += shape[0] * shape[1]
 
-        self._teacher = [
-            SplitMix64(derive_seed(seed, f"teacher/l{i}")).normal(shape) / math.sqrt(shape[0])
-            for i, shape in enumerate(shapes)
-        ]
-        init = np.concatenate([
-            (SplitMix64(derive_seed(seed, f"init/l{i}")).normal(shape) / math.sqrt(shape[0])).ravel()
-            for i, shape in enumerate(shapes)
-        ])
-        super().__init__(blocks, init, None)
+        self._teacher, init = (
+            [SplitMix64(derive_seed(seed, f"{net}/l{i}")).normal(shape) / math.sqrt(shape[0])
+             for i, shape in enumerate(shapes)] for net in ("teacher", "init"))
+        super().__init__(blocks, np.concatenate([w.ravel() for w in init]), None)
         x, y = self._make_batches(["data"])
         self.fixed_batch = x[0], y[0]
 
@@ -217,30 +212,23 @@ class MlpLandscape(Landscape):
         x = normal_rows([derive_seed(self.seed, f"{label}/x") for label in labels], b * d_in)
         x = x.reshape(len(labels), b, d_in)
         noise = normal_rows([derive_seed(self.seed, f"{label}/noise") for label in labels], b * d_out)
-        return x, self._teacher_forward(x) + spec.noise_sigma * noise.reshape(len(labels), b, d_out)
+        y = self._forward(self._teacher, x, range(len(self._teacher)))[-1]
+        return x, y + spec.noise_sigma * noise.reshape(len(labels), b, d_out)
 
     def fresh_batch(self, k: int):
-        x, y = self._make_batches([f"batch/{k}"])
-        return x[0], y[0]
+        """Step k's minibatch: the tests' one-label reference and a tracer target."""
+        return next(self.step_batches(k, k))
 
     def step_batches(self, first, last):
-        """``fresh_batch(k)`` for k from first through last, drawn in stacked
-        chunks of half ``_STACK_BYTES`` at most. A batch counts x, the
-        teacher's activations, the noise and y; no chunk reaches past last."""
+        """The minibatches of steps first through last (labels ``batch/{k}``),
+        drawn in stacked chunks of half ``_STACK_BYTES`` at most. A batch counts
+        x, the teacher's activations, the noise and y; no chunk reaches past last."""
         spec = self.spec
         batch_bytes = 8 * spec.batch_size * (sum(spec.widths) + 2 * spec.widths[-1])
         chunk = max(1, _STACK_BYTES // (2 * batch_bytes))
         for lo in range(first, last + 1, chunk):
             x, y = self._make_batches([f"batch/{k}" for k in range(lo, min(lo + chunk, last + 1))])
             yield from zip(x, y)
-
-    def _teacher_forward(self, x):
-        a = x
-        last = len(self._teacher) - 1
-        for i, w in enumerate(self._teacher):
-            z = a @ w
-            a = z if i == last else np.tanh(z)
-        return a
 
     def _forward(self, weights, x, layers):
         """Activations [x, ...] through the consecutive ``layers``, x being

@@ -6,6 +6,7 @@ the rest are zeroed. A multiplicative controller steers tau so the projector
 rank tracks a target dimension.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,8 @@ class RankController:
     target_dim: int
 
     def __post_init__(self):
-        if self.scale_l <= 0:
-            raise ValueError("scale_l must be positive")
+        if not 0.0 < self.scale_l < math.inf:
+            raise ValueError(f"scale_l must be positive and finite, got {self.scale_l}")
         if self.target_dim < 1:
             raise ValueError("target_dim must be a positive integer")
 

@@ -143,12 +143,12 @@ def stability_bound(lam_max: float, alpha: float, beta: float) -> float:
     Degenerate alpha >= 2 returns 0 (the numerator has vanished). The D < 1
     term holds only for beta >= 0; a negative beta is rejected.
     """
-    if lam_max <= 0.0:
-        raise ValueError(f"lam_max must be positive, got {lam_max}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0.0 < lam_max < math.inf:
+        raise ValueError(f"lam_max must be positive and finite, got {lam_max}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     if alpha >= 2.0:
         return 0.0
     denom = lam_max * max(1.0 + 2.0 * beta - alpha * beta, 2.0 * beta * (1.0 - alpha))
@@ -163,6 +163,9 @@ def regime_boundaries(alpha: float, beta: float, eta: float):
     polish. Raises if the quadratic has no pair of real positive roots (no
     underdamped band at these hyper-parameters).
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     a2 = eta * eta * (beta + 1.0) ** 2 / 4.0
     a1 = -(1.0 - alpha / 2.0) * eta * (beta + 1.0) + (1.0 - alpha) * eta * beta
     a0 = alpha * alpha / 4.0

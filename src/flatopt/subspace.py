@@ -12,6 +12,7 @@ without ever sorting entries.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -39,10 +40,9 @@ class SoapMaskController:
             raise ValueError(f"d_smooth must be >= 0, got {self.d_smooth}")
         # l_smooth <= 0.95*l_s is an update invariant, not a construction
         # precondition: update_soap_controller restores it from any start.
-        if self.l_s <= 0.0 or self.l_smooth <= 0.0:
-            raise ValueError(
-                f"threshold scales must be positive, got l_s={self.l_s}, l_smooth={self.l_smooth}"
-            )
+        for name, value in (("l_s", self.l_s), ("l_smooth", self.l_smooth)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def thresholds(self, v):
         mean = float(v.sum()) / v.size

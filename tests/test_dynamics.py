@@ -101,6 +101,23 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="not symmetric"):
             FlowParams(alpha=0.1, metric=np.array([[2.0, 1.0], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("f", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
+    def test_non_square_metric_rejected(self, f):
+        # sym_eig's and as_matrix's messages did not name the metric
+        with pytest.raises(ValueError, match=re.escape(
+                f"metric must be a square matrix, got shape {f.shape}")):
+            FlowParams(alpha=0.1, metric=f)
+
+    @pytest.mark.parametrize("name", ["projector_sharp", "metric"])
+    @pytest.mark.parametrize("a", [np.full((2, 2), math.nan), np.full((2, 2), math.inf),
+                                   np.diag([1.0, math.nan]), np.diag([-math.inf, 1.0])],
+                             ids=["nan", "inf", "one-nan", "one-minus-inf"])
+    def test_non_finite_matrix_rejected(self, name, a):
+        # NaN fails every comparison, so a NaN projector passed the symmetric
+        # and idempotent checks and the first step failed on the state
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            FlowParams(alpha=0.1, **{name: a})
+
     def test_settings_without_effect_rejected(self):
         # without a projector P = I, so chi and beta2 never reach the flow
         with pytest.raises(ValueError, match="projector_sharp"):

@@ -291,7 +291,7 @@ def reference_batch(land, label):
     output, plus noise."""
     spec = land.spec
     x = SplitMix64(derive_seed(land.seed, f"{label}/x")).normal((spec.batch_size, spec.widths[0]))
-    y = land._teacher_forward(x)
+    y = land._forward(land._teacher, x, range(len(land._teacher)))[-1]
     noise = SplitMix64(derive_seed(land.seed, f"{label}/noise")).normal(y.shape)
     return x, y + spec.noise_sigma * noise
 

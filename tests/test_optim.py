@@ -35,9 +35,10 @@ from flatopt.optim import (
     step_soap,
 )
 from flatopt.landscapes import BlockLayout, Landscape
-from flatopt.linalg import qr_decompose
-from flatopt.polar import ns_polar
+from flatopt.linalg import qr_decompose, sym_eig
+from flatopt.polar import composite_sharp_projection, ns_polar
 from flatopt.rng import SplitMix64
+from flatopt.subspace import coverage_score
 
 
 def scalar(value):
@@ -675,6 +676,28 @@ class TestLiteOnKroneckerQuadratic:
         muon, muon_lite = self.best_steps("muon"), self.best_steps("muon_lite", lite)
         assert soap_lite <= 0.75 * soap, (soap_lite, soap)
         assert muon_lite < muon, (muon_lite, muon)
+
+    @pytest.mark.parametrize("lr", [0.003, 0.01, 0.03, 0.1])
+    @pytest.mark.parametrize("chi", [1.0, 4.0])
+    def test_muon_lite_projector_covers_the_sharp_columns(self, chi, lr):
+        # the Hessian's sharp columns are e0 and e1; P is recomputed from the
+        # state the step reads and leaves, as step_muon forms it
+        cfg = OptimizerConfig("muon_lite", weight_decay=0.0, clip_norm=math.inf,
+                              lite=LitePolicy(chi=chi, beta2=1.0, r_s=0.25))
+        land = Landscape({"W": BlockLayout(0, (16, 16), "muon")}, np.zeros(256), self.objective)
+        mats = land.unpack(land.initial_point)
+        states = init_states(land.blocks, cfg)
+        sched = ScheduleSpec("constant", lr, 0, self.MAX_STEPS)
+        sharp = np.eye(16)[:, :2]
+        for step in range(1, 26):
+            _, grads = land.loss_and_block_grads(mats, None)
+            ctrl = states["W"].rank_ctrl
+            route_and_step(mats, states, grads, step, sched, cfg)
+            u = cfg.theta * states["W"].m + grads["W"]
+            p = composite_sharp_projection(u, ctrl, ns_polar(u))[0]
+            evals, vecs = sym_eig(0.5 * (p + p.T))
+            basis = vecs[:, :max(2, int((evals > 0.5).sum()))]
+            assert coverage_score(sharp, basis) >= 0.85, (step, basis.shape[1])
 
 
 class TestTrivialPolicySkip:

@@ -180,6 +180,11 @@ class TestRankController:
         with pytest.raises(ValueError):
             RankController(scale_l=1.0, target_dim=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale_l must be positive and finite"):
+            RankController(scale_l=bad, target_dim=2)
+
 
 def test_controller_drives_mass_toward_target():
     # closed loop: threshold feedback settles ‖P‖_F² near the target rank

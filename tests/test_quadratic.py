@@ -135,6 +135,17 @@ class TestStabilityBound:
         with pytest.raises(ValueError, match="beta must be >= 0"):
             stability_bound(10.0, 0.5, beta)
 
+    @pytest.mark.parametrize("name,args", [
+        ("lam_max", (math.nan, 0.1, 0.0)), ("lam_max", (math.inf, 0.1, 0.0)),
+        ("alpha", (1.0, math.nan, 0.0)), ("alpha", (1.0, math.inf, 0.0)),
+        ("beta", (1.0, 0.1, math.inf)),
+    ], ids=["lam_max-nan", "lam_max-inf", "alpha-nan", "alpha-inf", "beta-inf"])
+    def test_non_finite_input_rejected(self, name, args):
+        # NaN passed the lam_max <= 0 check and returned nan; an inf lam_max,
+        # alpha or beta returned 0.0
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            stability_bound(*args)
+
     def test_hessian_damping_tightens_the_bound(self):
         alphas = np.linspace(0.01, 1.9, 50)
         for alpha in alphas:
@@ -162,6 +173,14 @@ class TestRegimeBoundaries:
     def test_no_split_error(self):
         with pytest.raises(ValueError, match="no river/valley split"):
             regime_boundaries(1.9, 0.0, 0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "eta"])
+    def test_non_finite_input_rejected(self, name, bad):
+        # each returned (nan, nan) before
+        args = {"alpha": 0.05, "beta": 0.5, "eta": 0.01, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            regime_boundaries(**args)
 
     def test_closed_form_roots_classify_across_parameters(self):
         # the closed-form roots are the boundaries themselves: each classifies

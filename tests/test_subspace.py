@@ -106,6 +106,14 @@ class TestControllerUpdate:
         with pytest.raises(ValueError):
             ctrl_with(1.0, 0.0)
 
+    @pytest.mark.parametrize("name,scales", [
+        ("l_s", (np.nan, 0.5)), ("l_s", (np.inf, 0.5)),
+        ("l_smooth", (1.0, np.nan)), ("l_smooth", (1.0, np.inf)),
+    ], ids=["l_s-nan", "l_s-inf", "l_smooth-nan", "l_smooth-inf"])
+    def test_non_finite_scales_rejected(self, name, scales):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ctrl_with(*scales)
+
 
 class TestCoverageScore:
     def test_identical_axis(self):
