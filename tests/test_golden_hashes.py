@@ -35,9 +35,9 @@ def _load_script():
 GOLDEN = _load_script()
 
 
-def test_entries_are_47_unique_names():
+def test_entries_are_48_unique_names():
     names = [name for name, _ in GOLDEN.entries()]
-    assert len(names) == 47
+    assert len(names) == 48
     assert len(set(names)) == len(names)
 
 
@@ -49,8 +49,9 @@ def test_families_are_the_optimizer_families():
 
 def test_every_config_entry_parses():
     configs = [spec for _, spec in GOLDEN.entries() if isinstance(spec, dict)]
-    # align runs on the adamw 6-8-8-4 config the script writes for it
-    configs.append(GOLDEN._run_keys("adamw", GOLDEN.MLPS["6-8-8-4"]))
+    # an align entry runs on the adamw config the script writes for its MLP
+    configs += [GOLDEN._run_keys("adamw", GOLDEN.MLPS[name.split(":")[1]])
+                for name, _ in GOLDEN.entries() if name.startswith("align:")]
     for keys in configs:
         cfg = parse_config(GOLDEN._config_text(keys, "out.csv"))
         assert cfg.optimizer.family == keys["optimizer.family"]
@@ -68,4 +69,4 @@ def test_outputs_match_the_record():
     if "SKIPPED CHECK" in proc.stderr:
         pytest.skip(proc.stderr.strip())
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("47 entries, 0 differing lines\n")
+    assert proc.stdout.endswith("48 entries, 0 differing lines\n")

@@ -17,13 +17,13 @@ It measures the sources under ``src/`` of the checkout it sits in. BLAS is
 pinned to one thread before numpy loads. A change that claims to keep output
 bytes must leave every entry unchanged.
 
-The 47 entries: nine families on three MLPs (6-8-8-4 batch 8, 32-96-96-16,
-16-8-24-4 batch 32); adamw on river_valley and quadratic; ``align``,
-``quadratic-report`` and ``dynamics-check``; muon_lite and soap_lite on two
-MLPs under the trivial policy and under ``lite.chi_embedding = 1``, and
-muon_lite on the same two with ``lite.beta1`` and ``lite.beta2`` unset (zero);
-n_adamw, mars, ademamix and soap with their own keys set; muon on a noisy
-teacher.
+The 48 entries: nine families on three MLPs (6-8-8-4 batch 8, 32-96-96-16,
+16-8-24-4 batch 32); adamw on river_valley and quadratic; ``align`` on the
+6-8-8-4 and 16-8-24-4 MLPs, ``quadratic-report`` and ``dynamics-check``;
+muon_lite and soap_lite on two MLPs under the trivial policy and under
+``lite.chi_embedding = 1``, and muon_lite on the same two with
+``lite.beta1`` and ``lite.beta2`` unset (zero); n_adamw, mars, ademamix and
+soap with their own keys set; muon on a noisy teacher.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ def entries():
     out.append(("run:quadratic:adamw", _run_keys("adamw", {
         "landscape.kind": "quadratic",
         "landscape.eigenvalues": "100, 10, 1, 0.1, 0.01"})))
-    out.append(("align:6-8-8-4", ["align", "--train-steps", "60", "--d-s", "2",
-                                  "--k-grid", "2,4"]))
+    # an align entry runs on the adamw config of the MLP its name gives
+    out += [(f"align:{mlp}", ["align", "--train-steps", "60", "--d-s", "2", "--k-grid", "2,4"])
+            for mlp in ("6-8-8-4", "16-8-24-4")]
     out.append(("quadratic-report", ["quadratic-report", "--alpha", "0.1", "--beta", "1.0",
                                      "--eta", "0.01", "--lambda-min", "0.1",
                                      "--lambda-max", "10", "--points", "50"]))
@@ -115,8 +116,8 @@ def digest(name, spec, workdir, cli_main):
         config.write_text(_config_text(spec, csv), encoding="utf-8")
         argv = ["run", "--config", str(config)]
     elif spec[0] == "align":
-        config.write_text(_config_text(_run_keys("adamw", MLPS["6-8-8-4"]), csv),
-                          encoding="utf-8")
+        mlp = MLPS[name.split(":")[1]]
+        config.write_text(_config_text(_run_keys("adamw", mlp), csv), encoding="utf-8")
         argv = spec[:1] + ["--config", str(config)] + spec[1:]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
