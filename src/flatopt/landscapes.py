@@ -165,13 +165,13 @@ def _layer_role(index: int, n_layers: int) -> str:
     return "muon"
 
 
-# Bytes that one stack of arrays may hold. A finite-difference pass holds the
-# perturbed block copies, their gradients and the activations above the
-# block; a chunk of minibatches takes half of it, leaving the other half to
-# the temporaries of its draws. At 1 MiB, glibc's allocator handed the 96x96
-# block's pass arrays back to the kernel and faulted them in again every pass
-# (about 6000 page faults a row, 2.4x the time), and larger stacks raised
-# align's peak memory.
+# Bytes that one stack of arrays may hold. A chunk of a block's
+# finite-difference pass holds the perturbed block copies, their gradients and
+# the activations above the block; a chunk of minibatches takes half of it,
+# leaving the other half to the temporaries of its draws. At 1 MiB, glibc's
+# allocator handed the 96x96 block's chunk arrays back to the kernel and
+# faulted them in again every chunk (about 6000 page faults per 96 entries,
+# 2.4x the time), and larger stacks raised align's peak memory.
 _STACK_BYTES = 1 << 19
 
 
@@ -270,36 +270,39 @@ class MlpLandscape(Landscape):
                 delta = (delta @ weights[i].swapaxes(-1, -2)) * (1.0 - a ** 2)
         return r, grads
 
-    def block_fd_hessian(self, name, mats, entries):
-        """Central differences of block ``name``'s gradient on ``fixed_batch``:
-        column j is d grad[entries] / d block[e], e = entries[j] (flat indices),
-        for a step of 1e-5 * (1 + |block_e|). The batch runs forward to the
-        block's input once; chunks of perturbed block copies, stacked on a
-        leading axis, run the rest of the forward and backward pass, each
-        slice with a full pass's arithmetic: a per-coordinate loop's bytes."""
+    def block_fd_hessians(self, name, mats):
+        """(rows, cols): central differences of block ``name``'s gradient on
+        ``fixed_batch``, each entry (i, j) of the m x n block stepped once, by
+        1e-5 * (1 + |block_ij|). Column j of rows[i], row i's n x n Hessian, is
+        d grad[i, :] / d block_ij; column i of cols[j], column j's m x m
+        Hessian, is d grad[:, j] / d block_ij. The batch runs forward to the
+        block's input once; chunks of perturbed copies, stacked on a leading
+        axis, run the rest of the pass, each slice with a per-coordinate loop's
+        bytes."""
         first = list(self.blocks).index(name)
         weights = [mats[block] for block in self.blocks]
         x, y = self.fixed_batch
         a = self._forward(weights, x, range(first))[-1]
         block = weights[first]
-        entries = np.asarray(entries)
-        steps = 1e-5 * (1.0 + np.abs(block.ravel()[entries]))
+        m, n = block.shape
+        steps = 1e-5 * (1.0 + np.abs(block.ravel()))
         # a copy's bytes: the perturbed block and its gradient, plus about four
         # batch-by-width arrays (activations and deltas) per layer above it
         copy_bytes = 8 * (2 * block.size + 4 * y.shape[0] * sum(self.spec.widths[first + 1:]))
         chunk = max(1, _STACK_BYTES // (2 * copy_bytes))
-        out = np.empty((entries.size, entries.size))
-        for lo in range(0, entries.size, chunk):
-            e, h = entries[lo:lo + chunk], steps[lo:lo + chunk]
-            k = e.size
+        rows, cols = np.empty((m, n, n)), np.empty((n, m, m))
+        for lo in range(0, block.size, chunk):
+            e = np.arange(lo, min(lo + chunk, block.size))
+            k, h, copy = e.size, steps[e], np.arange(e.size)
             stack = np.repeat(block.reshape(1, -1), 2 * k, axis=0)
-            stack[np.arange(k), e] += h
-            stack[np.arange(k, 2 * k), e] -= h
+            stack[copy, e] += h
+            stack[k + copy, e] -= h
             weights[first] = stack.reshape((2 * k,) + block.shape)
             g = self._backprop(weights, a, y, first, only_first=True)[1][name]
-            g = g.reshape(2 * k, -1)[:, entries]
-            out[:, lo:lo + k] = ((g[:k] - g[k:]) / (2.0 * h)[:, None]).T
-        return out
+            i, j = e // n, e % n
+            rows[i, :, j] = (g[copy, i] - g[k + copy, i]) / (2.0 * h[:, None])
+            cols[j, :, i] = (g[copy, :, j] - g[k + copy, :, j]) / (2.0 * h[:, None])
+        return rows, cols
 
     def loss_on_batch(self, w, batch) -> float:
         """The loss at flat w; stays while the benchmark tracer's SPAN_TARGETS names it."""
@@ -314,27 +317,14 @@ class MlpLandscape(Landscape):
         return np.concatenate([g.ravel() for g in self.block_grads_on_batch(w, batch).values()])
 
 
-def _mean_hessian(landscape, block_name: str, mats, entry_sets):
-    """Mean of the symmetrized ``block_fd_hessian`` of each entry set."""
-    acc = np.zeros((len(entry_sets[0]),) * 2)
-    for entries in entry_sets:
-        h = landscape.block_fd_hessian(block_name, mats, entries)
-        acc += 0.5 * (h + h.T)
-    return acc / len(entry_sets)
+def mean_row_hessian(rows):
+    """Mean of the symmetrized per-row Hessians: rows of ``block_fd_hessians``."""
+    return sum(0.5 * (h + h.T) for h in rows) / len(rows)
 
 
-def mean_row_hessian(landscape, block_name: str, mats):
-    """Average over rows of the per-row Hessians of one block of ``mats`` (n
-    x n for an m x n block): the Hessian of the loss with respect to a
-    single row's parameters, from ``landscape.block_fd_hessian``, symmetrized."""
-    m, n = landscape.blocks[block_name].shape
-    return _mean_hessian(landscape, block_name, mats, [i * n + np.arange(n) for i in range(m)])
-
-
-def mean_col_hessian(landscape, block_name: str, mats):
-    """Average over columns of the symmetrized per-column Hessians (m x m)."""
-    m, n = landscape.blocks[block_name].shape
-    return _mean_hessian(landscape, block_name, mats, [j + n * np.arange(m) for j in range(n)])
+def mean_col_hessian(cols):
+    """Mean of the symmetrized per-column Hessians: cols of ``block_fd_hessians``."""
+    return sum(0.5 * (h + h.T) for h in cols) / len(cols)
 
 
 def gram_alignment_curve(reference, gram, d_s: int, k_grid):
@@ -392,8 +382,9 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int, k
     curves = {}
     for name, layout in land.blocks.items():
         m, n = layout.shape
-        row_ref = mean_row_hessian(land, name, mats)
-        col_ref = mean_col_hessian(land, name, mats)
+        rows, cols = land.block_fd_hessians(name, mats)
+        row_ref, col_ref = mean_row_hessian(rows), mean_col_hessian(cols)
+        del rows, cols  # free this block's stacks before the next block's are built
         curves[name] = {
             "row": gram_alignment_curve(row_ref, gram_r[name] / GRAM_BATCHES, min(d_s, n), sizes(n)),
             "col": gram_alignment_curve(col_ref, gram_l[name] / GRAM_BATCHES, min(d_s, m), sizes(m)),

@@ -161,11 +161,16 @@ def regime_boundaries(alpha: float, beta: float, eta: float):
     Solves T(lam)^2 = D(lam), a quadratic in lam, in closed form: the root
     without cancellation is q / a2 and its partner a0 / q, with no further
     polish. Raises if the quadratic has no pair of real positive roots (no
-    underdamped band at these hyper-parameters).
+    underdamped band at these hyper-parameters), and, as ``stability_bound``
+    does, on alpha <= 0 or beta < 0.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if beta < 0.0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     a2 = eta * eta * (beta + 1.0) ** 2 / 4.0
     a1 = -(1.0 - alpha / 2.0) * eta * (beta + 1.0) + (1.0 - alpha) * eta * beta
     a0 = alpha * alpha / 4.0

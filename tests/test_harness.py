@@ -992,3 +992,23 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, family):
         outputs.append(csv.read_bytes())
     assert outputs[0].count(b"\n") == 11
     assert outputs[0] == outputs[1]
+
+
+def test_align_output_does_not_depend_on_blas_threads(tmp_path):
+    # each run is a fresh process, so BLAS starts with the thread count set here
+    src = str(Path(flatopt.__file__).resolve().parent.parent)
+    cfg = tmp_path / "align.cfg"
+    cfg.write_text(MLP_BASE.format(family="adamw")
+                   .replace("6, 8, 8, 4", "16, 40, 40, 8")
+                   .replace("batch_size = 8", "batch_size = 32"))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "flatopt.cli", "align", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("block,side,k,coverage\n")
+    assert outputs[0].count("\n") == 18
+    assert outputs[0] == outputs[1]

@@ -10,7 +10,6 @@ import pytest
 from flatopt import landscapes
 from flatopt.landscapes import (
     BlockLayout,
-    Landscape,
     MlpLandscape,
     MlpSpec,
     RiverValleySpec,
@@ -70,7 +69,7 @@ def river_valley_flat(dim, curvature):
 
 def reference_fd_hessian_on_coords(grad_fn, w, coords):
     """The per-coordinate central differences that the MLP's stacked
-    ``block_fd_hessian`` reproduces byte for byte: one full gradient per
+    ``block_fd_hessians`` reproduces byte for byte: one full gradient per
     step, column j for coords[j]."""
     h_cols = []
     for j in coords:
@@ -81,15 +80,18 @@ def reference_fd_hessian_on_coords(grad_fn, w, coords):
     return np.stack(h_cols, axis=1)
 
 
-def reference_mean_fd_hessian(landscape, w, coord_sets):
-    """Mean over flat coordinate sets of the symmetrized reference Hessians."""
-    w = np.asarray(w, dtype=float)
-    size = len(coord_sets[0])
-    acc = np.zeros((size, size))
-    for coords in coord_sets:
-        h = reference_fd_hessian_on_coords(lambda v: grad_at(landscape, v), w, coords)
+def reference_fd_stack(landscape, w, coord_sets):
+    """The reference Hessian of each flat coordinate set, stacked."""
+    return np.stack([reference_fd_hessian_on_coords(lambda v: grad_at(landscape, v), w, coords)
+                     for coords in coord_sets])
+
+
+def reference_symmetrized_mean(stack):
+    """Mean of the symmetrized slices, accumulated in order from zeros."""
+    acc = np.zeros(stack.shape[1:])
+    for h in stack:
         acc += 0.5 * (h + h.T)
-    return acc / len(coord_sets)
+    return acc / len(stack)
 
 
 class TestLayoutAndPacking:
@@ -379,32 +381,52 @@ def test_mlp_landscape_freed_without_a_collection():
     assert ref() is None
 
 
-class BlockQuadratic(Landscape):
-    """One (2, 3) block with f(w) = 1/2 sum lam_i w_i^2, w the block's entries
-    in row-major order; its block Hessian is diag(lam), given in closed form."""
+def spy_on_stacked_passes(monkeypatch):
+    """(block index, copies) of every ``_backprop`` call on a stack of
+    perturbed block copies, in call order."""
+    calls = []
+    backprop = MlpLandscape._backprop
 
-    def __init__(self, lam):
-        self.lam = np.asarray(lam, dtype=float)
-        super().__init__({"w": BlockLayout(0, (2, 3), "muon")}, np.zeros(6), None)
+    def spy(self, weights, x, y, first, only_first=False):
+        if weights[first].ndim == 3:
+            calls.append((first, len(weights[first])))
+        return backprop(self, weights, x, y, first, only_first)
 
-    def block_fd_hessian(self, name, mats, entries):
-        return np.diag(self.lam[entries])
+    monkeypatch.setattr(MlpLandscape, "_backprop", spy)
+    return calls
 
 
 class TestFdHessians:
+    @staticmethod
+    def linear_head():
+        """A 5-4-3 MLP at a random point and the closed-form Hessian of its
+        loss in the linear head: c A^T A (x) I, A the hidden activations on
+        the fixed batch and c = 2 / (batch * outputs)."""
+        land = MlpLandscape(MlpSpec(widths=(5, 4, 3), batch_size=8), seed=3)
+        mats = land.unpack(land.initial_point + 0.3 * SplitMix64(7).normal((land.dim,)))
+        a = np.tanh(land.fixed_batch[0] @ mats["layer0"])
+        return land, mats, 2.0 / (8 * 3) * a.T @ a
+
     def test_mean_row_hessian_averages_row_blocks(self):
-        lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
-        land = BlockQuadratic(lam)
-        h = mean_row_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
-        expected = np.diag(0.5 * (lam[:3] + lam[3:]))
-        np.testing.assert_allclose(h, expected, atol=1e-6)
+        # row j of the head (4 x 3) has Hessian c (A^T A)_jj I
+        land, mats, gram = self.linear_head()
+        rows, _ = land.block_fd_hessians("layer1", mats)
+        np.testing.assert_allclose(rows, np.diag(gram)[:, None, None] * np.eye(3),
+                                   rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(mean_row_hessian(rows), np.diag(gram).mean() * np.eye(3),
+                                   rtol=1e-6, atol=1e-9)
 
     def test_mean_col_hessian_averages_column_blocks(self):
-        lam = np.array([6.0, 5.0, 4.0, 2.0, 1.0, 0.5])
-        land = BlockQuadratic(lam)
-        h = mean_col_hessian(land, "w", {"w": 0.3 * np.ones((2, 3))})
-        expected = np.diag([lam[:3].mean(), lam[3:].mean()])
-        np.testing.assert_allclose(h, expected, atol=1e-6)
+        # every column of the head has Hessian c A^T A
+        land, mats, gram = self.linear_head()
+        _, cols = land.block_fd_hessians("layer1", mats)
+        np.testing.assert_allclose(cols, np.broadcast_to(gram, (3, 4, 4)), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(mean_col_hessian(cols), gram, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("mean", [mean_row_hessian, mean_col_hessian])
+    def test_means_symmetrize_then_average(self, mean):
+        stack = np.array([[[1.0, 2.0], [0.0, 3.0]], [[3.0, 0.0], [2.0, 1.0]]])
+        assert np.array_equal(mean(stack), np.array([[2.0, 1.0], [1.0, 2.0]]))
 
     @pytest.mark.parametrize("widths,batch_size", [
         ((8, 16, 16, 4), 16),
@@ -414,19 +436,22 @@ class TestFdHessians:
     ], ids=["8-16-16-4", "16-8-24-4", "3-1-2", "2-5-1"])
     def test_mlp_stacked_passes_match_per_coordinate_gradients(self, widths, batch_size):
         """The stacked passes give the per-coordinate loop's bytes on every
-        block; this fails on a numpy or BLAS whose stacked matmul does not
-        compute each slice as the 2-D product."""
+        block, slice by slice and in both means; this fails on a numpy or BLAS
+        whose stacked matmul does not compute each slice as the 2-D product."""
         land = MlpLandscape(MlpSpec(widths=widths, batch_size=batch_size), seed=4)
         w = land.initial_point + 0.3 * SplitMix64(9).normal((land.dim,))
         mats = land.unpack(w)
         for name, layout in land.blocks.items():
             m, n = layout.shape
-            rows = [layout.start + i * n + np.arange(n) for i in range(m)]
-            cols = [layout.start + j + n * np.arange(m) for j in range(n)]
-            assert np.array_equal(mean_row_hessian(land, name, mats),
-                                  reference_mean_fd_hessian(land, w, rows))
-            assert np.array_equal(mean_col_hessian(land, name, mats),
-                                  reference_mean_fd_hessian(land, w, cols))
+            rows, cols = land.block_fd_hessians(name, mats)
+            ref_rows = reference_fd_stack(land, w, [layout.start + i * n + np.arange(n)
+                                                    for i in range(m)])
+            ref_cols = reference_fd_stack(land, w, [layout.start + j + n * np.arange(m)
+                                                    for j in range(n)])
+            assert np.array_equal(rows, ref_rows)
+            assert np.array_equal(cols, ref_cols)
+            assert np.array_equal(mean_row_hessian(rows), reference_symmetrized_mean(ref_rows))
+            assert np.array_equal(mean_col_hessian(cols), reference_symmetrized_mean(ref_cols))
 
     def test_mlp_stacked_passes_split_into_chunks(self, monkeypatch):
         """One entry per pass gives the bytes of one pass over every entry,
@@ -434,13 +459,27 @@ class TestFdHessians:
         land = MlpLandscape(MlpSpec(widths=(6, 8, 8, 4), batch_size=8), seed=2)
         w = land.initial_point + 0.3 * SplitMix64(5).normal((land.dim,))
         mats = land.unpack(w)
-        entries = np.arange(0, 64, 3)
-        one_pass = land.block_fd_hessian("layer1", mats, entries)
-        coords = land.blocks["layer1"].start + entries
-        assert np.array_equal(one_pass, reference_fd_hessian_on_coords(
-            lambda v: grad_at(land, v), w, coords))
+        start = land.blocks["layer1"].start
+        calls = spy_on_stacked_passes(monkeypatch)
+        rows, cols = land.block_fd_hessians("layer1", mats)
+        assert calls == [(1, 128)]
+        assert np.array_equal(rows, reference_fd_stack(
+            land, w, [start + i * 8 + np.arange(8) for i in range(8)]))
+        assert np.array_equal(cols, reference_fd_stack(
+            land, w, [start + j + 8 * np.arange(8) for j in range(8)]))
         monkeypatch.setattr(landscapes, "_STACK_BYTES", 1)
-        assert np.array_equal(land.block_fd_hessian("layer1", mats, entries), one_pass)
+        calls.clear()
+        split_rows, split_cols = land.block_fd_hessians("layer1", mats)
+        assert calls == [(1, 2)] * 64
+        assert np.array_equal(split_rows, rows) and np.array_equal(split_cols, cols)
+
+    def test_align_steps_each_entry_once(self, monkeypatch):
+        # each entry of an m x n block makes two perturbed copies, + and -
+        calls = spy_on_stacked_passes(monkeypatch)
+        alignment_experiment(MlpSpec(widths=(8, 16, 16, 4)), seed=1, train_steps=2, d_s=2,
+                             k_grid=[2, 4])
+        copies = [sum(k for first, k in calls if first == block) for block in range(3)]
+        assert copies == [2 * 8 * 16, 2 * 16 * 16, 2 * 16 * 4]
 
 
 class TestAlignmentCurves:

@@ -182,6 +182,16 @@ class TestRegimeBoundaries:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             regime_boundaries(**args)
 
+    @pytest.mark.parametrize("args,message", [
+        ((-0.05, 0.5, 0.01), "alpha must be positive"),
+        ((0.0, 0.5, 0.01), "alpha must be positive"),
+        ((0.05, -3.0, 0.01), "beta must be >= 0"),
+    ], ids=["negative_alpha", "zero_alpha", "negative_beta"])
+    def test_rejects_what_stability_bound_rejects(self, args, message):
+        # the negative cases returned the bands (0.0617, 179.9) and (0.0695, 89.93) before
+        with pytest.raises(ValueError, match=message):
+            regime_boundaries(*args)
+
     def test_closed_form_roots_classify_across_parameters(self):
         # the closed-form roots are the boundaries themselves: each classifies
         # critical, 1% outside them overdamped, their geometric mean underdamped
