@@ -7,7 +7,7 @@ accelerated variants (muon_lite, soap_lite).
 Two tables are the one place that decides routing, state and the LITE
 stage: FAMILIES gives each family's stepper kind per block role, and KINDS
 gives each kind its stepper, the state arrays it keeps beside m, its LITE
-controller and the config keys only it reads. A stepper maps a block's
+controller and the config keys its stepper reads. A stepper maps a block's
 matrix, state and gradient to the new matrix: it advances the state and
 never writes into the matrix or the gradient.
 
@@ -70,7 +70,7 @@ class LitePolicy:
     beta1 may be negative (the matrix variant is run that way in practice);
     only beta2 >= beta1 is enforced. r_s sets the sharp-subspace size as a
     fraction of the block dimension, d_smooth_ratio the ramp band width for
-    the elementwise masks. Embedding blocks may carry their own chi.
+    the elementwise masks. One chi serves every LITE block of a run.
     """
 
     chi: float = 1.0
@@ -78,7 +78,6 @@ class LitePolicy:
     beta2: float = 0.0
     r_s: float = 0.5
     d_smooth_ratio: float = 0.1
-    chi_embedding: float | None = None
 
     def __post_init__(self):
         _require_finite(self)
@@ -90,16 +89,9 @@ class LitePolicy:
             raise ValueError(f"r_s must be in (0, 1], got {self.r_s}")
         if not 0.0 <= self.d_smooth_ratio < 1.0:
             raise ValueError(f"d_smooth_ratio must be in [0, 1), got {self.d_smooth_ratio}")
-        if self.chi_embedding is not None and self.chi_embedding < 1.0:
-            raise ValueError("chi_embedding must be ≥ 1")
 
-    def chi_for(self, role: str) -> float:
-        if role == "embedding" and self.chi_embedding is not None:
-            return self.chi_embedding
-        return self.chi
-
-    def is_trivial(self, role: str) -> bool:
-        return self.chi_for(role) == 1.0 and self.beta1 == 0.0 and self.beta2 == 0.0
+    def is_trivial(self) -> bool:
+        return self.chi == 1.0 and self.beta1 == 0.0 and self.beta2 == 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,12 +170,12 @@ class OptimizerConfig:
 
 @dataclasses.dataclass
 class BlockOptState:
-    """Per-block optimizer state: the block's role and the fields its routed
-    stepper needs, else None; ``step`` counts SOAP's steps, and the QR refresh
-    runs at the start of the step after every qr_refresh_every-th one."""
+    """Per-block state: its stepper kind, resolved once by init_state, and the
+    fields that stepper needs, else None; ``step`` counts SOAP's steps, and the
+    QR refresh runs at the start of the step after every qr_refresh_every-th one."""
 
     m: np.ndarray
-    role: str
+    kind: StepperKind
     v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     m_slow: np.ndarray | None = None
@@ -210,7 +202,7 @@ def init_state(shape, role: str, cfg: OptimizerConfig) -> BlockOptState:
     """Zeroed state of a (rows, cols) block for its (family, role) stepper."""
     rows, cols = shape  # ValueError for a shape that is not 2-D
     kind = KINDS[resolve_stepper(cfg.family, role)]
-    state = BlockOptState(np.zeros(shape), role, **{name: np.zeros(shape) for name in kind.arrays})
+    state = BlockOptState(np.zeros(shape), kind, **{name: np.zeros(shape) for name in kind.arrays})
     if kind.step is step_soap:
         state.gram_l = np.zeros((rows, rows))
         state.gram_r = np.zeros((cols, cols))
@@ -292,9 +284,9 @@ def _mask_and_update(state: BlockOptState, pol: LitePolicy, g, denom, core):
     mask = smoothed_sharp_mask(state.v, state.mask_ctrl)
     state.mask_ctrl = update_soap_controller(state.mask_ctrl, state.v)
     state.last_sharp_mass = float(mask.sum())
-    if pol.is_trivial(state.role):
+    if pol.is_trivial():
         return core
-    w_m, w_g = lite_weights(pol.chi_for(state.role), pol.beta1, pol.beta2, mask, 1.0)
+    w_m, w_g = lite_weights(pol.chi, pol.beta1, pol.beta2, mask, 1.0)
     return w_g * (g / denom) + w_m * core
 
 
@@ -358,9 +350,8 @@ def step_muon(w, state, g, lr, cfg):
         p_frob = frobenius(proj)
         state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
         state.last_sharp_mass = float(p_frob * p_frob)
-        if not pol.is_trivial(state.role):
-            w_m, w_g = lite_weights(pol.chi_for(state.role), pol.beta1, pol.beta2, proj,
-                                    np.eye(proj.shape[0]))
+        if not pol.is_trivial():
+            w_m, w_g = lite_weights(pol.chi, pol.beta1, pol.beta2, proj, np.eye(proj.shape[0]))
             core = core @ w_m + ns_polar(g.T if wide else g) @ w_g
     direction = core.T if wide else core
     return _apply(w, 0.2 * math.sqrt(max(w.shape)) * direction, lr, cfg.weight_decay)
@@ -395,28 +386,33 @@ class StepperKind(NamedTuple):
     step: Callable  # (w, state, g, lr, cfg) -> the new w
     arrays: tuple  # state arrays of the block's shape kept beside m
     controller: str | None  # LITE controller: "rank", "mask" or None
-    keys: tuple = ()  # OptimizerConfig fields that only this kind reads
+    keys: tuple  # OptimizerConfig fields the stepper reads
 
+
+_ADAM_KEYS = ("theta", "beta_v", "epsilon", "weight_decay")
+_SOAP_KEYS = _ADAM_KEYS + ("theta_shampoo", "qr_refresh_every")
 
 KINDS = {
-    "adamw": StepperKind(step_adamw, ("v",), None),
-    "n_adamw": StepperKind(step_n_adamw, ("v",), None, ("nesterov_beta",)),
-    "lion": StepperKind(step_lion, (), None),
-    "mars": StepperKind(step_mars, ("v", "prev_g"), None, ("mars_gamma",)),
+    "adamw": StepperKind(step_adamw, ("v",), None, _ADAM_KEYS),
+    "n_adamw": StepperKind(step_n_adamw, ("v",), None, _ADAM_KEYS + ("nesterov_beta",)),
+    "lion": StepperKind(step_lion, (), None, ("theta", "beta_v", "weight_decay")),
+    "mars": StepperKind(step_mars, ("v", "prev_g"), None, _ADAM_KEYS + ("mars_gamma",)),
     "ademamix": StepperKind(step_ademamix, ("v", "m_slow"), None,
-                            ("ademamix_kappa", "alpha_fast", "alpha_slow")),
-    "muon": StepperKind(step_muon, (), None),
-    "soap": StepperKind(step_soap, ("v",), None, ("theta_shampoo", "qr_refresh_every")),
-    "muon_lite": StepperKind(step_muon, (), "rank"),
-    "soap_lite": StepperKind(step_soap, ("v",), "mask", ("theta_shampoo", "qr_refresh_every")),
-    "adam_lite": StepperKind(step_adamw, ("v",), "mask"),
+                            ("beta_v", "epsilon", "weight_decay",
+                             "ademamix_kappa", "alpha_fast", "alpha_slow")),
+    "muon": StepperKind(step_muon, (), None, ("theta", "weight_decay")),
+    "soap": StepperKind(step_soap, ("v",), None, _SOAP_KEYS),
+    "muon_lite": StepperKind(step_muon, (), "rank", ("theta", "weight_decay")),
+    "soap_lite": StepperKind(step_soap, ("v",), "mask", _SOAP_KEYS),
+    "adam_lite": StepperKind(step_adamw, ("v",), "mask", _ADAM_KEYS),
 }
 
 LITE_FAMILIES = {family for family, kinds in FAMILIES.items()
                  if any(KINDS[k].controller for k in kinds)}
 
-# key -> the families that read it, in FAMILIES order; OptimizerConfig rejects
-# a non-default value for any other family
+# key -> the families whose stepper kinds read it, in FAMILIES order;
+# OptimizerConfig rejects a non-default value for any other family. clip_norm
+# is no stepper's key: route_and_step clips for every family.
 FAMILY_KEYS = {key: tuple(family for family, kinds in FAMILIES.items()
                           if any(key in KINDS[k].keys for k in kinds))
                for kind in KINDS.values() for key in kind.keys}
@@ -426,8 +422,8 @@ def route_and_step(mats, states, grads, step, schedule: ScheduleSpec,
                    cfg: OptimizerConfig):
     """One optimization step over every block of the run's ``mats`` dict.
 
-    Clips the joint gradient norm once, then steps each block with its
-    (family, role) stepper in lexicographic name order so runs reproduce
+    Clips the joint gradient norm once, then steps each block with the
+    stepper kind its state holds, in lexicographic name order so runs reproduce
     exactly regardless of how callers parallelize. ``mats[name]`` is replaced
     by the stepper's result; no matrix is written into.
     """
@@ -437,5 +433,4 @@ def route_and_step(mats, states, grads, step, schedule: ScheduleSpec,
     lr = lr_at(schedule, step)
     clipped = clip_global_norm([grads[name] for name in order], cfg.clip_norm)
     for name, g in zip(order, clipped):
-        stepper = KINDS[resolve_stepper(cfg.family, states[name].role)].step
-        mats[name] = stepper(mats[name], states[name], g, lr, cfg)
+        mats[name] = states[name].kind.step(mats[name], states[name], g, lr, cfg)

@@ -258,12 +258,16 @@ def monotonicity_probe(lam: float, alpha: float, eta_grid, beta_grid) -> ProbeRe
     convex lam inside the overdamped band (lam below the lower regime
     boundary) it must strictly shrink. Grid points that leave the band, or
     whose mode is not overdamped, are excluded and reported rather than
-    judged.
+    judged; a grid eta <= 0 or beta < 0, or a non-finite one, is rejected.
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     etas = [float(e) for e in eta_grid]
     betas = [float(b) for b in beta_grid]
+    if not all(0.0 < eta < math.inf for eta in etas):
+        raise ValueError(f"eta_grid values must be positive and finite, got {etas}")
+    if not all(0.0 <= beta < math.inf for beta in betas):
+        raise ValueError(f"beta_grid values must be >= 0 and finite, got {betas}")
     expected = "increasing" if lam < 0.0 else "decreasing"
     r1 = np.full((len(etas), len(betas)), np.nan)
     included = np.zeros((len(etas), len(betas)), dtype=bool)

@@ -130,7 +130,6 @@ KEY_SETTINGS = {
     "lite.beta2": ("1.0", 1.0),
     "lite.r_s": ("0.25", 0.25),
     "lite.d_smooth_ratio": ("0.2", 0.2),
-    "lite.chi_embedding": ("2.0", 2.0),
     "schedule.kind": ("cos", "cos"),
     "schedule.lr_max": ("0.5", 0.5),
     "schedule.warmup_steps": ("5", 5),
@@ -267,6 +266,13 @@ class TestParseConfig:
         ("optimizer.family = sgd", "family 'sgd' is unknown"),
         ("optimizer.nesterov_beta = 0.9",
          "line 1: optimizer.nesterov_beta is read only by n_adamw, not by family 'adamw'"),
+        # lion's sign update has no epsilon, and ademamix's EMAs take no theta
+        ("optimizer.family = lion\noptimizer.epsilon = 0.5",
+         "line 6: optimizer.epsilon is read only by adamw and n_adamw and mars and ademamix "
+         "and muon and soap and muon_lite and soap_lite, not by family 'lion'"),
+        ("optimizer.family = ademamix\noptimizer.theta = 0.5",
+         "line 6: optimizer.theta is read only by adamw and n_adamw and lion and mars "
+         "and muon and soap and muon_lite and soap_lite, not by family 'ademamix'"),
         # NaN passes every range check, so the parser refuses it outright
         ("schedule.lr_max = nan", "line 7: malformed value 'nan' for 'schedule.lr_max'"),
         ("optimizer.epsilon = nan", "line 1: malformed value 'nan' for 'optimizer.epsilon'"),
@@ -290,17 +296,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment.replace("[", "\\[").replace("(", "\\(")):
             parse_config(text)
 
-    @pytest.mark.parametrize("key,value", [
-        ("nesterov_beta", "0.9"), ("mars_gamma", "0.5"), ("ademamix_kappa", "7.0"),
-        ("alpha_fast", "0.2"), ("alpha_slow", "0.01"), ("theta_shampoo", "0.5"),
-        ("qr_refresh_every", "3"),
-    ])
-    def test_family_keys_only_for_their_families(self, key, value):
+    @pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(OptimizerConfig)
+                                     if field.name not in ("family", "lite")])
+    def test_family_keys_only_for_their_families(self, key):
+        # a non-default key parses only for a family with a stepper that
+        # reads it; route_and_step reads clip_norm for every family
+        raw, parsed = KEY_SETTINGS[f"optimizer.{key}"]
         for family in FAMILIES:
             text = MINIMAL.replace("family = adamw", f"family = {family}") \
-                + f"optimizer.{key} = {value}\n"
-            if family in FAMILY_KEYS[key]:
-                assert getattr(parse_config(text).optimizer, key) == float(value)
+                + f"optimizer.{key} = {raw}\n"
+            if family in (FAMILIES if key == "clip_norm" else FAMILY_KEYS[key]):
+                assert getattr(parse_config(text).optimizer, key) == parsed
             else:
                 with pytest.raises(ConfigError, match=f"line 8: optimizer.{key} is read only by"):
                     parse_config(text)
@@ -581,6 +587,26 @@ class TestRunExperiment:
         for name in ("layer0", "layer1", "layer2"):
             assert last[f"{name}.update_rms"] != "nan"
 
+    def test_one_chi_reaches_every_lite_block(self, tmp_path, capsys):
+        # with beta1 = beta2 = 0 only chi reweights the update: raising it
+        # moves the first step of layer0 (adam_lite's mask) and of layer1
+        # (muon_lite's rank controller), not of the adamw output layer2
+        base = MLP_BASE.format(family="muon_lite").replace("run.steps = 30", "run.steps = 3")
+        firsts = []
+        for chi in ("1.0", "4.0"):
+            _, header, rows = run_csv(tmp_path, base + f"lite.chi = {chi}\n", f"chi{chi}.csv")
+            firsts.append(dict(zip(header, rows[0])))
+        trivial, amplified = firsts
+        for name in ("layer0", "layer1"):
+            assert trivial[f"{name}.update_rms"] != amplified[f"{name}.update_rms"], name
+        assert trivial["layer2.update_rms"] == amplified["layer2.update_rms"]
+        # there is no second chi to set
+        path = tmp_path / "exp.cfg"
+        path.write_text(base + "lite.chi_embedding = 2\n")
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "config error: line 9: unknown key 'lite.chi_embedding'")
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_run_leaves_the_initial_point_unchanged(self, tmp_path, monkeypatch, family):
         # the run steps views of the initial point; a write into one of them
@@ -752,7 +778,6 @@ class TestCli:
         # EMA rates outside (0, 1]
         MLP_BASE.format(family="muon_lite") + "lite.chi = inf\n",
         MLP_BASE.format(family="muon_lite") + "lite.beta2 = inf\n",
-        MLP_BASE.format(family="muon_lite") + "lite.chi_embedding = inf\n",
         MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.ademamix_kappa = inf\n",
         MINIMAL + "optimizer.weight_decay = inf\n",
         MINIMAL.replace("family = adamw", "family = n_adamw") + "optimizer.nesterov_beta = inf\n",
@@ -767,7 +792,7 @@ class TestCli:
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
             "chi_norm", "nesterov_beta-adamw", "unknown-family", "lr_max-nan",
             "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum",
-            "chi-inf", "beta2-inf", "chi_embedding-inf", "ademamix_kappa-inf",
+            "chi-inf", "beta2-inf", "ademamix_kappa-inf",
             "weight_decay-inf", "nesterov_beta-inf", "lr_max-inf", "epsilon-inf",
             "alpha_fast-negative", "alpha_fast-zero", "widths-empty-item",
             "eigenvalues-empty-item"])

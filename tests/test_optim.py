@@ -15,6 +15,7 @@ import pytest
 from flatopt.optim import (
     FAMILIES,
     FAMILY_KEYS,
+    KINDS,
     LITE_FAMILIES,
     ROLES,
     LitePolicy,
@@ -621,13 +622,6 @@ class TestAdamLite:
             w_l = step_adamw(w_l, s_l, g, 0.01, cfg_l)
             assert np.array_equal(w_l, 4.0 * w_a)
 
-    def test_per_role_chi_override(self):
-        pol = LitePolicy(chi=1.0, chi_embedding=2.0)
-        assert pol.chi_for("embedding") == 2.0
-        assert pol.chi_for("muon") == 1.0
-        assert not pol.is_trivial("embedding")
-        assert pol.is_trivial("muon")
-
 
 class TestLiteOnKroneckerQuadratic:
     """LITE against its baseline on f(W) = 1/2 sum a_i b_j (W - W*)_ij^2, one
@@ -760,7 +754,7 @@ class TestRouting:
             for role in ROLES:
                 kind = resolve_stepper(family, role)
                 state = init_state((3, 2), role, cfg)
-                assert state.role == role
+                assert state.kind is KINDS[kind]
                 assert (state.rank_ctrl is not None) == (kind == "muon_lite")
                 assert (state.mask_ctrl is not None) == (kind in ("soap_lite", "adam_lite"))
             if family in LITE_FAMILIES:
@@ -773,7 +767,13 @@ class TestRouting:
                     ref = step_adamw(ref, ref_state, g, 0.01, cfg_a)
                     assert np.array_equal(mats["head"], ref)
 
+    def test_every_knob_but_clip_norm_is_a_stepper_key(self):
+        # route_and_step reads clip_norm for every family; a stepper reads the rest
+        knobs = {f.name for f in dataclasses.fields(OptimizerConfig)} - {"family", "lite"}
+        assert set(FAMILY_KEYS) == knobs - {"clip_norm"}
+
     @pytest.mark.parametrize("key,value", [
+        ("theta", 0.5), ("beta_v", 0.5), ("epsilon", 0.5), ("weight_decay", 0.5),
         ("nesterov_beta", 0.9), ("mars_gamma", 0.5), ("ademamix_kappa", 7.0),
         ("alpha_fast", 0.2), ("alpha_slow", 0.01), ("theta_shampoo", 0.5),
         ("qr_refresh_every", 3),
@@ -1041,11 +1041,8 @@ class TestConfigValidation:
             LitePolicy(r_s=0.0)
         with pytest.raises(ValueError, match="d_smooth_ratio"):
             LitePolicy(d_smooth_ratio=1.0)
-        with pytest.raises(ValueError, match="chi_embedding"):
-            LitePolicy(chi_embedding=0.5)
 
-    @pytest.mark.parametrize("field", ["chi", "beta1", "beta2", "r_s", "d_smooth_ratio",
-                                       "chi_embedding"])
+    @pytest.mark.parametrize("field", ["chi", "beta1", "beta2", "r_s", "d_smooth_ratio"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_policy_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

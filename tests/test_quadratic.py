@@ -285,6 +285,18 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             monotonicity_probe(0.0, 0.1, self.ETA_GRID, self.BETA_GRID)
 
+    @pytest.mark.parametrize("lam", [-0.05, 0.05])
+    @pytest.mark.parametrize("etas,betas,message", [
+        ((0.01, 0.02), (-0.5, 0.5, 1.0), "beta_grid values must be >= 0"),
+        ((0.0, -0.01), (0.5,), "eta_grid values must be positive"),
+        ((0.01, math.inf), (0.5,), "eta_grid values must be positive and finite"),
+        ((0.01,), (math.nan,), "beta_grid values must be >= 0 and finite"),
+    ], ids=["negative-beta", "eta-not-positive", "eta-inf", "beta-nan"])
+    def test_rejects_grid_values_stability_bound_rejects(self, lam, etas, betas, message):
+        # the range stability_bound and regime_boundaries accept: eta > 0, beta >= 0
+        with pytest.raises(ValueError, match=message):
+            monotonicity_probe(lam, 0.1, etas, betas)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.01, 1.9), st.floats(0.0, 3.0), st.floats(0.01, 100.0),

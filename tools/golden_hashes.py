@@ -17,13 +17,12 @@ It measures the sources under ``src/`` of the checkout it sits in. BLAS is
 pinned to one thread before numpy loads. A change that claims to keep output
 bytes must leave every entry unchanged.
 
-The 48 entries: nine families on three MLPs (6-8-8-4 batch 8, 32-96-96-16,
+The 44 entries: nine families on three MLPs (6-8-8-4 batch 8, 32-96-96-16,
 16-8-24-4 batch 32); adamw on river_valley and quadratic; ``align`` on the
 6-8-8-4 and 16-8-24-4 MLPs, ``quadratic-report`` and ``dynamics-check``;
-muon_lite and soap_lite on two MLPs under the trivial policy and under
-``lite.chi_embedding = 1``, and muon_lite on the same two with
-``lite.beta1`` and ``lite.beta2`` unset (zero); n_adamw, mars, ademamix and
-soap with their own keys set; muon on a noisy teacher.
+muon_lite and soap_lite on two MLPs under the trivial policy, and muon_lite
+on the same two with ``lite.beta1`` and ``lite.beta2`` unset (zero); n_adamw,
+mars, ademamix and soap with their own keys set; muon on a noisy teacher.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ def entries():
             trivial = {key: None for key in LITE}
             trivial["lite.chi"] = 1.0
             out.append((f"run:{mlp}:{family}:trivial", _run_keys(family, MLPS[mlp], trivial)))
-            out.append((f"run:{mlp}:{family}:chi_embedding",
-                        _run_keys(family, MLPS[mlp], {"lite.chi_embedding": 1.0})))
         out.append((f"run:{mlp}:muon_lite:zero_betas",
                     _run_keys("muon_lite", MLPS[mlp], {"lite.beta1": None, "lite.beta2": None})))
     own_keys = {"n_adamw": {"optimizer.nesterov_beta": 0.9},
