@@ -154,7 +154,7 @@ def _cmd_dynamics_check(args) -> int:
     s = state
     for _ in range(25):
         s = semi_implicit_step(s, quad, params, 1.0)
-    sim = simulate_recurrence(quad, 0.2, 0.0, 0.05, state.w, state.m, 25)
+    sim = simulate_recurrence(quad, params.alpha, params.beta, params.eta, state.w, state.m, 25)
     exact = float(np.abs(s.w - sim.trajectory[-1]).max() + np.abs(s.m - sim.momentum).max())
     checks.append(("semi_implicit_h1_gap", exact, 0.0))
 

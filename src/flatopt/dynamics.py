@@ -2,8 +2,8 @@
 its first-order momentum flow (split by optim.lite_weights into a sharp part
 and a chi-amplified flat part when a sharp projector is set), a semi-implicit
 Euler discretization that reproduces the discrete update at h = 1, an RK4
-reference integrator, the two Nesterov formulations traced side by side, and
-the third-order identity satisfied by the two-timescale momentum flow.
+reference integrator of the decoupled flow, the two Nesterov formulations,
+and the third-order identity satisfied by the two-timescale momentum flow.
 
 Every flow integrates a QuadraticSpec, the same quadratic the closed-form
 analysis in ``quadratic`` studies, through its exact gradient; H times a
@@ -12,13 +12,11 @@ the step-size scale eta is one float, as the h = 1 identities use it, and
 the metric, when present, is a constant SPD matrix (the regime where the
 curvature-correction terms vanish and the stated systems are exact).
 
-The quadratic is diagonal, so a flow without a projector or a metric splits
-into one small system per coordinate. rk4_flow on such a flow, and the
-two-timescale flow always, run each coordinate's RK4 steps as straight-line
-code on Python floats: each expression is the vector one written per entry,
-and a float rounds as a numpy entry does, so the bytes are the vector
-integration's. A projector or a metric couples the coordinates, and _rk4
-integrates such a flow as arrays. _fine_steps sets the steps of both.
+The quadratic is diagonal, so a decoupled flow (no projector, no metric)
+splits into one small system per coordinate. rk4_flow and the two-timescale
+flow run each coordinate's RK4 steps as straight-line code on Python floats:
+each expression is the vector one written per entry, and a float rounds as a
+numpy entry does, so the bytes are the vector integration's.
 """
 
 from __future__ import annotations
@@ -144,16 +142,12 @@ def _require_dimension(state: DynamicsState, quadratic: QuadraticSpec, params: F
             raise ValueError(f"{name} has dimension {len(a)}, the quadratic {quadratic.dim}")
 
 
-def _flow(w, m, quadratic: QuadraticSpec, params: FlowParams):
-    g = quadratic.grad(w)
-    return -params.eta * _direction(params, m, g), -params.alpha * m + g
-
-
 def flow_rhs(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams):
     """wdot = -eta F^{-1} u and mdot = -alpha m + grad f, where u is the LITE
     split w_m m + w_g grad f with a projector, else m + beta grad f."""
     _require_dimension(state, quadratic, params)
-    return _flow(state.w, state.m, quadratic, params)
+    g = quadratic.grad(state.w)
+    return -params.eta * _direction(params, state.m, g), -params.alpha * state.m + g
 
 
 def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
@@ -184,21 +178,6 @@ def _fine_steps(span: float, h: float):
     return n_steps, span / n_steps
 
 
-def _rk4(quadratic: QuadraticSpec, params: FlowParams, w, m, span: float, h: float):
-    """Classical 4-stage integration of a coupled flow (a projector or a
-    metric) over span, on the arrays (w, m)."""
-    n_steps, step = _fine_steps(span, h)
-    half, sixth = 0.5 * step, step / 6.0
-    for _ in range(n_steps):
-        k1w, k1m = _flow(w, m, quadratic, params)
-        k2w, k2m = _flow(w + half * k1w, m + half * k1m, quadratic, params)
-        k3w, k3m = _flow(w + half * k2w, m + half * k2m, quadratic, params)
-        k4w, k4m = _flow(w + step * k3w, m + step * k3m, quadratic, params)
-        w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        m = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return w, m
-
-
 def _rk4_per_coordinate(quadratic: QuadraticSpec, advance, state0, times, h: float):
     """Integrate a flow whose coordinates are decoupled, one coordinate at a
     time. state0 holds the flow's variables as d-vectors. advance(lam, b, y,
@@ -221,15 +200,14 @@ def _rk4_per_coordinate(quadratic: QuadraticSpec, advance, state0, times, h: flo
 
 def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams, t_end: float,
              h: float = FINE_STEP) -> DynamicsState:
-    """RK4 integration of flow_rhs up to t_end; the reference trajectory for
-    discretization-order checks, in arrays that ``state`` does not hold. A
-    flow that overflows raises ValueError from the returned state's check.
+    """RK4 integration of a decoupled flow_rhs up to t_end; the reference
+    trajectory for discretization-order checks, in arrays that ``state``
+    does not hold. A flow that overflows raises ValueError from the returned
+    state's check; a projector or a metric is refused.
 
-    Without a projector or a metric each coordinate's (w, m) is an
-    independent system, g = lam w + b, wdot = -eta (m + beta g),
-    mdot = -alpha m + g, integrated as two Python floats one coordinate at a
-    time, bit for bit as the vector integration. A projector or a metric
-    couples the coordinates, and such a flow is integrated as vectors.
+    Each coordinate's (w, m) is an independent system, g = lam w + b,
+    wdot = -eta (m + beta g), mdot = -alpha m + g, integrated as two Python
+    floats one coordinate at a time, bit for bit as the vector integration.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("h must be positive and finite")
@@ -238,10 +216,9 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
     if t_end < state.t:
         raise ValueError("t_end must not precede the state's clock")
     _require_dimension(state, quadratic, params)
-    d = quadratic.dim
-    if params.projector_sharp is not None or params.metric is not None:
-        w, m = _rk4(quadratic, params, state.w.copy(), state.m.copy(), t_end - state.t, h)
-        return DynamicsState(w, m, t_end)
+    for name in ("projector_sharp", "metric"):
+        if getattr(params, name) is not None:
+            raise ValueError(f"rk4_flow integrates only a flow without {name}")
     alpha, beta, eta = params.alpha, params.beta_pair()[0], params.eta
 
     def advance(lam, b, y, n_steps, step):
@@ -264,7 +241,7 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
         return w, m
 
     traj = _rk4_per_coordinate(quadratic, advance, (state.w, state.m), [state.t, t_end], h)
-    return DynamicsState(traj[-1, :d], traj[-1, d:], t_end)
+    return DynamicsState(*np.split(traj[-1], 2), t_end)
 
 
 def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,
@@ -331,13 +308,11 @@ class AdemamixFlowConfig:
             raise ValueError("kappa must be >= 0")
 
 
-def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
-                             t_grid, state0=None):
+def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig, t_grid):
     """Integrate the 3-variable flow
         mf' = -a1 mf + a1 g,  ms' = -a2 ms + a2 g,  w' = -eta (mf + kappa ms)
     with the fine-step 4-stage integrator, returning (W, MF, MS) sampled on
-    t_grid. Starts at the stationary point + 1 with zero momenta unless
-    state0 = (w, mf, ms) is given.
+    t_grid. Starts at the stationary point + 1 with zero momenta.
 
     The quadratic is diagonal, so each coordinate's (w, mf, ms) is an
     independent system, stepped as three Python floats bit for bit as the
@@ -349,8 +324,6 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
         raise ValueError("t_grid must be a nondecreasing vector of finite times")
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     d = quadratic.dim
-    if state0 is None:
-        state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
 
     def advance(lam, b, y, n_steps, step):
         w, f, s = y
@@ -372,12 +345,12 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
             s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         return w, f, s
 
+    state0 = (quadratic.start(), np.zeros(d), np.zeros(d))
     traj = _rk4_per_coordinate(quadratic, advance, state0, t_grid.tolist(), FINE_STEP)
     return traj[:, :d], traj[:, d:2 * d], traj[:, 2 * d:]
 
 
-def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
-                          t_grid, state0=None) -> float:
+def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig, t_grid) -> float:
     """Max absolute residual of the third-order identity
         w''' + (a1+a2) w'' + a1 a2 w' + eta (a1 + kappa a2) H w'
               + eta a1 a2 (1 + kappa) grad f = 0
@@ -388,7 +361,7 @@ def ademamix_ode_residual(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig,
     at once; a flow that overflowed gives a NaN or infinite residual.
     """
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
-    w, mf, ms = ademamix_flow_trajectory(quadratic, cfg, t_grid, state0=state0)
+    w, mf, ms = ademamix_flow_trajectory(quadratic, cfg, t_grid)
     g = quadratic.grad(w)
     wd = -eta * (mf + kap * ms)
     wdd = -eta * (-a1 * mf - kap * a2 * ms + (a1 + kap * a2) * g)

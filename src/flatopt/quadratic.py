@@ -258,10 +258,13 @@ def monotonicity_probe(lam: float, alpha: float, eta_grid, beta_grid) -> ProbeRe
     convex lam inside the overdamped band (lam below the lower regime
     boundary) it must strictly shrink. Grid points that leave the band, or
     whose mode is not overdamped, are excluded and reported rather than
-    judged; a grid eta <= 0 or beta < 0, or a non-finite one, is rejected.
+    judged, and a probe that judges no point fails. lam = 0, alpha <= 0, a
+    grid eta <= 0 or beta < 0, or a non-finite one, is rejected.
     """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
+    if not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"lam must be nonzero and finite, got {lam}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     etas = [float(e) for e in eta_grid]
     betas = [float(b) for b in beta_grid]
     if not all(0.0 < eta < math.inf for eta in etas):
@@ -301,4 +304,4 @@ def monotonicity_probe(lam: float, alpha: float, eta_grid, beta_grid) -> ProbeRe
                     violations.append((axis, at, x0, x1, v0, v1))
     return ProbeResult(r1=r1, included=included, expected=expected,
                        excluded_points=excluded, violations=violations,
-                       passed=not violations)
+                       passed=bool(included.any()) and not violations)

@@ -281,21 +281,36 @@ class TestMonotonicity:
             r_prev = gap
         assert r_prev < 1e-5
 
-    def test_zero_lam_rejected(self):
-        with pytest.raises(ValueError):
-            monotonicity_probe(0.0, 0.1, self.ETA_GRID, self.BETA_GRID)
+    @pytest.mark.parametrize("lam", [0.0, math.nan, math.inf, -math.inf])
+    def test_lam_must_be_nonzero_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonzero and finite"):
+            monotonicity_probe(lam, 0.1, self.ETA_GRID, self.BETA_GRID)
 
     @pytest.mark.parametrize("lam", [-0.05, 0.05])
-    @pytest.mark.parametrize("etas,betas,message", [
-        ((0.01, 0.02), (-0.5, 0.5, 1.0), "beta_grid values must be >= 0"),
-        ((0.0, -0.01), (0.5,), "eta_grid values must be positive"),
-        ((0.01, math.inf), (0.5,), "eta_grid values must be positive and finite"),
-        ((0.01,), (math.nan,), "beta_grid values must be >= 0 and finite"),
-    ], ids=["negative-beta", "eta-not-positive", "eta-inf", "beta-nan"])
-    def test_rejects_grid_values_stability_bound_rejects(self, lam, etas, betas, message):
-        # the range stability_bound and regime_boundaries accept: eta > 0, beta >= 0
+    @pytest.mark.parametrize("alpha,etas,betas,message", [
+        (0.1, (0.01, 0.02), (-0.5, 0.5, 1.0), "beta_grid values must be >= 0"),
+        (0.1, (0.0, -0.01), (0.5,), "eta_grid values must be positive"),
+        (0.1, (0.01, math.inf), (0.5,), "eta_grid values must be positive and finite"),
+        (0.1, (0.01,), (math.nan,), "beta_grid values must be >= 0 and finite"),
+        (-0.1, (0.01, 0.02), (0.5, 1.0), "alpha must be positive and finite"),
+        (0.0, (0.01, 0.02), (0.5, 1.0), "alpha must be positive and finite"),
+        (math.inf, (0.01, 0.02), (0.5, 1.0), "alpha must be positive and finite"),
+        (math.nan, (0.01, 0.02), (0.5, 1.0), "alpha must be positive and finite"),
+    ], ids=["negative-beta", "eta-not-positive", "eta-inf", "beta-nan", "negative-alpha",
+            "zero-alpha", "alpha-inf", "alpha-nan"])
+    def test_rejects_grid_values_stability_bound_rejects(self, lam, alpha, etas, betas, message):
+        # the range stability_bound and regime_boundaries accept: alpha > 0,
+        # eta > 0, beta >= 0
         with pytest.raises(ValueError, match=message):
-            monotonicity_probe(lam, 0.1, etas, betas)
+            monotonicity_probe(lam, alpha, etas, betas)
+
+    def test_probe_that_judges_no_point_fails(self):
+        # lam = 50 lies above every band on the grid: nothing is judged, so
+        # the monotonicity claim has no support
+        probe = monotonicity_probe(50.0, 0.1, (0.01, 0.02), (0.5, 1.0))
+        assert not probe.included.any()
+        assert [reason for *_, reason in probe.excluded_points] == ["lam not below the band"] * 4
+        assert not probe.passed
 
 
 @settings(max_examples=200, deadline=None)

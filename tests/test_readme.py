@@ -1,7 +1,9 @@
 """The README's examples and the harness docstring's config are live: each
-config parses and runs, and each ``flatopt`` command line parses."""
+config parses and runs, each ``flatopt`` command line parses, and the count
+of golden runs the README states is the record's."""
 
 import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 from flatopt import cli, harness
 from flatopt.harness import parse_config, run_experiment
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def fenced_blocks():
@@ -48,3 +51,10 @@ def test_harness_docstring_config_parses():
     config = parse_config(example)
     assert config.optimizer.family == "muon_lite"
     assert config.landscape.widths == (6, 8, 8, 4)
+
+
+def test_readme_golden_count_matches_the_record():
+    stated = re.findall(r"compares\s+the\s+md5\s+of\s+(\d+)\s+fixed\s+runs", README.read_text())
+    assert len(stated) == 1
+    entries = json.loads((ROOT / "tools" / "golden.json").read_text())["entries"]
+    assert int(stated[0]) == len(entries)
