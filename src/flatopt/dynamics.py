@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .linalg import sym_eig
-from .optim import lite_weights
+from .optim import check_fields, check_number, lite_weights
 from .quadratic import QuadraticSpec
 
 PROJECTOR_TOL = 1e-8
@@ -89,13 +89,11 @@ class FlowParams:
     _split: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-        if isinstance(self.beta, tuple) and len(self.beta) != 2:
-            raise ValueError("beta pair must have exactly two entries")
+        check_fields(self, {"alpha": "[0, inf)"})
+        is_pair = isinstance(self.beta, tuple) and len(self.beta) == 2
+        for b in self.beta if is_pair else (self.beta,):
+            check_number("beta", b)
         b1, b2 = self.beta_pair()
-        if not all(map(math.isfinite, (self.alpha, b1, b2, self.chi, self.eta))):
-            raise ValueError("flow coefficients must be finite")
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
         if self.projector_sharp is not None:
@@ -116,9 +114,8 @@ class FlowParams:
             object.__setattr__(self, "_metric_eig", (evals, vecs))
 
     def beta_pair(self):
-        if isinstance(self.beta, tuple):
-            return float(self.beta[0]), float(self.beta[1])
-        return float(self.beta), float(self.beta)
+        b1, b2 = self.beta if isinstance(self.beta, tuple) else (self.beta, self.beta)
+        return float(b1), float(b2)
 
 
 def _direction(params: FlowParams, m, g):
@@ -300,12 +297,8 @@ class AdemamixFlowConfig:
     eta: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha_fast, self.alpha_slow, self.kappa, self.eta))):
-            raise ValueError("flow coefficients must be finite")
-        if self.alpha_fast <= 0.0 or self.alpha_slow <= 0.0:
-            raise ValueError("EMA rates must be positive")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be >= 0")
+        check_fields(self, {"alpha_fast": "(0, inf)", "alpha_slow": "(0, inf)",
+                            "kappa": "[0, inf)"})
 
 
 def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig, t_grid):

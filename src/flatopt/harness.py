@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
 from .landscapes import (Landscape, MlpLandscape, MlpSpec, RiverValleySpec,
                          quadratic_landscape, river_valley_landscape)
-from .optim import (LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
-                    init_states, lr_at, resolve_stepper, route_and_step)
+from .optim import (KINDS, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
+                    check_fields, init_states, lr_at, route_and_step)
 from .quadratic import QuadraticSpec
 
 # Per-block telemetry columns; inapplicable entries render as nan so the
@@ -56,17 +55,9 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        for key in ("seed", "steps", "log_every"):
-            try:
-                operator.index(getattr(self, key))
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        # seed is an unsigned 64-bit integer: [0, 2**64)
+        check_fields(self, {"seed": "[0, 18446744073709551616)", "steps": "[1, inf)",
+                            "log_every": "[1, inf)"})
         if not isinstance(self.landscape, tuple(_LANDSCAPE_SPECS.values())):
             raise ValueError(f"landscape must be a landscape spec, not {type(self.landscape).__name__}")
         if self.schedule.total_steps < self.steps:
@@ -95,7 +86,7 @@ def parse_list(raw: str, parse_item) -> tuple:
 
 # field annotation -> value parser; an optional field ("X | None") parses as X
 _PARSERS = {"str": str, "int": _parse_int, "float": _parse_float,
-            "tuple": lambda raw: parse_list(raw, _parse_int),
+            "tuple[int, ...]": lambda raw: parse_list(raw, _parse_int),
             "np.ndarray": lambda raw: parse_list(raw, _parse_float)}
 
 
@@ -249,13 +240,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     land = build_landscape(config)
     family = config.optimizer.family
-    if family != "adamw" and all(resolve_stepper(family, layout.role) == "adamw"
-                                 for layout in land.blocks.values()):
+    states = init_states(land.blocks, config.optimizer)
+    if family != "adamw" and all(state.kind is KINDS["adamw"] for state in states.values()):
         kind = next(kind for kind, spec in _LANDSCAPE_SPECS.items() if isinstance(config.landscape, spec))
         raise ConfigError(f"{family} changes no block of landscape "
                           f"'{kind}': every block would run plain adamw")
     mats = land.unpack(land.initial_point)
-    states = init_states(land.blocks, config.optimizer)
 
     summary = {"status": "ok", "steps_completed": 0, "final_loss": math.nan, "message": ""}
     out = open(config.output_path, "w", newline="") if config.output_path else None

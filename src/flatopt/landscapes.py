@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .linalg import sym_eig
-from .optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
+from .optim import OptimizerConfig, ScheduleSpec, check_fields, init_states, route_and_step
 from .quadratic import QuadraticSpec
 from .rng import SplitMix64, derive_seed, normal_rows
 from .subspace import coverage_score
@@ -99,10 +99,8 @@ class RiverValleySpec:
     sharp_curvature: float
 
     def __post_init__(self):
-        if self.sharp_dim < 1 or self.flat_dim < 1:
-            raise ValueError("river valley needs at least one coordinate per group")
-        if not 0.0 < self.sharp_curvature < math.inf:
-            raise ValueError("sharp_curvature must be positive and finite")
+        check_fields(self, {"sharp_dim": "[1, inf)", "flat_dim": "[1, inf)",
+                            "sharp_curvature": "(0, inf)"})
         if self.sharp_dim != self.flat_dim:
             raise ValueError("coordinatewise floor needs sharp_dim == flat_dim")
 
@@ -132,19 +130,15 @@ class MlpSpec:
     """Fully connected tanh network, linear output head, no biases, trained
     on a fixed synthetic regression batch (teacher outputs plus noise)."""
 
-    widths: tuple
+    widths: tuple[int, ...]
     batch_size: int = 32
     noise_sigma: float = 0.01
 
     def __post_init__(self):
+        check_fields(self, {"widths": "[1, inf)", "batch_size": "[1, inf)",
+                            "noise_sigma": "[0, inf)"})
         if len(self.widths) < 3:
             raise ValueError("need at least input, hidden and output widths")
-        if any(d < 1 for d in self.widths):
-            raise ValueError("widths must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
         if self.param_count > 20000:
             raise ValueError(f"parameter count {self.param_count} exceeds the 20000 budget")
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,13 +54,38 @@ FAMILIES = {
 }
 
 
-def _require_finite(config, may_be_inf=()):
-    """Reject a non-finite float field of config; those in may_be_inf may be +inf."""
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if field.type.startswith("float") and value is not None and not (
-                math.isfinite(value) or (field.name in may_be_inf and value == math.inf)):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+# number annotation -> the type each value (each item, for a tuple) must have
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "tuple[int, ...]": numbers.Integral}
+
+
+def check_number(name: str, value, kind=numbers.Real, interval: str = "(-inf, inf)"):
+    """Raise a ValueError led by name unless value is a kind in interval, such
+    as "[0, 1)"; only an interval closed at inf, like "(0, inf]", admits inf."""
+    if not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    low, high = map(float, interval[1:-1].split(","))
+    # comparisons, not math.isfinite, so an int of any size is judged exactly
+    if not (low < value < high or interval[0] == "[" and value == low
+            or interval[-1] == "]" and value == high):
+        raise ValueError(f"{name} must be in {interval}, got {value}")
+
+
+def check_fields(config, intervals: dict):
+    """check_number on each number field of the dataclass config, with the
+    kind its annotation gives and its interval in intervals, else (-inf, inf);
+    a tuple[int, ...] field must be a tuple, and every item is checked."""
+    fields = {f.name: f.type for f in dataclasses.fields(config) if f.type in _KINDS}
+    unknown = sorted(intervals.keys() - fields.keys())
+    if unknown:
+        raise TypeError(f"{type(config).__name__} has no number field {unknown}")
+    for name, annotation in fields.items():
+        value = getattr(config, name)
+        is_tuple = annotation.startswith("tuple")
+        if is_tuple and not isinstance(value, tuple):
+            raise ValueError(f"{name} must be a tuple of integers, got {value!r}")
+        for item in value if is_tuple else (value,):
+            check_number(name, item, _KINDS[annotation], intervals.get(name, "(-inf, inf)"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,15 +106,9 @@ class LitePolicy:
     d_smooth_ratio: float = 0.1
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.chi < 1.0:
-            raise ValueError("chi must be ≥ 1")
+        check_fields(self, {"chi": "[1, inf)", "r_s": "(0, 1]", "d_smooth_ratio": "[0, 1)"})
         if self.beta2 < self.beta1:
             raise ValueError("beta2 must be ≥ beta1")
-        if not 0.0 < self.r_s <= 1.0:
-            raise ValueError(f"r_s must be in (0, 1], got {self.r_s}")
-        if not 0.0 <= self.d_smooth_ratio < 1.0:
-            raise ValueError(f"d_smooth_ratio must be in [0, 1), got {self.d_smooth_ratio}")
 
     def is_trivial(self) -> bool:
         return self.chi == 1.0 and self.beta1 == 0.0 and self.beta2 == 0.0
@@ -102,14 +122,11 @@ class ScheduleSpec:
     total_steps: int
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, {"lr_max": "[0, inf)", "warmup_steps": "[0, inf)",
+                            "total_steps": "[1, inf)"})
         if self.kind not in ("cos", "wsd", "constant"):
             raise ValueError(f"kind '{self.kind}' is not a schedule kind")
-        if self.lr_max < 0.0:
-            raise ValueError("lr_max must be ≥ 0")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be ≥ 1")
-        if not 0 <= self.warmup_steps <= self.total_steps:
+        if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must lie in [0, total_steps]")
         if self.kind in ("cos", "wsd") and self.warmup_steps >= self.total_steps:
             raise ValueError(f"warmup_steps < total_steps is required by a {self.kind} schedule")
@@ -142,25 +159,11 @@ class OptimizerConfig:
             if self.family not in readers and getattr(self, key) != defaults[key]:
                 raise ValueError(f"optimizer.{key} is read only by "
                                  f"{' and '.join(readers)}, not by family '{self.family}'")
-        _require_finite(self, may_be_inf=("clip_norm",))
-        for label in ("theta", "beta_v", "theta_shampoo"):
-            value = getattr(self, label)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{label} must be in [0, 1), got {value}")
-        for label in ("alpha_fast", "alpha_slow"):
-            value = getattr(self, label)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{label} must be in (0, 1], got {value}")
-        if self.ademamix_kappa < 0.0:
-            raise ValueError("ademamix_kappa must be ≥ 0")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be ≥ 0")
-        if self.clip_norm <= 0.0:
-            raise ValueError("clip_norm must be positive")
-        if self.qr_refresh_every < 1:
-            raise ValueError("qr_refresh_every must be ≥ 1")
+        check_fields(self, {"theta": "[0, 1)", "beta_v": "[0, 1)", "theta_shampoo": "[0, 1)",
+                            "epsilon": "(0, inf)", "weight_decay": "[0, inf)",
+                            "clip_norm": "(0, inf]", "ademamix_kappa": "[0, inf)",
+                            "alpha_fast": "(0, 1]", "alpha_slow": "(0, 1]",
+                            "qr_refresh_every": "[1, inf)"})
         if self.mars_gamma == 1.0:
             raise ValueError("mars_gamma = 1 discards the current gradient; rejected")
         if (self.lite is None) == (self.family in LITE_FAMILIES):
@@ -189,19 +192,13 @@ class BlockOptState:
     last_sharp_mass: float | None = None
 
 
-def resolve_stepper(family: str, role: str) -> str:
-    """Stepper kind for a (family, role) pair, read from FAMILIES."""
+def init_state(shape, role: str, cfg: OptimizerConfig) -> BlockOptState:
+    """Zeroed state of a (rows, cols) block for the stepper kind FAMILIES
+    gives its (family, role) pair."""
+    rows, cols = shape  # ValueError for a shape that is not 2-D
     if role not in ROLES:
         raise ValueError(f"unknown role '{role}'")
-    if family not in FAMILIES:
-        raise ValueError(f"no stepper for family '{family}' with role '{role}'")
-    return FAMILIES[family][ROLES.index(role)]
-
-
-def init_state(shape, role: str, cfg: OptimizerConfig) -> BlockOptState:
-    """Zeroed state of a (rows, cols) block for its (family, role) stepper."""
-    rows, cols = shape  # ValueError for a shape that is not 2-D
-    kind = KINDS[resolve_stepper(cfg.family, role)]
+    kind = KINDS[FAMILIES[cfg.family][ROLES.index(role)]]
     state = BlockOptState(np.zeros(shape), kind, **{name: np.zeros(shape) for name in kind.arrays})
     if kind.step is step_soap:
         state.gram_l = np.zeros((rows, rows))

@@ -79,19 +79,27 @@ class TestStateAndParams:
 
     def test_callable_eta_rejected(self):
         # eta is one constant; a schedule of time is not a coefficient
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^eta must be a real number, got <function"):
             FlowParams(alpha=0.1, eta=lambda t: t)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, inf\), got -0.1$"):
             FlowParams(alpha=-0.1)
-        with pytest.raises(ValueError, match="exactly two"):
-            FlowParams(alpha=0.1, beta=(0.1, 0.2, 0.3))
+
+    @pytest.mark.parametrize("beta,message", [
+        ("0.1", "a real number, got '0.1'"), ([0.1, 0.2], "a real number, got [0.1, 0.2]"),
+        ((0.1, None), "a real number, got None"), ((0.1,), "a real number, got (0.1,)"),
+        ((0.1, 0.2, 0.3), "a real number, got (0.1, 0.2, 0.3)"), (None, "a real number, got None"),
+        (math.nan, "in (-inf, inf), got nan"), ((0.1, math.inf), "in (-inf, inf), got inf"),
+    ])
+    def test_beta_must_be_a_real_or_a_pair_of_reals(self, beta, message):
+        with pytest.raises(ValueError, match=re.escape(f"beta must be {message}") + "$"):
+            FlowParams(alpha=0.1, beta=beta, projector_sharp=np.eye(1))
 
     @pytest.mark.parametrize("bad", [{"alpha": math.nan}, {"beta": math.inf},
                                      {"eta": math.nan}, {"chi": math.inf}])
     def test_non_finite_coefficients_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             FlowParams(**{"alpha": 0.1, "projector_sharp": np.eye(1), **bad})
 
     def test_non_spd_metric_rejected(self):
@@ -566,12 +574,12 @@ class TestAdemamixFlow:
     def test_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             ademamix_flow_trajectory(self.spec, self.cfg, np.array([1.0, 0.5]))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^alpha_fast must be in \(0, inf\), got 0.0$"):
             AdemamixFlowConfig(alpha_fast=0.0, alpha_slow=0.1, kappa=1.0, eta=0.1)
-        with pytest.raises(ValueError, match="kappa"):
+        with pytest.raises(ValueError, match=r"^kappa must be in \[0, inf\), got -1.0$"):
             AdemamixFlowConfig(alpha_fast=0.1, alpha_slow=0.1, kappa=-1.0, eta=0.1)
         for bad in ({"alpha_fast": math.nan}, {"kappa": math.nan}, {"eta": math.inf}):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be in"):
                 AdemamixFlowConfig(**{"alpha_fast": 0.1, "alpha_slow": 0.1, "kappa": 1.0,
                                       "eta": 0.1, **bad})
 

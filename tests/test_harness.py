@@ -252,9 +252,9 @@ class TestParseConfig:
         ("run.schedule = constant", "line 1: unknown key 'run.schedule'"),
         ("run.landscape_kind = quadratic", "line 1: unknown key 'run.landscape_kind'"),
         ("run.steps = soon", "malformed value 'soon' for 'run.steps'"),
-        ("run.seed = -1", "seed must be an unsigned 64-bit integer"),
-        ("run.steps = 0", "steps must be >= 1"),
-        ("run.log_every = 0", "log_every must be >= 1"),
+        ("run.seed = -1", "seed must be in [0, 18446744073709551616), got -1"),
+        ("run.steps = 0", "steps must be in [1, inf), got 0"),
+        ("run.log_every = 0", "log_every must be in [1, inf), got 0"),
         ("landscape.widths = 4, 4, 4", "not valid for landscape kind 'quadratic'"),
         ("optimizer.chi = 2.0", "unknown key 'optimizer.chi'"),
         ("lite.beta1 = 0.5", "beta1 requires a lite family"),
@@ -273,7 +273,7 @@ class TestParseConfig:
         ("optimizer.family = ademamix\noptimizer.theta = 0.5",
          "line 6: optimizer.theta is read only by adamw and n_adamw and lion and mars "
          "and muon and soap and muon_lite and soap_lite, not by family 'ademamix'"),
-        # NaN passes every range check, so the parser refuses it outright
+        # the parser refuses NaN outright, before any type sees it
         ("schedule.lr_max = nan", "line 7: malformed value 'nan' for 'schedule.lr_max'"),
         ("optimizer.epsilon = nan", "line 1: malformed value 'nan' for 'optimizer.epsilon'"),
         ("lite.chi = NaN", "line 1: malformed value 'NaN' for 'lite.chi'"),
@@ -293,7 +293,7 @@ class TestParseConfig:
         else:
             lines[slot] = mutation
             text = "\n".join(lines) + "\n"
-        with pytest.raises(ConfigError, match=fragment.replace("[", "\\[").replace("(", "\\(")):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
             parse_config(text)
 
     @pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(OptimizerConfig)
@@ -370,11 +370,11 @@ class TestParseConfig:
          "eigenvalues and offsets must be finite"),
         (MINIMAL + "landscape.offsets = inf, 0\n", "eigenvalues and offsets must be finite"),
         (RIVER_VALLEY.replace("sharp_curvature = 100.0", "sharp_curvature = inf"),
-         "sharp_curvature must be positive and finite"),
+         "sharp_curvature must be in \\(0, inf\\), got inf"),
         (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = inf\n",
-         "noise_sigma must be finite and >= 0"),
+         "noise_sigma must be in \\[0, inf\\), got inf"),
         (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = -1\n",
-         "noise_sigma must be finite and >= 0"),
+         "noise_sigma must be in \\[0, inf\\), got -1.0"),
     ])
     def test_landscape_spec_rejected_at_parse_time(self, config, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -406,28 +406,28 @@ class TestParseConfig:
     @pytest.mark.parametrize("base,settings,fragment", [
         (MINIMAL, {"optimizer.theta": "1.5"}, "line 8: theta must be in [0, 1)"),
         (MINIMAL.replace("family = adamw", "family = muon_lite"), {"lite.chi": "0.5"},
-         "line 8: chi must be ≥ 1"),
+         "line 8: chi must be in [1, inf), got 0.5"),
         (MINIMAL.replace("family = adamw", "family = muon_lite"),
          {"lite.beta1": "0.5", "lite.beta2": "0.25"}, "line 9: beta2 must be ≥ beta1"),
         (MINIMAL, {"schedule.warmup_steps": "30"},
          "line 8: warmup_steps must lie in [0, total_steps]"),
         (MINIMAL.replace("kind = constant", "kind = wsd"), {"schedule.warmup_steps": "18"},
          "line 8: warmup_steps must end before the wsd decay phase"),
-        (MINIMAL, {"schedule.lr_max": "-1"}, "line 7: lr_max must be ≥ 0"),
+        (MINIMAL, {"schedule.lr_max": "-1"}, "line 7: lr_max must be in [0, inf), got -1.0"),
         (MINIMAL, {"landscape.eigenvalues": "1.0, 2.0"},
          "line 4: eigenvalues must be sorted descending"),
         (RIVER_VALLEY, {"landscape.sharp_curvature": "-1"},
-         "line 6: sharp_curvature must be positive and finite"),
+         "line 6: sharp_curvature must be in (0, inf), got -1.0"),
         (MLP_BASE.format(family="adamw"), {"landscape.noise_sigma": "-1"},
-         "line 9: noise_sigma must be finite and >= 0"),
+         "line 9: noise_sigma must be in [0, inf), got -1.0"),
         (MINIMAL.replace("family = adamw", "family = mars"), {"optimizer.mars_gamma": "1.0"},
          "line 8: mars_gamma = 1 discards the current gradient"),
         (MINIMAL.replace("family = adamw", "family = soap"), {"optimizer.qr_refresh_every": "0"},
-         "line 8: qr_refresh_every must be ≥ 1"),
-        (MINIMAL, {"run.log_every": "0"}, "line 8: log_every must be >= 1"),
-        (MINIMAL, {"run.seed": "-1"}, "line 1: seed must be an unsigned 64-bit integer"),
+         "line 8: qr_refresh_every must be in [1, inf), got 0"),
+        (MINIMAL, {"run.log_every": "0"}, "line 8: log_every must be in [1, inf), got 0"),
+        (MINIMAL, {"run.seed": "-1"}, "line 1: seed must be in [0, 18446744073709551616), got -1"),
         # total_steps defaults to run.steps, yet the run rule is the one reported
-        (MINIMAL, {"run.steps": "0"}, "line 2: steps must be >= 1"),
+        (MINIMAL, {"run.steps": "0"}, "line 2: steps must be in [1, inf), got 0"),
         (MINIMAL, {"optimizer.family": "sgd"}, "line 5: family 'sgd' is unknown"),
         (MINIMAL, {"schedule.kind": "linear"}, "line 6: kind 'linear' is not a schedule kind"),
     ], ids=["theta", "chi", "beta2-below-beta1", "warmup_steps", "wsd-warmup", "lr_max",
@@ -449,10 +449,11 @@ class TestParseConfig:
 
 class TestExperimentConfigRules:
     @pytest.mark.parametrize("change,fragment", [
-        ({"log_every": 0}, "log_every must be >= 1"),
-        ({"steps": 0}, "steps must be >= 1"),
-        ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
-        ({"seed": 2 ** 64}, "seed must be an unsigned 64-bit integer"),
+        ({"log_every": 0}, "log_every must be in [1, inf), got 0"),
+        ({"steps": 0}, "steps must be in [1, inf), got 0"),
+        ({"seed": -1}, "seed must be in [0, 18446744073709551616), got -1"),
+        ({"seed": 2 ** 64}, f"seed must be in [0, {2 ** 64}), got {2 ** 64}"),
+        ({"seed": 10 ** 400}, f"seed must be in [0, {2 ** 64}), got {10 ** 400}"),
         ({"steps": 21}, "schedule.total_steps 20 is below run.steps 21"),
         ({"steps": 2.5}, "steps must be an integer, got 2.5"),
         ({"log_every": 1.5}, "log_every must be an integer, got 1.5"),
@@ -460,7 +461,7 @@ class TestExperimentConfigRules:
         ({"seed": "7"}, "seed must be an integer, got '7'"),
         ({"landscape": "mlp"}, "landscape must be a landscape spec, not str"),
         ({"landscape": None}, "landscape must be a landscape spec, not NoneType"),
-    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "steps-past-schedule",
+    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "seed-10**400", "steps-past-schedule",
             "steps-float", "log_every-float", "seed-float", "seed-str", "landscape-kind-name",
             "landscape-none"])
     def test_python_built_config_gets_the_run_rules(self, change, fragment):

@@ -160,7 +160,7 @@ class TestRiverValley:
             RiverValleySpec(2, 3, 1.0)
         with pytest.raises(ValueError, match="sharp_curvature"):
             RiverValleySpec(2, 2, 0.0)
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match=r"^sharp_dim must be in \[1, inf\), got 0$"):
             RiverValleySpec(0, 2, 1.0)
 
 
@@ -183,7 +183,7 @@ class TestMlp:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="at least"):
             MlpSpec(widths=(4, 4))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^widths must be in \[1, inf\), got 0$"):
             MlpSpec(widths=(4, 0, 4))
         with pytest.raises(ValueError, match="batch_size"):
             MlpSpec(widths=(4, 4, 4), batch_size=0)

@@ -24,8 +24,8 @@ from flatopt.optim import (
     clip_global_norm,
     init_state,
     init_states,
+    check_fields,
     lr_at,
-    resolve_stepper,
     route_and_step,
     step_adamw,
     step_ademamix,
@@ -35,7 +35,9 @@ from flatopt.optim import (
     step_n_adamw,
     step_soap,
 )
-from flatopt.landscapes import BlockLayout, Landscape
+from flatopt.dynamics import AdemamixFlowConfig, FlowParams
+from flatopt.harness import ExperimentConfig
+from flatopt.landscapes import BlockLayout, Landscape, MlpSpec, RiverValleySpec
 from flatopt.linalg import qr_decompose, sym_eig
 from flatopt.polar import composite_sharp_projection, ns_polar
 from flatopt.rng import SplitMix64
@@ -738,8 +740,10 @@ class TestRouting:
             expected[(family, "embedding")] = "adam_lite"
             expected[(family, "adam")] = "adamw"
             expected[(family, "output")] = "adamw"
+        lite = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
         for (family, role), kind in expected.items():
-            assert resolve_stepper(family, role) == kind
+            cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
+            assert init_state((3, 2), role, cfg).kind is KINDS[kind]
 
     def test_controllers_follow_stepper_labels(self):
         # a controller in the state is what switches on the LITE stage of
@@ -752,11 +756,10 @@ class TestRouting:
         for family in FAMILIES:
             cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
             for role in ROLES:
-                kind = resolve_stepper(family, role)
                 state = init_state((3, 2), role, cfg)
-                assert state.kind is KINDS[kind]
-                assert (state.rank_ctrl is not None) == (kind == "muon_lite")
-                assert (state.mask_ctrl is not None) == (kind in ("soap_lite", "adam_lite"))
+                assert (state.rank_ctrl is not None) == (state.kind is KINDS["muon_lite"])
+                assert (state.mask_ctrl is not None) == any(
+                    state.kind is KINDS[kind] for kind in ("soap_lite", "adam_lite"))
             if family in LITE_FAMILIES:
                 mats = {"head": np.ones((3, 2))}
                 ref = np.ones((3, 2))
@@ -825,14 +828,6 @@ class TestRouting:
         assert "m" in arrays
         for name in arrays:
             assert not np.array_equal(getattr(states["b"], name), getattr(initial, name)), name
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError, match="unknown role"):
-            resolve_stepper("adamw", "conv")
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="no stepper for family"):
-            resolve_stepper("sgd", "muon")
 
     def test_name_set_mismatch_rejected(self):
         cfg = cfg_for("adamw")
@@ -989,22 +984,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(family="soap", qr_refresh_every=0)
 
-    @pytest.mark.parametrize("field", [
-        "theta", "beta_v", "theta_shampoo", "epsilon", "weight_decay", "nesterov_beta",
-        "mars_gamma", "ademamix_kappa", "alpha_fast", "alpha_slow",
-    ])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_float_fields_must_be_finite(self, field, value):
-        family = next(f for f in FAMILIES if f in FAMILY_KEYS.get(field, FAMILIES))
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            OptimizerConfig(family=family, **{field: value})
-
-    def test_clip_norm_may_be_infinite_but_not_nan(self):
-        assert OptimizerConfig(family="adamw", clip_norm=math.inf).clip_norm == math.inf
-        for value in (-math.inf, math.nan):
-            with pytest.raises(ValueError, match="clip_norm must be finite"):
-                OptimizerConfig(family="adamw", clip_norm=value)
-
     @pytest.mark.parametrize("field,value", [
         ("alpha_fast", 0.0), ("alpha_fast", -0.5), ("alpha_fast", 1.5), ("alpha_slow", 0.0),
         ("ademamix_kappa", -1.0),
@@ -1042,20 +1021,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="d_smooth_ratio"):
             LitePolicy(d_smooth_ratio=1.0)
 
-    @pytest.mark.parametrize("field", ["chi", "beta1", "beta2", "r_s", "d_smooth_ratio"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_policy_floats_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            LitePolicy(**{field: value})
-
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="kind 'linear' is not a schedule kind"):
             ScheduleSpec("linear", 1.0, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", -1.0, 0, 10)
-        for lr_max in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="lr_max must be finite"):
-                ScheduleSpec("constant", lr_max, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", 1.0, 11, 10)
         with pytest.raises(ValueError, match="warmup_steps < total_steps"):
@@ -1075,3 +1045,63 @@ class TestConfigValidation:
             "adamw", "n_adamw", "lion", "mars", "ademamix",
             "muon", "soap", "muon_lite", "soap_lite",
         }
+
+
+def checked_config_bases():
+    """(type, field, a valid instance) for every field of the eight types that
+    call check_fields; an OptimizerConfig field gets a family that reads it."""
+    spec = MlpSpec((6, 8, 8, 4))
+    schedule = ScheduleSpec("constant", 0.1, 0, 10)
+    bases = [LitePolicy(), schedule, spec, RiverValleySpec(2, 2, 10.0), FlowParams(alpha=0.1),
+             AdemamixFlowConfig(0.1, 1e-3, 2.0, 0.05),
+             ExperimentConfig(1, 10, spec, OptimizerConfig("adamw"), schedule)]
+    for base in bases:
+        for field in dataclasses.fields(base):
+            yield type(base), field, base
+    for field in dataclasses.fields(OptimizerConfig):
+        yield OptimizerConfig, field, OptimizerConfig(FAMILY_KEYS.get(field.name, ("adamw",))[0])
+
+
+# bad values per number annotation, less any [...]; a tuple[int, ...] field
+# gets them as its first item
+BAD_VALUES = {"int": (2.5, "3"), "tuple": (2.5, "3"),
+              "float": (math.nan, math.inf, -math.inf, "0.5")}
+
+FIELD_CASES = [pytest.param(base, field.name, value,
+                            id=f"{cls.__name__}.{field.name}={value!r}")
+               for cls, field, base in checked_config_bases()
+               for value in BAD_VALUES.get(field.type.partition("[")[0], ())]
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("base,name,value", FIELD_CASES)
+    def test_number_field_rejects_wrong_type_or_non_finite(self, base, name, value):
+        if isinstance(getattr(base, name), tuple):
+            value = (value,) + getattr(base, name)[1:]
+        if (name, value) == ("clip_norm", math.inf):  # inf turns clipping off
+            assert dataclasses.replace(base, clip_norm=value).clip_norm == math.inf
+            return
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            dataclasses.replace(base, **{name: value})
+
+    def test_cases_cover_the_eight_checked_types(self):
+        assert len({type(param.values[0]) for param in FIELD_CASES}) == 8
+        annotations = {field.type for _, field, _ in checked_config_bases()}
+        assert annotations >= {"int", "float", "tuple[int, ...]"}
+
+    @pytest.mark.parametrize("key", ["chii", "kind"])
+    def test_interval_key_must_be_a_number_field(self, key):
+        # a misspelled key would otherwise drop its check silently
+        with pytest.raises(TypeError, match=rf"ScheduleSpec has no number field \['{key}'\]"):
+            check_fields(ScheduleSpec("constant", 0.1, 0, 10), {key: "[1, inf)"})
+
+    @pytest.mark.parametrize("value,ok", [
+        (0.0, False), (1e-300, True), (1.0, True), (math.inf, True), (-math.inf, False),
+    ])
+    def test_interval_bounds(self, value, ok):
+        # clip_norm lies in (0, inf]: open at 0, closed at inf
+        if ok:
+            assert OptimizerConfig("adamw", clip_norm=value).clip_norm == value
+        else:
+            with pytest.raises(ValueError, match=rf"^clip_norm must be in \(0, inf\], got {value}$"):
+                OptimizerConfig("adamw", clip_norm=value)
