@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
+import numbers
 import sys
 
 import numpy as np
@@ -23,6 +23,7 @@ from .dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
                        semi_implicit_step)
 from .harness import ConfigError, parse_config, parse_list, run_experiment
 from .landscapes import MlpSpec, alignment_experiment
+from .linalg import check_number
 from .quadratic import QuadraticSpec, analyze_mode, simulate_recurrence
 
 EXIT_OK = 0
@@ -32,22 +33,18 @@ EXIT_NUMERICAL = 4
 EXIT_DIVERGED = 10
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    def integer(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return integer
+def _number(flag: str, interval: str = "(-inf, inf)", read=float):
+    """argparse type of flag: read(raw), int or float, under check_number."""
+    kind = numbers.Integral if read is int else numbers.Real
 
-
-def _finite_float(raw: str) -> float:
-    """argparse type: a float that is neither nan nor infinite."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {raw}")
-    return value
+    def number(raw: str):
+        value = read(raw)
+        try:
+            return check_number(flag[2:].replace("-", "_"), value, kind, interval)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    number.__name__ = read.__name__  # argparse's "invalid int value: '2.5'"
+    return number
 
 
 def _k_grid(raw: str) -> list:
@@ -73,19 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_q = sub.add_parser("quadratic-report",
                          help="per-curvature damping-regime table as CSV")
-    p_q.add_argument("--alpha", type=_finite_float, required=True)
-    p_q.add_argument("--beta", type=_finite_float, required=True)
-    p_q.add_argument("--eta", type=_finite_float, required=True)
-    p_q.add_argument("--lambda-min", type=_finite_float, required=True)
-    p_q.add_argument("--lambda-max", type=_finite_float, required=True)
-    p_q.add_argument("--points", type=_int_at_least(1), required=True)
+    for flag in ("--alpha", "--beta", "--eta", "--lambda-min", "--lambda-max"):
+        p_q.add_argument(flag, type=_number(flag), required=True)
+    p_q.add_argument("--points", type=_number("--points", "[1, inf)", int), required=True)
 
     p_a = sub.add_parser("align", help="gradient-Gram coverage curves for an MLP config",
                          description="Reads only the config's landscape and seed; "
                                      "trains with adamw at constant lr 1e-3.")
     p_a.add_argument("--config", required=True)
-    p_a.add_argument("--train-steps", type=_int_at_least(0), default=100)
-    p_a.add_argument("--d-s", type=_int_at_least(1), default=4)
+    p_a.add_argument("--train-steps", type=_number("--train-steps", "[0, inf)", int), default=100)
+    p_a.add_argument("--d-s", type=_number("--d-s", "[1, inf)", int), default=4)
     p_a.add_argument("--k-grid", type=_k_grid, default="4,8,16",
                      help="comma-separated subspace sizes, each >= --d-s")
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
-from .linalg import sym_eig
-from .optim import check_fields, check_number, lite_weights
+from .linalg import check_fields, check_number, sym_eig
+from .optim import lite_weights
 from .quadratic import QuadraticSpec
 
 PROJECTOR_TOL = 1e-8
@@ -157,8 +158,7 @@ def semi_implicit_step(state: DynamicsState, quadratic: QuadraticSpec, params: F
     The momentum update is written multiplicatively, (1 - h alpha) m + h g,
     so the h = 1 correspondence is exact in floating point.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError("h must be positive and finite")
+    check_number("h", h, interval="(0, inf)")
     _require_dimension(state, quadratic, params)
     g = quadratic.grad(state.w)
     m_new = (1.0 - h * params.alpha) * state.m + h * g
@@ -206,12 +206,8 @@ def rk4_flow(state: DynamicsState, quadratic: QuadraticSpec, params: FlowParams,
     wdot = -eta (m + beta g), mdot = -alpha m + g, integrated as two Python
     floats one coordinate at a time, bit for bit as the vector integration.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError("h must be positive and finite")
-    if not math.isfinite(t_end):
-        raise ValueError("t_end must be finite")
-    if t_end < state.t:
-        raise ValueError("t_end must not precede the state's clock")
+    check_number("h", h, interval="(0, inf)")
+    check_number("t_end", t_end, interval=f"[{state.t}, inf)")  # not before the state's clock
     _require_dimension(state, quadratic, params)
     for name in ("projector_sharp", "metric"):
         if getattr(params, name) is not None:
@@ -251,8 +247,9 @@ def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,
     momentum accumulation after the first step (at m = 0 the combined factor
     eta1 * beta equals eta, folded to avoid first-step rounding).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_number("alpha", alpha, interval="(0, 1)")
+    check_number("eta", eta)
+    check_number("steps", steps, numbers.Integral, "[1, inf)")
     w0 = quadratic.start()
 
     # lookahead form: x_{k+1} = w_k - eta g(w_k), w_{k+1} = x_{k+1} + (1-alpha)(x_{k+1} - x_k)
@@ -282,8 +279,8 @@ def nesterov_forms_trace(quadratic: QuadraticSpec, alpha: float, eta: float,
             w = w - eta1 * (m + beta * g)
         traj_b.append(w.copy())
 
-    gaps = [float(np.abs(a - b_).max()) for a, b_ in zip(traj_a, traj_b)]
-    return np.array(traj_a), np.array(traj_b), max(gaps)
+    traj_a, traj_b = np.array(traj_a), np.array(traj_b)
+    return traj_a, traj_b, float(np.abs(traj_a - traj_b).max())  # NaN once either diverges
 
 
 @dataclasses.dataclass(frozen=True)

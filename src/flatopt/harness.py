@@ -31,8 +31,9 @@ import numpy as np
 
 from .landscapes import (Landscape, MlpLandscape, MlpSpec, RiverValleySpec,
                          quadratic_landscape, river_valley_landscape)
+from .linalg import check_fields
 from .optim import (KINDS, LITE_FAMILIES, LitePolicy, OptimizerConfig, ScheduleSpec,
-                    check_fields, init_states, lr_at, route_and_step)
+                    init_states, lr_at, route_and_step)
 from .quadratic import QuadraticSpec
 
 # Per-block telemetry columns; inapplicable entries render as nan so the
@@ -69,13 +70,6 @@ def _parse_int(raw: str) -> int:
     return int(raw, 0)
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if math.isnan(value):
-        raise ValueError(f"{raw!r} is not a number")
-    return value
-
-
 def parse_list(raw: str, parse_item) -> tuple:
     """Comma-separated items, each stripped and parsed; none may be empty."""
     items = [part.strip() for part in raw.split(",")] if raw.strip() else []
@@ -85,9 +79,9 @@ def parse_list(raw: str, parse_item) -> tuple:
 
 
 # field annotation -> value parser; an optional field ("X | None") parses as X
-_PARSERS = {"str": str, "int": _parse_int, "float": _parse_float,
+_PARSERS = {"str": str, "int": _parse_int, "float": float,
             "tuple[int, ...]": lambda raw: parse_list(raw, _parse_int),
-            "np.ndarray": lambda raw: parse_list(raw, _parse_float)}
+            "np.ndarray": lambda raw: parse_list(raw, float)}
 
 
 def _keys(cls, skip=()):

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .linalg import sym_eig
-from .optim import OptimizerConfig, ScheduleSpec, check_fields, init_states, route_and_step
+from .linalg import check_fields, sym_eig
+from .optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from .quadratic import QuadraticSpec
 from .rng import SplitMix64, derive_seed, normal_rows
 from .subspace import coverage_score

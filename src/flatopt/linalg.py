@@ -4,14 +4,57 @@ Everything operates on row-major float64 numpy arrays. The SVD here is the
 brute-force reference used by the projection and polar-factor tests; it is
 deliberately built on the Jacobi eigensolver rather than any iterative
 polynomial scheme so the two routes stay independent.
+
+check_number and check_fields are the one rule for a number that enters
+from outside: a config field, a CLI flag or an analysis function's argument.
 """
 
+import dataclasses
 import math
+import numbers
+import sys
 
 import numpy as np
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_TOL = 1e-14
+
+# number annotation -> the type each value (each item, for a tuple) must have
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "tuple[int, ...]": numbers.Integral}
+
+
+def check_number(name: str, value, kind=numbers.Real, interval: str = "(-inf, inf)"):
+    """Return value if it is a kind in interval, such as "[0, 1)", else raise
+    a ValueError led by name; only an interval closed at inf, like "(0, inf]",
+    admits inf, and a real must fit in a float."""
+    if not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if kind is numbers.Real and sys.float_info.max < abs(value) < math.inf:  # a huge int
+        raise ValueError(f"{name} must fit in a float, got a magnitude above {sys.float_info.max}")
+    low, high = map(float, interval[1:-1].split(","))
+    # comparisons, not math.isfinite, so an int of any size is judged exactly
+    if not (low < value < high or interval[0] == "[" and value == low
+            or interval[-1] == "]" and value == high):
+        raise ValueError(f"{name} must be in {interval}, got {value}")
+    return value
+
+
+def check_fields(config, intervals: dict):
+    """check_number on each number field of the dataclass config, with the
+    kind its annotation gives and its interval in intervals, else (-inf, inf);
+    a tuple[int, ...] field must be a tuple, and every item is checked."""
+    fields = {f.name: f.type for f in dataclasses.fields(config) if f.type in _KINDS}
+    unknown = sorted(intervals.keys() - fields.keys())
+    if unknown:
+        raise TypeError(f"{type(config).__name__} has no number field {unknown}")
+    for name, annotation in fields.items():
+        value = getattr(config, name)
+        is_tuple = annotation.startswith("tuple")
+        if is_tuple and not isinstance(value, tuple):
+            raise ValueError(f"{name} must be a tuple of integers, got {value!r}")
+        for item in value if is_tuple else (value,):
+            check_number(name, item, _KINDS[annotation], intervals.get(name, "(-inf, inf)"))
 
 
 def as_matrix(a):

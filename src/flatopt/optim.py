@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import frobenius, qr_decompose
+from .linalg import check_fields, frobenius, qr_decompose
 from .polar import RankController, composite_sharp_projection, ns_polar, update_rank_controller
 from .subspace import SoapMaskController, smoothed_sharp_mask, update_soap_controller
 
@@ -52,40 +51,6 @@ FAMILIES = {
     "muon_lite": ("muon_lite", "adamw", "adam_lite", "adamw"),
     "soap_lite": ("soap_lite", "adamw", "adam_lite", "adamw"),
 }
-
-
-# number annotation -> the type each value (each item, for a tuple) must have
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "tuple[int, ...]": numbers.Integral}
-
-
-def check_number(name: str, value, kind=numbers.Real, interval: str = "(-inf, inf)"):
-    """Raise a ValueError led by name unless value is a kind in interval, such
-    as "[0, 1)"; only an interval closed at inf, like "(0, inf]", admits inf."""
-    if not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    low, high = map(float, interval[1:-1].split(","))
-    # comparisons, not math.isfinite, so an int of any size is judged exactly
-    if not (low < value < high or interval[0] == "[" and value == low
-            or interval[-1] == "]" and value == high):
-        raise ValueError(f"{name} must be in {interval}, got {value}")
-
-
-def check_fields(config, intervals: dict):
-    """check_number on each number field of the dataclass config, with the
-    kind its annotation gives and its interval in intervals, else (-inf, inf);
-    a tuple[int, ...] field must be a tuple, and every item is checked."""
-    fields = {f.name: f.type for f in dataclasses.fields(config) if f.type in _KINDS}
-    unknown = sorted(intervals.keys() - fields.keys())
-    if unknown:
-        raise TypeError(f"{type(config).__name__} has no number field {unknown}")
-    for name, annotation in fields.items():
-        value = getattr(config, name)
-        is_tuple = annotation.startswith("tuple")
-        if is_tuple and not isinstance(value, tuple):
-            raise ValueError(f"{name} must be a tuple of integers, got {value!r}")
-        for item in value if is_tuple else (value,):
-            check_number(name, item, _KINDS[annotation], intervals.get(name, "(-inf, inf)"))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -56,8 +56,8 @@ class RankController:
     def __post_init__(self):
         if not 0.0 < self.scale_l < math.inf:
             raise ValueError(f"scale_l must be positive and finite, got {self.scale_l}")
-        if self.target_dim < 1:
-            raise ValueError("target_dim must be a positive integer")
+        if not (self.target_dim >= 1 and self.target_dim % 1 == 0):  # NaN fails it
+            raise ValueError(f"target_dim must be a positive integer, got {self.target_dim}")
 
 
 def ns_polar(a, schedule=None):
@@ -105,8 +105,8 @@ def composite_sharp_projection(m_tilde, controller, polar):
 
 def update_rank_controller(controller, p_frob):
     """Raise the threshold scale by 1.05 when ‖P‖_F >= sqrt(d_s), lower by 0.95 otherwise."""
-    if p_frob < 0:
-        raise ValueError("p_frob must be non-negative")
+    if not p_frob >= 0:  # NaN fails it too
+        raise ValueError(f"p_frob must be non-negative, got {p_frob}")
     if p_frob >= np.sqrt(controller.target_dim):
         return replace(controller, scale_l=controller.scale_l * 1.05)
     return replace(controller, scale_l=controller.scale_l * 0.95)

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
+
+from .linalg import check_number
 
 # Exact criticality is measure-zero; anything this close to a double root is
 # classified critical so the (c1 + c2 k) D^{k/2} closed form applies.
@@ -143,12 +146,9 @@ def stability_bound(lam_max: float, alpha: float, beta: float) -> float:
     Degenerate alpha >= 2 returns 0 (the numerator has vanished). The D < 1
     term holds only for beta >= 0; a negative beta is rejected.
     """
-    if not 0.0 < lam_max < math.inf:
-        raise ValueError(f"lam_max must be positive and finite, got {lam_max}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
+    check_number("lam_max", lam_max, interval="(0, inf)")
+    check_number("alpha", alpha, interval="(0, inf)")
+    check_number("beta", beta, interval="[0, inf)")
     if alpha >= 2.0:
         return 0.0
     denom = lam_max * max(1.0 + 2.0 * beta - alpha * beta, 2.0 * beta * (1.0 - alpha))
@@ -164,13 +164,9 @@ def regime_boundaries(alpha: float, beta: float, eta: float):
     underdamped band at these hyper-parameters), and, as ``stability_bound``
     does, on alpha <= 0 or beta < 0.
     """
-    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_number("alpha", alpha, interval="(0, inf)")
+    check_number("beta", beta, interval="[0, inf)")
+    check_number("eta", eta)
     a2 = eta * eta * (beta + 1.0) ** 2 / 4.0
     a1 = -(1.0 - alpha / 2.0) * eta * (beta + 1.0) + (1.0 - alpha) * eta * beta
     a0 = alpha * alpha / 4.0
@@ -205,8 +201,7 @@ def simulate_recurrence(spec: QuadraticSpec, alpha: float, beta: float, eta: flo
     form keeps the log finite at the zero crossings of underdamped modes.
     Stops early once any |e| passes 1e15 and reports diverged.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_number("steps", steps, numbers.Integral, "[1, inf)")
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
     if w.shape != (spec.dim,) or m.shape != (spec.dim,):
@@ -261,16 +256,12 @@ def monotonicity_probe(lam: float, alpha: float, eta_grid, beta_grid) -> ProbeRe
     judged, and a probe that judges no point fails. lam = 0, alpha <= 0, a
     grid eta <= 0 or beta < 0, or a non-finite one, is rejected.
     """
-    if not (math.isfinite(lam) and lam != 0.0):
-        raise ValueError(f"lam must be nonzero and finite, got {lam}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    etas = [float(e) for e in eta_grid]
-    betas = [float(b) for b in beta_grid]
-    if not all(0.0 < eta < math.inf for eta in etas):
-        raise ValueError(f"eta_grid values must be positive and finite, got {etas}")
-    if not all(0.0 <= beta < math.inf for beta in betas):
-        raise ValueError(f"beta_grid values must be >= 0 and finite, got {betas}")
+    check_number("lam", lam)
+    if lam == 0.0:
+        raise ValueError("lam must be nonzero, got 0")
+    check_number("alpha", alpha, interval="(0, inf)")
+    etas = [float(check_number("eta_grid", e, interval="(0, inf)")) for e in eta_grid]
+    betas = [float(check_number("beta_grid", b, interval="[0, inf)")) for b in beta_grid]
     expected = "increasing" if lam < 0.0 else "decreasing"
     r1 = np.full((len(etas), len(betas)), np.nan)
     included = np.zeros((len(etas), len(betas)), dtype=bool)

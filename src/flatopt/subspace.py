@@ -34,10 +34,11 @@ class SoapMaskController:
     l_smooth: float = 0.5
 
     def __post_init__(self):
-        if self.d_s < 1:
-            raise ValueError(f"d_s must be >= 1, got {self.d_s}")
-        if self.d_smooth < 0:
-            raise ValueError(f"d_smooth must be >= 0, got {self.d_smooth}")
+        # comparisons that NaN fails; x % 1 is NaN for an infinite x
+        if not (self.d_s >= 1 and self.d_s % 1 == 0):
+            raise ValueError(f"d_s must be an integer >= 1, got {self.d_s}")
+        if not (self.d_smooth >= 0 and self.d_smooth % 1 == 0):
+            raise ValueError(f"d_smooth must be an integer >= 0, got {self.d_smooth}")
         # l_smooth <= 0.95*l_s is an update invariant, not a construction
         # precondition: update_soap_controller restores it from any start.
         for name, value in (("l_s", self.l_s), ("l_smooth", self.l_smooth)):

@@ -257,14 +257,14 @@ class TestSemiImplicitStep:
     def test_nonpositive_h_rejected(self):
         spec = QuadraticSpec([1.0])
         params = FlowParams(alpha=0.1)
-        with pytest.raises(ValueError, match="h must be positive"):
+        with pytest.raises(ValueError, match=r"^h must be in \(0, inf\), got 0.0$"):
             semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, 0.0)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_non_finite_h_rejected(self, h):
         spec = QuadraticSpec([1.0])
         params = FlowParams(alpha=0.1)
-        with pytest.raises(ValueError, match="h must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^h must be in \(0, inf\), got {h}$"):
             semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, h)
 
     @staticmethod
@@ -372,21 +372,21 @@ class TestRk4Flow:
     def test_backwards_time_rejected(self):
         spec = QuadraticSpec([1.0])
         state = DynamicsState(np.ones(1), np.zeros(1), t=1.0)
-        with pytest.raises(ValueError, match="precede"):
+        with pytest.raises(ValueError, match=r"^t_end must be in \[1.0, inf\), got 0.5$"):
             rk4_flow(state, spec, FlowParams(alpha=0.1), t_end=0.5)
 
     @pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, math.nan])
     def test_bad_step_rejected(self, h):
         spec = QuadraticSpec([4.0, 1.0])
         state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        with pytest.raises(ValueError, match="h must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^h must be in \(0, inf\), got {h}$"):
             rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=1.0, h=h)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_non_finite_end_rejected(self, t_end):
         spec = QuadraticSpec([4.0, 1.0])
         state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        with pytest.raises(ValueError, match="t_end must be finite"):
+        with pytest.raises(ValueError, match=rf"^t_end must be in \[0.0, inf\), got {t_end}$"):
             rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=t_end)
 
     def test_state_dimension_must_match(self):
@@ -517,6 +517,14 @@ class TestNesterovForms:
         traj_a, traj_b, gap = nesterov_forms_trace(spec, alpha=0.5, eta=0.0, steps=10)
         assert np.array_equal(traj_a, np.ones((11, 1)) * traj_a[0])
         assert gap == 0.0
+
+    def test_diverged_forms_report_a_nan_gap(self):
+        # a max over per-row gaps kept row 0's 0.0 and skipped every NaN after it
+        spec = QuadraticSpec(np.array([2.0, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj_a, traj_b, gap = nesterov_forms_trace(spec, 0.1, 1e200, 50)
+        assert not np.isfinite(traj_a[-1]).any() and not np.isfinite(traj_b[-1]).any()
+        assert math.isnan(gap)
 
     def test_alpha_range_enforced(self):
         spec = QuadraticSpec(np.array([1.0]), np.array([0.0]))

@@ -273,14 +273,14 @@ class TestParseConfig:
         ("optimizer.family = ademamix\noptimizer.theta = 0.5",
          "line 6: optimizer.theta is read only by adamw and n_adamw and lion and mars "
          "and muon and soap and muon_lite and soap_lite, not by family 'ademamix'"),
-        # the parser refuses NaN outright, before any type sees it
-        ("schedule.lr_max = nan", "line 7: malformed value 'nan' for 'schedule.lr_max'"),
-        ("optimizer.epsilon = nan", "line 1: malformed value 'nan' for 'optimizer.epsilon'"),
-        ("lite.chi = NaN", "line 1: malformed value 'NaN' for 'lite.chi'"),
+        # NaN parses as a float, and the first rule that applies rejects it at its line
+        ("schedule.lr_max = nan", "line 7: lr_max must be in [0, inf), got nan"),
+        ("optimizer.epsilon = nan", "line 1: epsilon must be in (0, inf), got nan"),
+        ("lite.chi = NaN", "line 1: chi requires a lite family"),
+        ("optimizer.family = muon_lite\nlite.chi = NaN", "line 6: chi must be in [1, inf), got nan"),
         ("landscape.noise_sigma = nan",
-         "line 1: malformed value 'nan' for 'landscape.noise_sigma'"),
-        ("landscape.eigenvalues = 1, nan",
-         "line 4: malformed value '1, nan' for 'landscape.eigenvalues'"),
+         "line 1: key 'landscape.noise_sigma' is not valid for landscape kind 'quadratic'"),
+        ("landscape.eigenvalues = 1, nan", "line 4: eigenvalues and offsets must be finite"),
     ])
     def test_rejections(self, mutation, fragment):
         # Swap the mutated line in for its original when the key already
@@ -375,6 +375,8 @@ class TestParseConfig:
          "noise_sigma must be in \\[0, inf\\), got inf"),
         (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = -1\n",
          "noise_sigma must be in \\[0, inf\\), got -1.0"),
+        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
+         "line 9: noise_sigma must be in \\[0, inf\\), got nan"),
     ])
     def test_landscape_spec_rejected_at_parse_time(self, config, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -808,11 +810,12 @@ class TestCli:
         (["align", "--config", "{big_mlp}"], 3,
          "config error: parameter count 40800 exceeds the 20000 budget"),
         (["run", "--config", "{missing_dir}"], 3, "error: [Errno 2] No such file or directory"),
-        (["align", "--config", "{mlp}", "--d-s", "0"], 2, "argument --d-s: must be >= 1"),
+        (["align", "--config", "{mlp}", "--d-s", "0"], 2,
+         "argument --d-s: d_s must be in [1, inf), got 0"),
         (["align", "--config", "{mlp}", "--d-s", "2", "--k-grid", "1"], 2,
          "every --k-grid size must be >= --d-s 2"),
         (["align", "--config", "{mlp}", "--train-steps", "-3"], 2,
-         "argument --train-steps: must be >= 0"),
+         "argument --train-steps: train_steps must be in [0, inf), got -3"),
         (["align", "--config", "{mlp}", "--k-grid", ""], 2,
          "argument --k-grid: needs at least one subspace size"),
         (["align", "--config", "{mlp}", "--k-grid", "2,,4"], 2,
@@ -933,7 +936,8 @@ schedule.lr_max = 1000
         out = capsys.readouterr()
         assert code == 2
         assert out.out == ""
-        assert "must be finite" in out.err
+        name = flag[2:].replace("-", "_")
+        assert f"argument {flag}: {name} must be in (-inf, inf), got {value}" in out.err
 
     def test_align_requires_mlp(self, tmp_path, capsys):
         assert main(["align", "--config", self.write(tmp_path, MINIMAL)]) == 3

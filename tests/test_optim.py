@@ -24,7 +24,6 @@ from flatopt.optim import (
     clip_global_norm,
     init_state,
     init_states,
-    check_fields,
     lr_at,
     route_and_step,
     step_adamw,
@@ -38,7 +37,7 @@ from flatopt.optim import (
 from flatopt.dynamics import AdemamixFlowConfig, FlowParams
 from flatopt.harness import ExperimentConfig
 from flatopt.landscapes import BlockLayout, Landscape, MlpSpec, RiverValleySpec
-from flatopt.linalg import qr_decompose, sym_eig
+from flatopt.linalg import check_fields, qr_decompose, sym_eig
 from flatopt.polar import composite_sharp_projection, ns_polar
 from flatopt.rng import SplitMix64
 from flatopt.subspace import coverage_score
@@ -1088,6 +1087,20 @@ class TestCheckFields:
         assert len({type(param.values[0]) for param in FIELD_CASES}) == 8
         annotations = {field.type for _, field, _ in checked_config_bases()}
         assert annotations >= {"int", "float", "tuple[int, ...]"}
+
+    def test_real_field_rejects_an_int_no_float_holds(self):
+        # 10**400 lay in [0, inf) by comparison, and the run died with
+        # OverflowError at its first step
+        with pytest.raises(ValueError, match="^lr_max must fit in a float"):
+            dataclasses.replace(ScheduleSpec("constant", 0.1, 0, 10), lr_max=10**400)
+        with pytest.raises(ValueError, match="^weight_decay must fit in a float"):
+            OptimizerConfig("adamw", weight_decay=-10**400)
+        # an int field still judges an int of any size exactly
+        spec, schedule = MlpSpec((6, 8, 8, 4)), ScheduleSpec("constant", 0.1, 0, 10)
+        assert ExperimentConfig(2**64 - 1, 10, spec, OptimizerConfig("adamw"), schedule).seed \
+            == 2**64 - 1
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 18446744073709551616\), got 1"):
+            ExperimentConfig(10**400, 10, spec, OptimizerConfig("adamw"), schedule)
 
     @pytest.mark.parametrize("key", ["chii", "kind"])
     def test_interval_key_must_be_a_number_field(self, key):

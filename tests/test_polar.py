@@ -185,6 +185,17 @@ class TestRankController:
         with pytest.raises(ValueError, match="scale_l must be positive and finite"):
             RankController(scale_l=bad, target_dim=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5], ids=["nan", "inf", "fractional"])
+    def test_target_dim_that_is_no_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="^target_dim must be a positive integer, got "):
+            RankController(scale_l=0.5, target_dim=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_update_rejects_a_mass_that_is_not_non_negative(self, bad):
+        # a NaN mass shrank the scale instead
+        with pytest.raises(ValueError, match="^p_frob must be non-negative, got "):
+            update_rank_controller(RankController(scale_l=0.5, target_dim=2), bad)
+
 
 def test_controller_drives_mass_toward_target():
     # closed loop: threshold feedback settles ‖P‖_F² near the target rank

@@ -114,6 +114,16 @@ class TestControllerUpdate:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             ctrl_with(*scales)
 
+    @pytest.mark.parametrize("name,sizes", [
+        ("d_s", (np.nan, 1)), ("d_s", (1.5, 1)), ("d_s", (np.inf, 1)),
+        ("d_smooth", (1, 0.5)), ("d_smooth", (1, np.nan)), ("d_smooth", (1, np.inf)),
+    ], ids=["d_s-nan", "d_s-fractional", "d_s-inf",
+            "d_smooth-fractional", "d_smooth-nan", "d_smooth-inf"])
+    def test_size_that_is_no_integer_rejected(self, name, sizes):
+        # NaN failed no comparison, and a fractional size was accepted
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            ctrl_with(1.0, 0.5, *sizes)
+
 
 class TestCoverageScore:
     def test_identical_axis(self):
