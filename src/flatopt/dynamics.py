@@ -27,7 +27,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import check_fields, check_number, sym_eig
+from .linalg import check_array, check_fields, check_number, sym_eig
 from .optim import lite_weights
 from .quadratic import QuadraticSpec
 
@@ -44,21 +44,9 @@ class DynamicsState:
     t: float = 0.0
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        if self.w.shape != self.m.shape or self.w.ndim != 1:
-            raise ValueError(f"w and m must be matching vectors, got {self.w.shape} and {self.m.shape}")
-        if not (np.isfinite(self.w).all() and np.isfinite(self.m).all() and math.isfinite(self.t)):
-            raise ValueError("non-finite entries in dynamics state")
-
-
-def _finite_square_matrix(name, a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return a
+        self.w = check_array("w", self.w, (None,))
+        self.m = check_array("m", self.m, self.w.shape)
+        check_number("t", self.t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,21 +85,24 @@ class FlowParams:
         b1, b2 = self.beta_pair()
         if self.projector_sharp is None and (self.chi != 1.0 or b1 != b2):
             raise ValueError("chi and beta2 act only on the flat part: they need projector_sharp")
+        for name in ("projector_sharp", "metric"):
+            if getattr(self, name) is not None:
+                a = check_array(name, getattr(self, name), (None, None))
+                if a.shape[0] != a.shape[1]:
+                    raise ValueError(f"{name} must be square, got shape {a.shape}")
+                object.__setattr__(self, name, a)
         if self.projector_sharp is not None:
-            p = _finite_square_matrix("projector_sharp", self.projector_sharp)
+            p = self.projector_sharp
             scale = max(1.0, float(np.abs(p).max()))
             if np.abs(p - p.T).max() > PROJECTOR_TOL * scale:
                 raise ValueError("projector_sharp is not symmetric")
             if np.abs(p @ p - p).max() > PROJECTOR_TOL * scale:
                 raise ValueError("projector_sharp is not idempotent")
-            object.__setattr__(self, "projector_sharp", p)
             object.__setattr__(self, "_split", lite_weights(self.chi, b1, b2, p, np.eye(len(p))))
         if self.metric is not None:
-            f = _finite_square_matrix("metric", self.metric)
-            evals, vecs = sym_eig(f)
+            evals, vecs = sym_eig(self.metric)
             if evals[-1] <= 0.0:
                 raise ValueError("metric must be symmetric positive definite")
-            object.__setattr__(self, "metric", f)
             object.__setattr__(self, "_metric_eig", (evals, vecs))
 
     def beta_pair(self):
@@ -308,10 +299,9 @@ def ademamix_flow_trajectory(quadratic: QuadraticSpec, cfg: AdemamixFlowConfig, 
     independent system, stepped as three Python floats bit for bit as the
     vector integration.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all()
-            or np.any(np.diff(t_grid) < 0)):
-        raise ValueError("t_grid must be a nondecreasing vector of finite times")
+    t_grid = check_array("t_grid", t_grid, (None,))
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be nondecreasing")
     a1, a2, kap, eta = cfg.alpha_fast, cfg.alpha_slow, cfg.kappa, cfg.eta
     d = quadratic.dim
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 
 import numpy as np
 
-from .linalg import check_fields, sym_eig
+from .linalg import check_array, check_fields, check_number, sym_eig
 from .optim import OptimizerConfig, ScheduleSpec, init_states, route_and_step
 from .quadratic import QuadraticSpec
 from .rng import SplitMix64, derive_seed, normal_rows
@@ -54,9 +55,7 @@ class Landscape:
 
     def unpack(self, w):
         """Flat vector of length ``dim`` -> named block matrices."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"expected a vector of shape ({self.dim},), got {w.shape}")
+        w = check_array("w", w, (self.dim,))
         return {name: w[b.start:b.start + b.size].reshape(b.shape)
                 for name, b in self.blocks.items()}
 
@@ -328,14 +327,19 @@ def gram_alignment_curve(reference, gram, d_s: int, k_grid):
     so the coverage score's column-count precondition holds. gram is
     eigendecomposed once and each k takes its leading k eigenvectors.
     """
-    for k in k_grid:
-        if k < d_s:
-            raise ValueError(f"k = {k} below the reference dimension d_s = {d_s}")
-        if k > len(gram):
-            raise ValueError(f"k = {k} above the gram's dimension {len(gram)}")
+    _check_grid(d_s, k_grid, f"{len(gram)}]")
     ref_basis = sym_eig(reference)[1][:, :d_s]
     _, vecs = sym_eig(gram)
     return [(int(k), coverage_score(ref_basis, vecs[:, :int(k)])) for k in k_grid]
+
+
+def _check_grid(d_s, k_grid, top="inf)"):
+    """Integers d_s >= 1 and, in a non-empty k_grid, k in [d_s, top ("inf)" or "dim]")."""
+    check_number("d_s", d_s, numbers.Integral, "[1, inf)")
+    if len(k_grid) == 0:
+        raise ValueError("k_grid must be non-empty")
+    for k in k_grid:
+        check_number("k_grid", k, numbers.Integral, f"[{d_s}, {top}")
 
 
 GRAM_BATCHES = 32  # fresh minibatch gradients per gradient Gram estimate
@@ -352,6 +356,8 @@ def alignment_experiment(spec: MlpSpec, seed: int, train_steps: int, d_s: int, k
     the side's dimension and a size repeated by the clamp is dropped.
     Returns {block: {"row": curve, "col": curve}}.
     """
+    check_number("train_steps", train_steps, numbers.Integral, "[0, inf)")
+    _check_grid(d_s, k_grid)
     land = MlpLandscape(spec, seed)
     mats = land.unpack(land.initial_point)
     cfg = OptimizerConfig("adamw")

@@ -7,6 +7,8 @@ polynomial scheme so the two routes stay independent.
 
 check_number and check_fields are the one rule for a number that enters
 from outside: a config field, a CLI flag or an analysis function's argument.
+check_array is the one rule for an array that enters from outside: an
+analysis object, a flow's state or a matrix routine's input.
 """
 
 import dataclasses
@@ -36,6 +38,8 @@ def check_number(name: str, value, kind=numbers.Real, interval: str = "(-inf, in
     # comparisons, not math.isfinite, so an int of any size is judged exactly
     if not (low < value < high or interval[0] == "[" and value == low
             or interval[-1] == "]" and value == high):
+        if isinstance(value, int) and value.bit_length() > 14000:  # str() stops at 4300 digits
+            value = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
         raise ValueError(f"{name} must be in {interval}, got {value}")
     return value
 
@@ -57,15 +61,18 @@ def check_fields(config, intervals: dict):
             check_number(name, item, _KINDS[annotation], intervals.get(name, "(-inf, inf)"))
 
 
-def as_matrix(a):
-    """Validate and return a 2-D float64 array (finite entries, positive dims)."""
+def check_array(name: str, a, shape: tuple):
+    """Return a as a float64 array (no copy of a float64 one) if it has one
+    axis per entry of shape, each an int length or None for any length >= 1,
+    and finite entries, else raise a ValueError led by name."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
+    fits = a.ndim == len(shape) and 0 not in a.shape
+    for length, n in zip(a.shape, shape):  # a loop, not any(), is cheaper on a hot path
+        fits = fits and n in (None, length)
+    if not fits:
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', '>=1')}, got {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} must be finite, got {a.flat[np.isfinite(a).argmin()]}")
     return a
 
 
@@ -81,7 +88,7 @@ def qr_decompose(a):
     triangular with non-negative diagonal. Zero pivots (rank deficiency)
     skip the reflector, so the factorization never fails for finite input.
     """
-    a = as_matrix(a)
+    a = check_array("a", a, (None, None))
     m, n = a.shape
     if m < n:
         raise ValueError(f"qr_decompose needs rows >= cols, got {a.shape}")
@@ -133,7 +140,7 @@ def sym_eig(a):
     The eigenvectors come back column-major (each one contiguous), as the
     transpose of the reordered rows of Vᵀ.
     """
-    a = as_matrix(a)
+    a = check_array("a", a, (None, None))
     n, n2 = a.shape
     if n != n2:
         raise ValueError(f"sym_eig needs a square matrix, got {a.shape}")
@@ -189,7 +196,7 @@ def svd_oracle(a):
     sidesteps the sign/ordering matching an independent eigendecomposition of
     a·aᵀ would require. Reconstruction holds to 1e-8 relative.
     """
-    a = as_matrix(a)
+    a = check_array("a", a, (None, None))
     m, n = a.shape
     if m < n:
         u, s, v = svd_oracle(a.T)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius
+from .linalg import check_array, frobenius
 
 # Per-iteration quintic triples for X <- aX + bX(XᵀX) + cX(XᵀX)².  Rows were
 # fitted as successive minimax maps for spectra in [2e-3, 1] after Frobenius
@@ -67,7 +67,7 @@ def ns_polar(a, schedule=None):
     exactly invariant under positive rescaling of a. A zero matrix maps to
     the zero matrix (documented degenerate case).
     """
-    a = as_matrix(a)
+    a = check_array("a", a, (None, None))
     if schedule is None:
         schedule = NsSchedule()
     fro = frobenius(a)
@@ -91,10 +91,11 @@ def composite_sharp_projection(m_tilde, controller, polar):
     with the default schedule, which the caller already holds. Requires
     rows >= cols (callers pre-transpose wide blocks).
     """
-    m_tilde = as_matrix(m_tilde)
+    m_tilde = check_array("m_tilde", m_tilde, (None, None))
     m, n = m_tilde.shape
     if m < n:
         raise ValueError(f"composite_sharp_projection needs rows >= cols, got {m_tilde.shape}")
+    polar = check_array("polar", polar, m_tilde.shape)
     fro = frobenius(m_tilde)
     if fro == 0.0:
         return np.zeros((n, n)), np.zeros_like(m_tilde)

@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import check_number
+from .linalg import check_array, check_number
 
 # Exact criticality is measure-zero; anything this close to a double root is
 # classified critical so the (c1 + c2 k) D^{k/2} closed form applies.
@@ -36,12 +36,9 @@ class QuadraticSpec:
     offsets: np.ndarray | None = None
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        b = np.zeros(lam.size) if self.offsets is None else np.asarray(self.offsets, dtype=float)
-        if lam.ndim != 1 or lam.size == 0 or b.shape != lam.shape:
-            raise ValueError(f"eigenvalues and offsets must be matching non-empty 1-D arrays, got {lam.shape} and {b.shape}")
-        if not (np.isfinite(lam).all() and np.isfinite(b).all()):
-            raise ValueError("eigenvalues and offsets must be finite")
+        lam = check_array("eigenvalues", self.eigenvalues, (None,))
+        b = np.zeros(lam.size) if self.offsets is None else \
+            check_array("offsets", self.offsets, lam.shape)
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", lam)
@@ -201,11 +198,11 @@ def simulate_recurrence(spec: QuadraticSpec, alpha: float, beta: float, eta: flo
     form keeps the log finite at the zero crossings of underdamped modes.
     Stops early once any |e| passes 1e15 and reports diverged.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("eta", eta)):
+        check_number(name, value)
     check_number("steps", steps, numbers.Integral, "[1, inf)")
-    w = np.asarray(w0, dtype=float).copy()
-    m = np.asarray(m0, dtype=float).copy()
-    if w.shape != (spec.dim,) or m.shape != (spec.dim,):
-        raise ValueError("w0 and m0 must match the spectrum length")
+    w = check_array("w0", w0, (spec.dim,)).copy()
+    m = check_array("m0", m0, (spec.dim,)).copy()
     wstar = spec.stationary_point()
     traj = [w.copy()]
     diverged = False

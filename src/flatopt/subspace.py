@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_matrix, svd_oracle
+from .linalg import check_array, svd_oracle
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,7 +58,7 @@ def smoothed_sharp_mask(v, ctrl: SoapMaskController):
     A zero tensor (mean 0) returns the all-ones mask; before any gradient
     mass accumulates there is nothing to rank, so everything counts as sharp.
     """
-    v = as_matrix(v)
+    v = check_array("v", v, (None, None))
     if (v < 0).any():
         raise ValueError("mask input must be non-negative")
     tau_s, tau_smooth = ctrl.thresholds(v)
@@ -93,10 +93,8 @@ def coverage_score(basis_a, basis_b) -> float:
     angles. 1.0 means span(a) lies inside span(b); 0.0 means the subspaces
     are orthogonal.
     """
-    a = as_matrix(basis_a)
-    b = as_matrix(basis_b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"bases live in different spaces: {a.shape} vs {b.shape}")
+    a = check_array("basis_a", basis_a, (None, None))
+    b = check_array("basis_b", basis_b, (len(a), None))  # both in one space
     k_a, k_b = a.shape[1], b.shape[1]
     if k_a > k_b:
         raise ValueError(f"basis_a has more columns than basis_b ({k_a} > {k_b})")

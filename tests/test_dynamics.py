@@ -36,9 +36,9 @@ FLOWS = pytest.mark.parametrize("flow", [
 
 class TestStateAndParams:
     def test_state_requires_matching_vectors(self):
-        with pytest.raises(ValueError, match="matching vectors"):
+        with pytest.raises(ValueError, match=re.escape("m must have shape (3,), got (2,)")):
             DynamicsState(np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError, match="matching vectors"):
+        with pytest.raises(ValueError, match=re.escape("w must have shape (>=1,), got (2, 2)")):
             DynamicsState(np.zeros((2, 2)), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("state_dim,eigenvalues", [(1, [3.0, 2.0, 1.0]), (2, [1.0])],
@@ -64,12 +64,12 @@ class TestStateAndParams:
             flow(state, QuadraticSpec([3.0, 2.0, 1.0]), params)
 
     def test_state_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^w must be finite, got nan$"):
             DynamicsState(np.array([1.0, np.nan]), np.zeros(2))
 
     @pytest.mark.parametrize("t", [math.nan, -math.inf])
     def test_state_rejects_non_finite_clock(self, t):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=rf"^t must be in \(-inf, inf\), got {t}$"):
             DynamicsState(np.ones(1), np.zeros(1), t=t)
 
     def test_beta_pair_broadcasts_scalar(self):
@@ -109,11 +109,13 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="not symmetric"):
             FlowParams(alpha=0.1, metric=np.array([[2.0, 1.0], [0.0, 2.0]]))
 
-    @pytest.mark.parametrize("f", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
-    def test_non_square_metric_rejected(self, f):
-        # sym_eig's and as_matrix's messages did not name the metric
-        with pytest.raises(ValueError, match=re.escape(
-                f"metric must be a square matrix, got shape {f.shape}")):
+    @pytest.mark.parametrize("f,message", [
+        (np.ones((2, 3)), "metric must be square, got shape (2, 3)"),
+        (np.ones(3), "metric must have shape (>=1, >=1), got (3,)"),
+    ], ids=["2x3", "vector"])
+    def test_non_square_metric_rejected(self, f, message):
+        # sym_eig's messages do not name the metric
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             FlowParams(alpha=0.1, metric=f)
 
     @pytest.mark.parametrize("name", ["projector_sharp", "metric"])
@@ -123,8 +125,15 @@ class TestStateAndParams:
     def test_non_finite_matrix_rejected(self, name, a):
         # NaN fails every comparison, so a NaN projector passed the symmetric
         # and idempotent checks and the first step failed on the state
-        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             FlowParams(alpha=0.1, **{name: a})
+
+    @pytest.mark.parametrize("name", ["projector_sharp", "metric"])
+    def test_empty_matrix_rejected(self, name):
+        # numpy's max of P failed with its own "zero-size array" message
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must have shape (>=1, >=1), got (0, 0)") + "$"):
+            FlowParams(alpha=0.1, **{name: np.zeros((0, 0))})
 
     def test_settings_without_effect_rejected(self):
         # without a projector P = I, so chi and beta2 never reach the flow
@@ -196,11 +205,13 @@ class TestLiteFlowRhs:
         with pytest.raises(ValueError, match="not idempotent"):
             FlowParams(alpha=0.1, projector_sharp=0.5 * np.eye(3))
 
-    @pytest.mark.parametrize("p", [np.zeros((2, 3)), np.zeros(3)], ids=["2x3", "vector"])
-    def test_non_square_projector_rejected(self, p):
+    @pytest.mark.parametrize("p,message", [
+        (np.zeros((2, 3)), "projector_sharp must be square, got shape (2, 3)"),
+        (np.zeros(3), "projector_sharp must have shape (>=1, >=1), got (3,)"),
+    ], ids=["2x3", "vector"])
+    def test_non_square_projector_rejected(self, p, message):
         # a 2x3 P failed on numpy's broadcast of P - P^T; a zero vector passed
-        with pytest.raises(ValueError, match=re.escape(
-                f"projector_sharp must be a square matrix, got shape {p.shape}")):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             FlowParams(alpha=0.1, projector_sharp=p)
 
 
@@ -445,7 +456,7 @@ class TestRk4Flow:
         spec = QuadraticSpec([-1e6])
         start = DynamicsState(np.ones(1), np.zeros(1))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="^w must be finite, got "):
                 rk4_flow(start, spec, FlowParams(alpha=0.1, eta=1.0), t_end=1.0)
 
     def test_overflow_in_one_decoupled_coordinate_rejected(self):
@@ -455,7 +466,7 @@ class TestRk4Flow:
         params = FlowParams(alpha=0.1, beta=0.5, eta=1.25)
         start = DynamicsState(np.ones(2), np.zeros(2), t=0.25)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite entries in dynamics state"):
+            with pytest.raises(ValueError, match="^w must be finite, got "):
                 rk4_flow(start, spec, params, t_end=1.0, h=0.01)
 
 

@@ -280,7 +280,7 @@ class TestParseConfig:
         ("optimizer.family = muon_lite\nlite.chi = NaN", "line 6: chi must be in [1, inf), got nan"),
         ("landscape.noise_sigma = nan",
          "line 1: key 'landscape.noise_sigma' is not valid for landscape kind 'quadratic'"),
-        ("landscape.eigenvalues = 1, nan", "line 4: eigenvalues and offsets must be finite"),
+        ("landscape.eigenvalues = 1, nan", "line 4: eigenvalues must be finite, got nan"),
     ])
     def test_rejections(self, mutation, fragment):
         # Swap the mutated line in for its original when the key already
@@ -360,15 +360,16 @@ class TestParseConfig:
     @pytest.mark.parametrize("config,fragment", [
         (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1.0, 2.0"),
          "eigenvalues must be sorted descending"),
-        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="), "non-empty"),
-        (MINIMAL + "landscape.offsets = 1.0\n", "matching non-empty"),
+        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="),
+         "eigenvalues must have shape \\(>=1,\\), got \\(0,\\)"),
+        (MINIMAL + "landscape.offsets = 1.0\n", "offsets must have shape \\(2,\\), got \\(1,\\)"),
         (MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "200, 101, 4"),
          "parameter count 20604 exceeds the 20000 budget"),
         (RIVER_VALLEY.replace("flat_dim = 2", "flat_dim = 3"), "sharp_dim == flat_dim"),
         # non-finite or negative values that would otherwise run and diverge
         (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = inf, 1"),
-         "eigenvalues and offsets must be finite"),
-        (MINIMAL + "landscape.offsets = inf, 0\n", "eigenvalues and offsets must be finite"),
+         "eigenvalues must be finite, got inf"),
+        (MINIMAL + "landscape.offsets = inf, 0\n", "offsets must be finite, got inf"),
         (RIVER_VALLEY.replace("sharp_curvature = 100.0", "sharp_curvature = inf"),
          "sharp_curvature must be in \\(0, inf\\), got inf"),
         (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = inf\n",
@@ -857,7 +858,7 @@ class TestCli:
 
     @pytest.mark.parametrize("steps,code,last_line", [
         (2, 0, "ok steps=2 final_loss=1.1535883068548822e+306"),
-        (4, 4, "numerical error: matrix entries must be finite"),
+        (4, 4, "numerical error: a must be finite, got nan"),
     ], ids=["run_ends_at_the_overflow", "next_step_reads_the_basis"])
     def test_soap_gram_overflow_fails_at_the_step_that_reads_the_basis(
             self, tmp_path, capsys, steps, code, last_line):

@@ -155,6 +155,13 @@ class TestCompositeProjection:
             composite_sharp_projection(np.ones((2, 5)), RankController(scale_l=1.0, target_dim=1),
                                        ns_polar(np.ones((2, 5))))
 
+    @pytest.mark.parametrize("polar", [0.0, np.ones((1, 3))], ids=["scalar", "row"])
+    def test_polar_of_another_shape_rejected(self, polar):
+        # numpy broadcast either one against M and returned a wrong P
+        with pytest.raises(ValueError, match=r"^polar must have shape \(4, 3\), got "):
+            composite_sharp_projection(np.ones((4, 3)), RankController(scale_l=0.5, target_dim=1),
+                                       polar)
+
 
 class TestRankController:
     def test_boundary_takes_up_branch(self):
