@@ -1,12 +1,12 @@
 """Experiment configuration, the deterministic runner, and CSV telemetry.
 
 Config files are ``section.key = value`` lines, ended by line feeds only,
-with ``#`` comments. Every key except landscape.kind is a field of a type,
-parsed by its annotation: run.* of ExperimentConfig, optimizer.* of
-OptimizerConfig, lite.* (only with a lite family) of LitePolicy, schedule.*
-of ScheduleSpec, and landscape.* of the spec that landscape.kind names. Each
-type checks its own values when the parser builds it, and a rejection that
-begins with a key names its line. Example::
+with ``#`` comments. Every key but landscape.kind is a field of a type, parsed
+by its annotation, and required if neither its field nor the parser gives a
+default: run.* of ExperimentConfig, optimizer.* of OptimizerConfig, lite.*
+(only with a lite family) of LitePolicy, schedule.* of ScheduleSpec, and
+landscape.* of the spec that landscape.kind names. Each type checks its own
+values when built, and a rejection led by a key names its line. Example::
 
     run.seed = 42
     run.steps = 200
@@ -109,9 +109,6 @@ _SCHEMA = {
     "schedule": _keys(ScheduleSpec),
 }
 
-_REQUIRED = (("run", "seed"), ("run", "steps"), ("landscape", "kind"),
-             ("optimizer", "family"), ("schedule", "kind"), ("schedule", "lr_max"))
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Type every key, reject text outside the schema, and build the config.
@@ -144,21 +141,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: malformed value '{raw_value}' for '{name}'") from None
         lines[(section, key)] = lineno
 
-    for section, key in _REQUIRED:
-        if key not in sections[section]:
-            raise ConfigError(f"missing required key '{section}.{key}'")
-
+    if "kind" not in sections["landscape"]:
+        raise ConfigError("missing required key 'landscape.kind'")
     kind = sections["landscape"].pop("kind")
     if kind not in _LANDSCAPE_SPECS:
         raise ConfigError(f"line {lines[('landscape', 'kind')]}: unknown landscape kind '{kind}'")
-    spec_fields = dataclasses.fields(_LANDSCAPE_SPECS[kind])
+    types = {"run": ExperimentConfig, "landscape": _LANDSCAPE_SPECS[kind],
+             "optimizer": OptimizerConfig, "lite": LitePolicy, "schedule": ScheduleSpec}
     for key in sections["landscape"]:
-        if key not in {field.name for field in spec_fields}:
+        if key not in {field.name for field in dataclasses.fields(types["landscape"])}:
             raise ConfigError(f"line {lines[('landscape', key)]}: key 'landscape.{key}' "
                               f"is not valid for landscape kind '{kind}'")
-    for field in spec_fields:
-        if field.default is dataclasses.MISSING and field.name not in sections["landscape"]:
-            raise ConfigError(f"missing required key 'landscape.{field.name}' for kind '{kind}'")
+    # the parser's schedule defaults, so never missing; total_steps is at least 1 so
+    # that steps < 1 or no run.steps is reported for run, not by ScheduleSpec
+    sections["schedule"] = {"warmup_steps": 0, "total_steps": max(sections["run"].get("steps", 1), 1),
+                            **sections["schedule"]}
+    for section, cls in types.items():  # a key is required where its field has no default
+        for field in dataclasses.fields(cls):
+            if field.default is dataclasses.MISSING and field.name in _SCHEMA[section] \
+                    and field.name not in sections[section]:
+                suffix = f" for kind '{kind}'" if section == "landscape" else ""
+                raise ConfigError(f"missing required key '{section}.{field.name}'{suffix}")
     is_lite = sections["optimizer"]["family"] in LITE_FAMILIES
     for key in sections["lite"]:
         if not is_lite:
@@ -174,10 +177,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     lite = build("lite", LitePolicy, **sections["lite"]) if is_lite else None
     optimizer = build("optimizer", OptimizerConfig, lite=lite, **sections["optimizer"])
-    # at least 1, so that steps < 1 is reported by the run rule, not by ScheduleSpec
-    schedule = build("schedule", ScheduleSpec, **{
-        "warmup_steps": 0, "total_steps": max(sections["run"]["steps"], 1), **sections["schedule"]})
-    landscape = build("landscape", _LANDSCAPE_SPECS[kind], **sections["landscape"])
+    schedule = build("schedule", ScheduleSpec, **sections["schedule"])
+    landscape = build("landscape", types["landscape"], **sections["landscape"])
     return build("run", ExperimentConfig, landscape=landscape, optimizer=optimizer,
                  schedule=schedule, **sections["run"])
 
@@ -211,15 +212,10 @@ def record_to_row(step, lr, loss, global_grad_norm, blocks) -> str:
 
 
 def _block_telemetry(state, update_rms):
-    per = {col: None for col in BLOCK_COLUMNS}
-    per["update_rms"] = update_rms
-    per["sharp_mass"] = state.last_sharp_mass
-    if state.rank_ctrl is not None:
-        per["l"] = state.rank_ctrl.scale_l
-    if state.mask_ctrl is not None:
-        per["l_s"] = state.mask_ctrl.l_s
-        per["l_smooth"] = state.mask_ctrl.l_smooth
-    return per
+    ctrl = state.controller  # a rank controller fills l, a mask controller l_s and l_smooth
+    return {"update_rms": update_rms, "sharp_mass": state.last_sharp_mass,
+            "l": getattr(ctrl, "scale_l", None), "l_s": getattr(ctrl, "l_s", None),
+            "l_smooth": getattr(ctrl, "l_smooth", None)}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -25,22 +25,29 @@ JACOBI_OFF_TOL = 1e-14
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "tuple[int, ...]": numbers.Integral}
 
 
+def _shown(value, text=repr) -> str:
+    try:
+        return text(value)
+    except ValueError:  # str() refuses an int of over 4300 digits, alone or in a container
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def check_number(name: str, value, kind=numbers.Real, interval: str = "(-inf, inf)"):
     """Return value if it is a kind in interval, such as "[0, 1)", else raise
     a ValueError led by name; only an interval closed at inf, like "(0, inf]",
     admits inf, and a real must fit in a float."""
     if not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+        raise ValueError(f"{name} must be {noun}, got {_shown(value)}")
     if kind is numbers.Real and sys.float_info.max < abs(value) < math.inf:  # a huge int
         raise ValueError(f"{name} must fit in a float, got a magnitude above {sys.float_info.max}")
     low, high = map(float, interval[1:-1].split(","))
     # comparisons, not math.isfinite, so an int of any size is judged exactly
     if not (low < value < high or interval[0] == "[" and value == low
             or interval[-1] == "]" and value == high):
-        if isinstance(value, int) and value.bit_length() > 14000:  # str() stops at 4300 digits
-            value = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-        raise ValueError(f"{name} must be in {interval}, got {value}")
+        raise ValueError(f"{name} must be in {interval}, got {_shown(value, str)}")
     return value
 
 
@@ -56,7 +63,7 @@ def check_fields(config, intervals: dict):
         value = getattr(config, name)
         is_tuple = annotation.startswith("tuple")
         if is_tuple and not isinstance(value, tuple):
-            raise ValueError(f"{name} must be a tuple of integers, got {value!r}")
+            raise ValueError(f"{name} must be a tuple of integers, got {_shown(value)}")
         for item in value if is_tuple else (value,):
             check_number(name, item, _KINDS[annotation], intervals.get(name, "(-inf, inf)"))
 

@@ -151,8 +151,7 @@ class BlockOptState:
     gram_r: np.ndarray | None = None
     q_l: np.ndarray | None = None
     q_r: np.ndarray | None = None
-    rank_ctrl: RankController | None = None
-    mask_ctrl: SoapMaskController | None = None
+    controller: RankController | SoapMaskController | None = None
     step: int = 0
     last_sharp_mass: float | None = None
 
@@ -170,16 +169,15 @@ def init_state(shape, role: str, cfg: OptimizerConfig) -> BlockOptState:
         state.gram_r = np.zeros((cols, cols))
         state.q_l = np.eye(rows)
         state.q_r = np.eye(cols)
-    if kind.controller == "rank":
+    if kind.controller is RankController:
         n = min(rows, cols)
-        d_s = math.ceil(cfg.lite.r_s * n)
-        # 1/sqrt(n) puts the initial threshold at the RMS singular value; the
-        # feedback loop takes it from there.
-        state.rank_ctrl = RankController(scale_l=1.0 / math.sqrt(n), target_dim=d_s)
-    if kind.controller == "mask":
+        # 1/sqrt(n) starts the threshold at the RMS singular value; feedback moves it
+        state.controller = RankController(scale_l=1.0 / math.sqrt(n),
+                                          target_dim=math.ceil(cfg.lite.r_s * n))
+    elif kind.controller is SoapMaskController:
         count = rows * cols
-        state.mask_ctrl = SoapMaskController(d_s=math.ceil(cfg.lite.r_s * count),
-                                             d_smooth=math.ceil(cfg.lite.d_smooth_ratio * count))
+        state.controller = SoapMaskController(d_s=math.ceil(cfg.lite.r_s * count),
+                                              d_smooth=math.ceil(cfg.lite.d_smooth_ratio * count))
     return state
 
 
@@ -243,8 +241,8 @@ def _mask_and_update(state: BlockOptState, pol: LitePolicy, g, denom, core):
     """LITE stage of the elementwise-preconditioned steppers: mask the second
     moment, advance the threshold controller, record the sharp mass, and
     reweight core = momentum/denom unless the policy is trivial."""
-    mask = smoothed_sharp_mask(state.v, state.mask_ctrl)
-    state.mask_ctrl = update_soap_controller(state.mask_ctrl, state.v)
+    mask = smoothed_sharp_mask(state.v, state.controller)
+    state.controller = update_soap_controller(state.controller, state.v)
     state.last_sharp_mass = float(mask.sum())
     if pol.is_trivial():
         return core
@@ -256,7 +254,7 @@ def step_adamw(w, state, g, lr, cfg):
     """AdamW; a mask controller (adam_lite) adds the LITE stage."""
     denom = _ema_mv(state, g, cfg)
     direction = state.m / denom
-    if state.mask_ctrl is not None:
+    if state.controller is not None:
         direction = _mask_and_update(state, cfg.lite, g, denom, direction)
     return _apply(w, direction, lr, cfg.weight_decay)
 
@@ -306,11 +304,11 @@ def step_muon(w, state, g, lr, cfg):
     wide = u.shape[0] < u.shape[1]
     u_o = u.T if wide else u  # the rows >= cols orientation the polar formulas assume
     core = ns_polar(u_o)
-    if state.rank_ctrl is not None:
+    if state.controller is not None:
         pol = cfg.lite
-        proj, _ = composite_sharp_projection(u_o, state.rank_ctrl, polar=core)
+        proj, _ = composite_sharp_projection(u_o, state.controller, polar=core)
         p_frob = frobenius(proj)
-        state.rank_ctrl = update_rank_controller(state.rank_ctrl, p_frob)
+        state.controller = update_rank_controller(state.controller, p_frob)
         state.last_sharp_mass = float(p_frob * p_frob)
         if not pol.is_trivial():
             w_m, w_g = lite_weights(pol.chi, pol.beta1, pol.beta2, proj, np.eye(proj.shape[0]))
@@ -335,7 +333,7 @@ def step_soap(w, state, g, lr, cfg):
     m_rot = state.q_l.T @ state.m @ state.q_r
     denom = np.sqrt(state.v) + cfg.epsilon
     core = m_rot / denom
-    if state.mask_ctrl is not None:
+    if state.controller is not None:
         core = _mask_and_update(state, cfg.lite, g_rot, denom, core)
     new_w = _apply(w, state.q_l @ core @ state.q_r.T, lr, cfg.weight_decay)
     th = cfg.theta_shampoo
@@ -347,7 +345,7 @@ def step_soap(w, state, g, lr, cfg):
 class StepperKind(NamedTuple):
     step: Callable  # (w, state, g, lr, cfg) -> the new w
     arrays: tuple  # state arrays of the block's shape kept beside m
-    controller: str | None  # LITE controller: "rank", "mask" or None
+    controller: type | None  # LITE controller type: RankController, SoapMaskController or None
     keys: tuple  # OptimizerConfig fields the stepper reads
 
 
@@ -364,9 +362,9 @@ KINDS = {
                              "ademamix_kappa", "alpha_fast", "alpha_slow")),
     "muon": StepperKind(step_muon, (), None, ("theta", "weight_decay")),
     "soap": StepperKind(step_soap, ("v",), None, _SOAP_KEYS),
-    "muon_lite": StepperKind(step_muon, (), "rank", ("theta", "weight_decay")),
-    "soap_lite": StepperKind(step_soap, ("v",), "mask", _SOAP_KEYS),
-    "adam_lite": StepperKind(step_adamw, ("v",), "mask", _ADAM_KEYS),
+    "muon_lite": StepperKind(step_muon, (), RankController, ("theta", "weight_decay")),
+    "soap_lite": StepperKind(step_soap, ("v",), SoapMaskController, _SOAP_KEYS),
+    "adam_lite": StepperKind(step_adamw, ("v",), SoapMaskController, _ADAM_KEYS),
 }
 
 LITE_FAMILIES = {family for family, kinds in FAMILIES.items()
@@ -395,4 +393,7 @@ def route_and_step(mats, states, grads, step, schedule: ScheduleSpec,
     lr = lr_at(schedule, step)
     clipped = clip_global_norm([grads[name] for name in order], cfg.clip_norm)
     for name, g in zip(order, clipped):
-        mats[name] = states[name].kind.step(mats[name], states[name], g, lr, cfg)
+        try:
+            mats[name] = states[name].kind.step(mats[name], states[name], g, lr, cfg)
+        except ValueError as err:  # a matrix routine's rejection names only its own argument
+            raise ValueError(f"step {step}, block {name}: {err}") from err

@@ -6,12 +6,14 @@ the rest are zeroed. A multiplicative controller steers tau so the projector
 rank tracks a target dimension.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_array, frobenius
+from .linalg import check_array, check_fields, frobenius
 
 # Per-iteration quintic triples for X <- aX + bX(XᵀX) + cX(XᵀX)².  Rows were
 # fitted as successive minimax maps for spectra in [2e-3, 1] after Frobenius
@@ -39,11 +41,7 @@ class NsSchedule:
     iterations: int = 6
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-    def row(self, k):
-        return NS_COEFFS[min(k, len(NS_COEFFS) - 1)]
+        check_fields(self, {"iterations": "[1, inf)"})
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class RankController:
             raise ValueError(f"target_dim must be a positive integer, got {self.target_dim}")
 
 
-def ns_polar(a, schedule=None):
+def ns_polar(a, schedule=NsSchedule()):  # one default schedule, built once
     """Approximate polar factor UVᵀ of a via quintic Newton-Schulz iterations.
 
     The input is divided by its Frobenius norm first, which makes the result
@@ -68,15 +66,13 @@ def ns_polar(a, schedule=None):
     the zero matrix (documented degenerate case).
     """
     a = check_array("a", a, (None, None))
-    if schedule is None:
-        schedule = NsSchedule()
     fro = frobenius(a)
     if fro == 0.0:
         return np.zeros_like(a)
     transposed = a.shape[0] < a.shape[1]
     x = (a.T if transposed else a) / fro
     for k in range(schedule.iterations):
-        ca, cb, cc = schedule.row(k)
+        ca, cb, cc = NS_COEFFS[min(k, len(NS_COEFFS) - 1)]
         g = x.T @ x
         x = ca * x + x @ (cb * g + cc * (g @ g))
     return x.T if transposed else x

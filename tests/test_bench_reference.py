@@ -9,24 +9,16 @@ was recorded on; elsewhere the test skips.
 """
 
 import json
-import types
 from pathlib import Path
 
 import pytest
 
+from script_loader import load_script
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_runner():
-    # exec instead of an import: nothing is cached next to the benchmark's files
-    path = BENCH / "run.py"
-    module = types.ModuleType("perfbench_run")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-_RUNNER = _load_runner()
+_RUNNER = load_script(BENCH / "run.py", "perfbench_run")
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 
 

@@ -357,7 +357,7 @@ class TestLiteStageIsTheSplitFlow:
 
     def test_adam_lite_step_is_one_flow_step(self):
         state = self.lite_state("embedding")
-        ctrl = state.mask_ctrl
+        ctrl = state.controller
         g = self.spec.grad(self.w0)
         w_opt = step_adamw(self.w0[None, :], state, g[None, :], self.LR, self.cfg)[0]
         mask = smoothed_sharp_mask(state.v, ctrl)[0]
@@ -369,7 +369,7 @@ class TestLiteStageIsTheSplitFlow:
         state = self.lite_state("muon")
         # at step 0 no QR refresh runs, so the step rotates by this q_r
         state.q_r, _ = qr_decompose(self.rng.normal((self.N, self.N)))
-        ctrl, q = state.mask_ctrl, state.q_r
+        ctrl, q = state.controller, state.q_r
         g = self.spec.grad(self.w0)
         w_opt = step_soap(self.w0[None, :], state, g[None, :], self.LR, self.cfg)[0]
         mask = smoothed_sharp_mask(state.v, ctrl)[0]

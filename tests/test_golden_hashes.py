@@ -12,27 +12,18 @@ loads; it skips on a platform other than the recorded one.
 import json
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 from flatopt import optim
 from flatopt.harness import parse_config
+from script_loader import load_script
 
 SCRIPT_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_hashes.py"
 
 
-def _load_script():
-    # exec instead of an import: nothing is cached next to the script
-    module = types.ModuleType("golden_hashes")
-    module.__file__ = str(SCRIPT_PATH)
-    exec(compile(SCRIPT_PATH.read_text(encoding="utf-8"), str(SCRIPT_PATH), "exec"),
-         module.__dict__)
-    return module
-
-
-GOLDEN = _load_script()
+GOLDEN = load_script(SCRIPT_PATH, "golden_hashes")
 ENTRY_COUNT = 44
 
 

@@ -331,6 +331,24 @@ class TestParseConfig:
                            match="missing required key 'landscape.eigenvalues' for kind 'quadratic'"):
             parse_config(text)
 
+    @pytest.mark.parametrize("base,key,kind", [pytest.param(base, key, kind, id=key) for base, key, kind in [
+        (MINIMAL, "run.seed", None), (MINIMAL, "run.steps", None),
+        (MINIMAL, "landscape.kind", None), (MINIMAL, "optimizer.family", None),
+        (MINIMAL, "schedule.kind", None), (MINIMAL, "schedule.lr_max", None),
+        (MINIMAL, "landscape.eigenvalues", "quadratic"),
+        (RIVER_VALLEY, "landscape.sharp_dim", "river_valley"),
+        (RIVER_VALLEY, "landscape.flat_dim", "river_valley"),
+        (RIVER_VALLEY, "landscape.sharp_curvature", "river_valley"),
+        (MLP_BASE.format(family="adamw"), "landscape.widths", "mlp"),
+    ]])
+    def test_each_required_key_is_reported_when_dropped(self, base, key, kind):
+        text = "".join(line for line in base.splitlines(keepends=True)
+                       if not line.startswith(f"{key} ="))
+        assert text != base
+        suffix = f" for kind '{kind}'" if kind else ""
+        with pytest.raises(ConfigError, match=f"^missing required key '{key}'{suffix}$"):
+            parse_config(text)
+
     @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
                                            "\u2028", "\u2029", "\r"])
     def test_only_a_line_feed_ends_a_line(self, separator):
@@ -858,7 +876,7 @@ class TestCli:
 
     @pytest.mark.parametrize("steps,code,last_line", [
         (2, 0, "ok steps=2 final_loss=1.1535883068548822e+306"),
-        (4, 4, "numerical error: a must be finite, got nan"),
+        (4, 4, "numerical error: step 3, block layer1: a must be finite, got nan"),
     ], ids=["run_ends_at_the_overflow", "next_step_reads_the_basis"])
     def test_soap_gram_overflow_fails_at_the_step_that_reads_the_basis(
             self, tmp_path, capsys, steps, code, last_line):
@@ -866,7 +884,8 @@ class TestCli:
         # Gram EMA while the losses stay finite (about 1e306). The basis is
         # refreshed at the start of step 3, so steps 1 and 2 are written either
         # way: a 2-step run never reads the basis and ends ok, a longer one
-        # exits 4 when its QR meets the overflowed Gram
+        # exits 4 when its QR meets the overflowed Gram, naming the step and
+        # the block
         csv = tmp_path / "run.csv"
         config = self.write(tmp_path, f"""\
 run.seed = 1

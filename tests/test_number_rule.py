@@ -21,7 +21,7 @@ from flatopt.dynamics import (AdemamixFlowConfig, DynamicsState, FlowParams,
 from flatopt.landscapes import (MlpSpec, alignment_experiment, gram_alignment_curve,
                                 quadratic_landscape)
 from flatopt.linalg import check_number, qr_decompose, svd_oracle, sym_eig
-from flatopt.polar import RankController, composite_sharp_projection, ns_polar
+from flatopt.polar import NsSchedule, RankController, composite_sharp_projection, ns_polar
 from flatopt.quadratic import (QuadraticSpec, monotonicity_probe, regime_boundaries,
                                simulate_recurrence, stability_bound)
 from flatopt.subspace import SoapMaskController, coverage_score, smoothed_sharp_mask
@@ -53,6 +53,7 @@ ENTRY_POINTS = [
                             "d_s": 1, "k_grid": (1, 2)}, ("d_s", "k_grid"), ("d_s", "k_grid")),
     (alignment_experiment, {"spec": MLP, "seed": 1, "train_steps": 1, "d_s": 2, "k_grid": (2, 4)},
      ("train_steps", "d_s", "k_grid"), ("train_steps", "d_s", "k_grid")),
+    (NsSchedule, {"iterations": 6}, ("iterations",), ("iterations",)),
 ]
 
 ARGUMENT_CASES = [
@@ -161,6 +162,12 @@ def test_an_int_too_long_to_print_keeps_the_message():
         simulate_recurrence(SPEC, 0.1, 0.0, 0.1, np.ones(2), np.zeros(2), -10**5000)
     with pytest.raises(ValueError, match=r"^k must be in \[1, 100\], got an integer of 16610 bits$"):
         check_number("k", 10**5000, numbers.Integral, "[1, 100]")
+    # repr() of a list holding one raises, so the message names the list's type instead
+    shown = "got a list holding an integer too long to print"
+    with pytest.raises(ValueError, match=f"^beta must be a real number, {shown}$"):
+        FlowParams(alpha=0.1, beta=[10**5000])
+    with pytest.raises(ValueError, match=f"^widths must be a tuple of integers, {shown}$"):
+        MlpSpec(widths=[10**5000])
 
 
 def test_array_arguments_accept_their_valid_values():

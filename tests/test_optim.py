@@ -35,12 +35,12 @@ from flatopt.optim import (
     step_soap,
 )
 from flatopt.dynamics import AdemamixFlowConfig, FlowParams
-from flatopt.harness import ExperimentConfig
+from flatopt.harness import ExperimentConfig, parse_config, run_experiment
 from flatopt.landscapes import BlockLayout, Landscape, MlpSpec, RiverValleySpec
 from flatopt.linalg import check_fields, qr_decompose, sym_eig
-from flatopt.polar import composite_sharp_projection, ns_polar
+from flatopt.polar import RankController, composite_sharp_projection, ns_polar
 from flatopt.rng import SplitMix64
-from flatopt.subspace import coverage_score
+from flatopt.subspace import SoapMaskController, coverage_score
 
 
 def scalar(value):
@@ -448,7 +448,7 @@ class TestMuonLite:
                               polar_mod.composite_sharp_projection(a, ctrl, polar_mod.ns_polar(a)))
                 w_ref = step_muon(w_ref, s_ref, g, 0.02, cfg)
             assert np.array_equal(w_new, w_ref)
-            assert s_new.rank_ctrl == s_ref.rank_ctrl
+            assert s_new.controller == s_ref.controller
             assert s_new.last_sharp_mass == s_ref.last_sharp_mass
 
     def test_controller_and_telemetry_advance(self):
@@ -456,11 +456,11 @@ class TestMuonLite:
         cfg = cfg_for("muon_lite", weight_decay=0.0, lite=self.policy(chi=2.0))
         w = np.zeros((10, 5))
         state = init_state(w.shape, "muon", cfg)
-        initial_scale = state.rank_ctrl.scale_l
+        initial_scale = state.controller.scale_l
         assert initial_scale == 1.0 / math.sqrt(5)
         for g in grads:
             w = step_muon(w, state, g, 0.02, cfg)
-        assert state.rank_ctrl.scale_l != initial_scale
+        assert state.controller.scale_l != initial_scale
         assert isinstance(state.last_sharp_mass, float)
         assert state.last_sharp_mass >= 0.0
 
@@ -527,7 +527,7 @@ class TestSoap:
             assert np.array_equal(w_new, w_ref)
             for name in ("m", "v", "gram_l", "gram_r"):
                 assert np.array_equal(getattr(s_new, name), getattr(s_ref, name)), name
-            assert s_new.mask_ctrl == s_ref.mask_ctrl
+            assert s_new.controller == s_ref.controller
             assert s_new.last_sharp_mass == s_ref.last_sharp_mass
         # the basis held after the run is the one its last step read
         assert np.array_equal(s_new.q_l, read[0]) and np.array_equal(s_new.q_r, read[1])
@@ -553,7 +553,7 @@ def uniform_gradients(seed, shape, steps):
 
 def force_flat_mask(state):
     # thresholds above the uniform second moment make the mask identically 0
-    state.mask_ctrl = dataclasses.replace(state.mask_ctrl, l_s=5.0, l_smooth=4.0)
+    state.controller = dataclasses.replace(state.controller, l_s=5.0, l_smooth=4.0)
 
 
 class TestSoapLite:
@@ -686,7 +686,7 @@ class TestLiteOnKroneckerQuadratic:
         sharp = np.eye(16)[:, :2]
         for step in range(1, 26):
             _, grads = land.loss_and_block_grads(mats, None)
-            ctrl = states["W"].rank_ctrl
+            ctrl = states["W"].controller
             route_and_step(mats, states, grads, step, sched, cfg)
             u = cfg.theta * states["W"].m + grads["W"]
             p = composite_sharp_projection(u, ctrl, ns_polar(u))[0]
@@ -744,10 +744,13 @@ class TestRouting:
             cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
             assert init_state((3, 2), role, cfg).kind is KINDS[kind]
 
-    def test_controllers_follow_stepper_labels(self):
+    def test_controllers_follow_stepper_labels(self, tmp_path):
         # a controller in the state is what switches on the LITE stage of
         # step_muon, step_soap and step_adamw, so it must exist exactly for
-        # the lite labels; a lite family's output block is plain adamw
+        # the lite labels, of the type its label names; a lite family's
+        # output block is plain adamw
+        controllers = {"muon_lite": RankController, "soap_lite": SoapMaskController,
+                       "adam_lite": SoapMaskController}
         lite = LitePolicy(chi=4.0, beta1=-0.25, beta2=1.0)
         cfg_a = cfg_for("adamw")
         grads = gradient_stream(131, (3, 2), 30)
@@ -756,9 +759,9 @@ class TestRouting:
             cfg = cfg_for(family, lite=lite if family in LITE_FAMILIES else None)
             for role in ROLES:
                 state = init_state((3, 2), role, cfg)
-                assert (state.rank_ctrl is not None) == (state.kind is KINDS["muon_lite"])
-                assert (state.mask_ctrl is not None) == any(
-                    state.kind is KINDS[kind] for kind in ("soap_lite", "adam_lite"))
+                label = next(label for label, kind in KINDS.items() if state.kind is kind)
+                assert state.kind.controller is controllers.get(label), (family, role)
+                assert type(state.controller) is controllers.get(label, type(None)), (family, role)
             if family in LITE_FAMILIES:
                 mats = {"head": np.ones((3, 2))}
                 ref = np.ones((3, 2))
@@ -768,6 +771,26 @@ class TestRouting:
                     route_and_step(mats, states, {"head": g}, k, sched, cfg)
                     ref = step_adamw(ref, ref_state, g, 0.01, cfg_a)
                     assert np.array_equal(mats["head"], ref)
+        # the CSV shows each controller's scales on its own block only: the
+        # rank block (layer1) fills l, the mask block (layer0) l_s and l_smooth
+        path = tmp_path / "run.csv"
+        run_experiment(parse_config(f"""\
+run.seed = 7
+run.steps = 5
+run.output_path = {path}
+landscape.kind = mlp
+landscape.widths = 6, 8, 8, 4
+optimizer.family = muon_lite
+schedule.kind = constant
+schedule.lr_max = 0.001
+"""))
+        header, *rows = path.read_text().splitlines()
+        filled = {"l": {"layer1"}, "l_s": {"layer0"}, "l_smooth": {"layer0"}}
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            for col, blocks in filled.items():
+                assert {name for name in ("layer0", "layer1", "layer2")
+                        if cells[f"{name}.{col}"] != "nan"} == blocks, col
 
     def test_every_knob_but_clip_norm_is_a_stepper_key(self):
         # route_and_step reads clip_norm for every family; a stepper reads the rest

@@ -9,10 +9,11 @@ class.
 
 import ast
 import importlib
-import types
 from pathlib import Path
 
 import pytest
+
+from script_loader import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -29,16 +30,7 @@ TRACER_ONLY = (
 )
 
 
-def _load_tracer():
-    # exec instead of an import: nothing is cached next to the benchmark's files
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER_PATH)
-    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"),
-         module.__dict__)
-    return module
-
-
-_TRACER = _load_tracer()
+_TRACER = load_script(TRACER_PATH, "perfbench_tracer")
 TARGETS = [(module, attr) for module, attr in _TRACER.SPAN_TARGETS] + \
           [(module, attr) for module, attr, _ in _TRACER.COUNT_TARGETS]
 
