@@ -56,11 +56,13 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        # seed is an unsigned 64-bit integer: [0, 2**64)
-        check_fields(self, {"seed": "[0, 18446744073709551616)", "steps": "[1, inf)",
-                            "log_every": "[1, inf)"})
-        if not isinstance(self.landscape, tuple(_LANDSCAPE_SPECS.values())):
-            raise ValueError(f"landscape must be a landscape spec, not {type(self.landscape).__name__}")
+        check_fields(self, {"seed": "[0, 18446744073709551616)",  # an unsigned 64-bit integer
+                            "steps": "[1, inf)", "log_every": "[1, inf)"})
+        for name, noun, kind in (("landscape", "a landscape spec", tuple(_LANDSCAPE_SPECS.values())),
+                                 ("optimizer", "an OptimizerConfig", OptimizerConfig),
+                                 ("schedule", "a ScheduleSpec", ScheduleSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {noun}, not {type(getattr(self, name)).__name__}")
         if self.schedule.total_steps < self.steps:
             raise ValueError(f"schedule.total_steps {self.schedule.total_steps} "
                              f"is below run.steps {self.steps}")

@@ -35,12 +35,6 @@ FLOWS = pytest.mark.parametrize("flow", [
 
 
 class TestStateAndParams:
-    def test_state_requires_matching_vectors(self):
-        with pytest.raises(ValueError, match=re.escape("m must have shape (3,), got (2,)")):
-            DynamicsState(np.zeros(3), np.zeros(2))
-        with pytest.raises(ValueError, match=re.escape("w must have shape (>=1,), got (2, 2)")):
-            DynamicsState(np.zeros((2, 2)), np.zeros((2, 2)))
-
     @pytest.mark.parametrize("state_dim,eigenvalues", [(1, [3.0, 2.0, 1.0]), (2, [1.0])],
                              ids=["1-D state", "2-D state"])
     @FLOWS
@@ -63,15 +57,6 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match=f"{name} has dimension 2, the quadratic 3"):
             flow(state, QuadraticSpec([3.0, 2.0, 1.0]), params)
 
-    def test_state_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="^w must be finite, got nan$"):
-            DynamicsState(np.array([1.0, np.nan]), np.zeros(2))
-
-    @pytest.mark.parametrize("t", [math.nan, -math.inf])
-    def test_state_rejects_non_finite_clock(self, t):
-        with pytest.raises(ValueError, match=rf"^t must be in \(-inf, inf\), got {t}$"):
-            DynamicsState(np.ones(1), np.zeros(1), t=t)
-
     def test_beta_pair_broadcasts_scalar(self):
         assert FlowParams(alpha=0.1, beta=0.3).beta_pair() == (0.3, 0.3)
         split = FlowParams(alpha=0.1, beta=(0.1, 0.7), projector_sharp=np.eye(2))
@@ -82,25 +67,15 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="^eta must be a real number, got <function"):
             FlowParams(alpha=0.1, eta=lambda t: t)
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match=r"^alpha must be in \[0, inf\), got -0.1$"):
-            FlowParams(alpha=-0.1)
-
     @pytest.mark.parametrize("beta,message", [
         ("0.1", "a real number, got '0.1'"), ([0.1, 0.2], "a real number, got [0.1, 0.2]"),
         ((0.1, None), "a real number, got None"), ((0.1,), "a real number, got (0.1,)"),
         ((0.1, 0.2, 0.3), "a real number, got (0.1, 0.2, 0.3)"), (None, "a real number, got None"),
-        (math.nan, "in (-inf, inf), got nan"), ((0.1, math.inf), "in (-inf, inf), got inf"),
+        ((0.1, math.inf), "in (-inf, inf), got inf"),
     ])
     def test_beta_must_be_a_real_or_a_pair_of_reals(self, beta, message):
         with pytest.raises(ValueError, match=re.escape(f"beta must be {message}") + "$"):
             FlowParams(alpha=0.1, beta=beta, projector_sharp=np.eye(1))
-
-    @pytest.mark.parametrize("bad", [{"alpha": math.nan}, {"beta": math.inf},
-                                     {"eta": math.nan}, {"chi": math.inf}])
-    def test_non_finite_coefficients_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
-            FlowParams(**{"alpha": 0.1, "projector_sharp": np.eye(1), **bad})
 
     def test_non_spd_metric_rejected(self):
         with pytest.raises(ValueError, match="symmetric positive definite"):
@@ -109,31 +84,13 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="not symmetric"):
             FlowParams(alpha=0.1, metric=np.array([[2.0, 1.0], [0.0, 2.0]]))
 
-    @pytest.mark.parametrize("f,message", [
-        (np.ones((2, 3)), "metric must be square, got shape (2, 3)"),
-        (np.ones(3), "metric must have shape (>=1, >=1), got (3,)"),
-    ], ids=["2x3", "vector"])
-    def test_non_square_metric_rejected(self, f, message):
-        # sym_eig's messages do not name the metric
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            FlowParams(alpha=0.1, metric=f)
-
     @pytest.mark.parametrize("name", ["projector_sharp", "metric"])
-    @pytest.mark.parametrize("a", [np.full((2, 2), math.nan), np.full((2, 2), math.inf),
-                                   np.diag([1.0, math.nan]), np.diag([-math.inf, 1.0])],
-                             ids=["nan", "inf", "one-nan", "one-minus-inf"])
-    def test_non_finite_matrix_rejected(self, name, a):
-        # NaN fails every comparison, so a NaN projector passed the symmetric
-        # and idempotent checks and the first step failed on the state
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
-            FlowParams(alpha=0.1, **{name: a})
-
-    @pytest.mark.parametrize("name", ["projector_sharp", "metric"])
-    def test_empty_matrix_rejected(self, name):
-        # numpy's max of P failed with its own "zero-size array" message
-        with pytest.raises(ValueError, match=re.escape(
-                f"{name} must have shape (>=1, >=1), got (0, 0)") + "$"):
-            FlowParams(alpha=0.1, **{name: np.zeros((0, 0))})
+    def test_non_square_matrix_rejected(self, name):
+        # a 2x3 P failed on numpy's broadcast of P - P^T, and sym_eig's
+        # messages do not name the metric
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be square, got shape (2, 3)") + "$"):
+            FlowParams(alpha=0.1, **{name: np.ones((2, 3))})
 
     def test_settings_without_effect_rejected(self):
         # without a projector P = I, so chi and beta2 never reach the flow
@@ -205,15 +162,6 @@ class TestLiteFlowRhs:
         with pytest.raises(ValueError, match="not idempotent"):
             FlowParams(alpha=0.1, projector_sharp=0.5 * np.eye(3))
 
-    @pytest.mark.parametrize("p,message", [
-        (np.zeros((2, 3)), "projector_sharp must be square, got shape (2, 3)"),
-        (np.zeros(3), "projector_sharp must have shape (>=1, >=1), got (3,)"),
-    ], ids=["2x3", "vector"])
-    def test_non_square_projector_rejected(self, p, message):
-        # a 2x3 P failed on numpy's broadcast of P - P^T; a zero vector passed
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            FlowParams(alpha=0.1, projector_sharp=p)
-
 
 class TestSemiImplicitStep:
     def test_h_one_reproduces_discrete_update_bitwise(self):
@@ -264,19 +212,6 @@ class TestSemiImplicitStep:
         assert not sim.diverged
         assert np.array_equal(np.array(flow), sim.trajectory)
         assert np.array_equal(state.m, sim.momentum)
-
-    def test_nonpositive_h_rejected(self):
-        spec = QuadraticSpec([1.0])
-        params = FlowParams(alpha=0.1)
-        with pytest.raises(ValueError, match=r"^h must be in \(0, inf\), got 0.0$"):
-            semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, 0.0)
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf])
-    def test_non_finite_h_rejected(self, h):
-        spec = QuadraticSpec([1.0])
-        params = FlowParams(alpha=0.1)
-        with pytest.raises(ValueError, match=rf"^h must be in \(0, inf\), got {h}$"):
-            semi_implicit_step(DynamicsState(np.ones(1), np.zeros(1)), spec, params, h)
 
     @staticmethod
     def order_slope(params):
@@ -385,20 +320,6 @@ class TestRk4Flow:
         state = DynamicsState(np.ones(1), np.zeros(1), t=1.0)
         with pytest.raises(ValueError, match=r"^t_end must be in \[1.0, inf\), got 0.5$"):
             rk4_flow(state, spec, FlowParams(alpha=0.1), t_end=0.5)
-
-    @pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, math.nan])
-    def test_bad_step_rejected(self, h):
-        spec = QuadraticSpec([4.0, 1.0])
-        state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        with pytest.raises(ValueError, match=rf"^h must be in \(0, inf\), got {h}$"):
-            rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=1.0, h=h)
-
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
-    def test_non_finite_end_rejected(self, t_end):
-        spec = QuadraticSpec([4.0, 1.0])
-        state = DynamicsState(np.array([1.0, -1.0]), np.zeros(2))
-        with pytest.raises(ValueError, match=rf"^t_end must be in \[0.0, inf\), got {t_end}$"):
-            rk4_flow(state, spec, FlowParams(alpha=0.2, eta=0.05), t_end=t_end)
 
     def test_state_dimension_must_match(self):
         spec = QuadraticSpec([4.0, 1.0])
@@ -593,22 +514,6 @@ class TestAdemamixFlow:
     def test_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             ademamix_flow_trajectory(self.spec, self.cfg, np.array([1.0, 0.5]))
-        with pytest.raises(ValueError, match=r"^alpha_fast must be in \(0, inf\), got 0.0$"):
-            AdemamixFlowConfig(alpha_fast=0.0, alpha_slow=0.1, kappa=1.0, eta=0.1)
-        with pytest.raises(ValueError, match=r"^kappa must be in \[0, inf\), got -1.0$"):
-            AdemamixFlowConfig(alpha_fast=0.1, alpha_slow=0.1, kappa=-1.0, eta=0.1)
-        for bad in ({"alpha_fast": math.nan}, {"kappa": math.nan}, {"eta": math.inf}):
-            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be in"):
-                AdemamixFlowConfig(**{"alpha_fast": 0.1, "alpha_slow": 0.1, "kappa": 1.0,
-                                      "eta": 0.1, **bad})
-
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_grid_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ademamix_flow_trajectory(self.spec, self.cfg, np.array([0.0, bad]))
-        with pytest.raises(ValueError, match="finite"):
-            ademamix_flow_trajectory(self.spec, self.cfg, np.array([bad, 1.0]))
 
 
 def rowwise_residual(quadratic, cfg, t_grid, grad_weight):

@@ -252,13 +252,9 @@ class TestParseConfig:
         ("run.schedule = constant", "line 1: unknown key 'run.schedule'"),
         ("run.landscape_kind = quadratic", "line 1: unknown key 'run.landscape_kind'"),
         ("run.steps = soon", "malformed value 'soon' for 'run.steps'"),
-        ("run.seed = -1", "seed must be in [0, 18446744073709551616), got -1"),
-        ("run.steps = 0", "steps must be in [1, inf), got 0"),
-        ("run.log_every = 0", "log_every must be in [1, inf), got 0"),
         ("landscape.widths = 4, 4, 4", "not valid for landscape kind 'quadratic'"),
         ("optimizer.chi = 2.0", "unknown key 'optimizer.chi'"),
         ("lite.beta1 = 0.5", "beta1 requires a lite family"),
-        ("optimizer.theta = 1.5", "theta must be in"),
         ("schedule.total_steps = 10", "line 1: schedule.total_steps 10 is below run.steps 20"),
         ("optimizer.family = mars\noptimizer.mars_gamma = 1.0",
          "mars_gamma = 1 discards the current gradient"),
@@ -275,7 +271,6 @@ class TestParseConfig:
          "and muon and soap and muon_lite and soap_lite, not by family 'ademamix'"),
         # NaN parses as a float, and the first rule that applies rejects it at its line
         ("schedule.lr_max = nan", "line 7: lr_max must be in [0, inf), got nan"),
-        ("optimizer.epsilon = nan", "line 1: epsilon must be in (0, inf), got nan"),
         ("lite.chi = NaN", "line 1: chi requires a lite family"),
         ("optimizer.family = muon_lite\nlite.chi = NaN", "line 6: chi must be in [1, inf), got nan"),
         ("landscape.noise_sigma = nan",
@@ -380,22 +375,9 @@ class TestParseConfig:
          "eigenvalues must be sorted descending"),
         (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="),
          "eigenvalues must have shape \\(>=1,\\), got \\(0,\\)"),
-        (MINIMAL + "landscape.offsets = 1.0\n", "offsets must have shape \\(2,\\), got \\(1,\\)"),
         (MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "200, 101, 4"),
          "parameter count 20604 exceeds the 20000 budget"),
         (RIVER_VALLEY.replace("flat_dim = 2", "flat_dim = 3"), "sharp_dim == flat_dim"),
-        # non-finite or negative values that would otherwise run and diverge
-        (MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = inf, 1"),
-         "eigenvalues must be finite, got inf"),
-        (MINIMAL + "landscape.offsets = inf, 0\n", "offsets must be finite, got inf"),
-        (RIVER_VALLEY.replace("sharp_curvature = 100.0", "sharp_curvature = inf"),
-         "sharp_curvature must be in \\(0, inf\\), got inf"),
-        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = inf\n",
-         "noise_sigma must be in \\[0, inf\\), got inf"),
-        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = -1\n",
-         "noise_sigma must be in \\[0, inf\\), got -1.0"),
-        (MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
-         "line 9: noise_sigma must be in \\[0, inf\\), got nan"),
     ])
     def test_landscape_spec_rejected_at_parse_time(self, config, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -434,26 +416,16 @@ class TestParseConfig:
          "line 8: warmup_steps must lie in [0, total_steps]"),
         (MINIMAL.replace("kind = constant", "kind = wsd"), {"schedule.warmup_steps": "18"},
          "line 8: warmup_steps must end before the wsd decay phase"),
-        (MINIMAL, {"schedule.lr_max": "-1"}, "line 7: lr_max must be in [0, inf), got -1.0"),
         (MINIMAL, {"landscape.eigenvalues": "1.0, 2.0"},
          "line 4: eigenvalues must be sorted descending"),
-        (RIVER_VALLEY, {"landscape.sharp_curvature": "-1"},
-         "line 6: sharp_curvature must be in (0, inf), got -1.0"),
-        (MLP_BASE.format(family="adamw"), {"landscape.noise_sigma": "-1"},
-         "line 9: noise_sigma must be in [0, inf), got -1.0"),
         (MINIMAL.replace("family = adamw", "family = mars"), {"optimizer.mars_gamma": "1.0"},
          "line 8: mars_gamma = 1 discards the current gradient"),
-        (MINIMAL.replace("family = adamw", "family = soap"), {"optimizer.qr_refresh_every": "0"},
-         "line 8: qr_refresh_every must be in [1, inf), got 0"),
-        (MINIMAL, {"run.log_every": "0"}, "line 8: log_every must be in [1, inf), got 0"),
-        (MINIMAL, {"run.seed": "-1"}, "line 1: seed must be in [0, 18446744073709551616), got -1"),
         # total_steps defaults to run.steps, yet the run rule is the one reported
         (MINIMAL, {"run.steps": "0"}, "line 2: steps must be in [1, inf), got 0"),
         (MINIMAL, {"optimizer.family": "sgd"}, "line 5: family 'sgd' is unknown"),
         (MINIMAL, {"schedule.kind": "linear"}, "line 6: kind 'linear' is not a schedule kind"),
-    ], ids=["theta", "chi", "beta2-below-beta1", "warmup_steps", "wsd-warmup", "lr_max",
-            "eigenvalues", "sharp_curvature", "noise_sigma", "mars_gamma", "qr_refresh_every",
-            "log_every", "seed", "steps", "family", "schedule-kind"])
+    ], ids=["theta", "chi", "beta2-below-beta1", "warmup_steps", "wsd-warmup", "eigenvalues",
+            "mars_gamma", "steps", "family", "schedule-kind"])
     def test_value_rejection_names_its_line(self, base, settings, fragment):
         text = base
         for key, raw in settings.items():
@@ -470,21 +442,14 @@ class TestParseConfig:
 
 class TestExperimentConfigRules:
     @pytest.mark.parametrize("change,fragment", [
-        ({"log_every": 0}, "log_every must be in [1, inf), got 0"),
-        ({"steps": 0}, "steps must be in [1, inf), got 0"),
-        ({"seed": -1}, "seed must be in [0, 18446744073709551616), got -1"),
-        ({"seed": 2 ** 64}, f"seed must be in [0, {2 ** 64}), got {2 ** 64}"),
-        ({"seed": 10 ** 400}, f"seed must be in [0, {2 ** 64}), got {10 ** 400}"),
         ({"steps": 21}, "schedule.total_steps 20 is below run.steps 21"),
-        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
-        ({"log_every": 1.5}, "log_every must be an integer, got 1.5"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": "7"}, "seed must be an integer, got '7'"),
         ({"landscape": "mlp"}, "landscape must be a landscape spec, not str"),
         ({"landscape": None}, "landscape must be a landscape spec, not NoneType"),
-    ], ids=["log_every-zero", "steps-zero", "seed-negative", "seed-2**64", "seed-10**400", "steps-past-schedule",
-            "steps-float", "log_every-float", "seed-float", "seed-str", "landscape-kind-name",
-            "landscape-none"])
+        # both raised AttributeError: a family name once the run began, None when built
+        ({"optimizer": "adamw"}, "optimizer must be an OptimizerConfig, not str"),
+        ({"schedule": None}, "schedule must be a ScheduleSpec, not NoneType"),
+    ], ids=["steps-past-schedule", "landscape-kind-name", "landscape-none", "optimizer-family-name",
+            "schedule-none"])
     def test_python_built_config_gets_the_run_rules(self, change, fragment):
         cfg = parse_config(MINIMAL)
         with pytest.raises(ValueError, match="^" + re.escape(fragment) + "$"):
@@ -789,35 +754,17 @@ class TestCli:
         MINIMAL + "optimizer.nesterov_beta = 0.9\n",
         # a family with no stepper, with a family-specific key set beside it
         MINIMAL.replace("family = adamw", "family = sgd") + "optimizer.mars_gamma = 0.5\n",
-        # NaN values and an empty spectrum
+        # a NaN value, a NaN eigenvalue and an empty spectrum
         MINIMAL.replace("lr_max = 0.01", "lr_max = nan"),
-        MINIMAL + "optimizer.epsilon = nan\n",
-        MLP_BASE.format(family="muon_lite") + "lite.chi = nan\n",
-        MLP_BASE.format(family="adamw") + "landscape.noise_sigma = nan\n",
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 1, nan"),
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues ="),
-        # infinite knobs, which would diverge or zero the step, and AdEMAMix
-        # EMA rates outside (0, 1]
-        MLP_BASE.format(family="muon_lite") + "lite.chi = inf\n",
-        MLP_BASE.format(family="muon_lite") + "lite.beta2 = inf\n",
-        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.ademamix_kappa = inf\n",
-        MINIMAL + "optimizer.weight_decay = inf\n",
-        MINIMAL.replace("family = adamw", "family = n_adamw") + "optimizer.nesterov_beta = inf\n",
-        MINIMAL.replace("lr_max = 0.01", "lr_max = inf"),
-        MINIMAL + "optimizer.epsilon = inf\n",
-        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = -0.5\n",
-        MINIMAL.replace("family = adamw", "family = ademamix") + "optimizer.alpha_fast = 0\n",
         # an empty list item, which used to drop a layer or an eigenvalue
         MLP_BASE.format(family="adamw").replace("6, 8, 8, 4", "6, , 8, 4"),
         MINIMAL.replace("eigenvalues = 2.0, 1.0", "eigenvalues = 100, , 1"),
     ], ids=["muon_lite-quadratic", "soap_lite-river_valley", "muon-quadratic",
             "soap-river_valley", "total_steps-below-steps", "mars_gamma-one",
             "chi_norm", "nesterov_beta-adamw", "unknown-family", "lr_max-nan",
-            "epsilon-nan", "chi-nan", "noise_sigma-nan", "eigenvalue-nan", "empty-spectrum",
-            "chi-inf", "beta2-inf", "ademamix_kappa-inf",
-            "weight_decay-inf", "nesterov_beta-inf", "lr_max-inf", "epsilon-inf",
-            "alpha_fast-negative", "alpha_fast-zero", "widths-empty-item",
-            "eigenvalues-empty-item"])
+            "eigenvalue-nan", "empty-spectrum", "widths-empty-item", "eigenvalues-empty-item"])
     def test_run_rejected_before_any_output(self, tmp_path, capsys, config):
         csv = tmp_path / "out.csv"
         path = self.write(tmp_path, config + f"run.output_path = {csv}\n")
@@ -829,12 +776,8 @@ class TestCli:
         (["align", "--config", "{big_mlp}"], 3,
          "config error: parameter count 40800 exceeds the 20000 budget"),
         (["run", "--config", "{missing_dir}"], 3, "error: [Errno 2] No such file or directory"),
-        (["align", "--config", "{mlp}", "--d-s", "0"], 2,
-         "argument --d-s: d_s must be in [1, inf), got 0"),
         (["align", "--config", "{mlp}", "--d-s", "2", "--k-grid", "1"], 2,
          "every --k-grid size must be >= --d-s 2"),
-        (["align", "--config", "{mlp}", "--train-steps", "-3"], 2,
-         "argument --train-steps: train_steps must be in [0, inf), got -3"),
         (["align", "--config", "{mlp}", "--k-grid", ""], 2,
          "argument --k-grid: needs at least one subspace size"),
         (["align", "--config", "{mlp}", "--k-grid", "2,,4"], 2,
@@ -843,8 +786,8 @@ class TestCli:
          "argument --k-grid: empty item in list ','"),
         (["align", "--config", "{mlp}", "--k-grid", "2,x"], 2,
          "argument --k-grid: invalid literal for int() with base 10: 'x'"),
-    ], ids=["align-over-budget", "run-output-in-missing-dir", "align-d_s-zero",
-            "align-k-below-d_s", "align-negative-train-steps", "align-empty-k-grid",
+    ], ids=["align-over-budget", "run-output-in-missing-dir",
+            "align-k-below-d_s", "align-empty-k-grid",
             "align-k-grid-empty-item", "align-k-grid-comma", "align-k-grid-not-integer"])
     def test_rejected_without_traceback(self, tmp_path, capsys, monkeypatch, argv, code, message):
         # none of these may reach the alignment training loop
@@ -938,26 +881,6 @@ schedule.lr_max = 1000
         assert code == 4
         assert out.out == ""
         assert out.err.startswith("numerical error: discriminant T*T - D overflows")
-
-    def test_quadratic_report_needs_points(self, capsys):
-        assert main(["quadratic-report", "--alpha", "0.1", "--beta", "1.0",
-                     "--eta", "0.01", "--lambda-min", "0.1", "--lambda-max", "10",
-                     "--points", "0"]) == 2
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--eta", "--lambda-min",
-                                      "--lambda-max"])
-    def test_quadratic_report_rejects_non_finite_flags(self, capsys, flag, value):
-        argv = {"--alpha": "0.1", "--beta": "1.0", "--eta": "0.01",
-                "--lambda-min": "0.1", "--lambda-max": "10"}
-        argv[flag] = value
-        code = main(["quadratic-report", *(part for item in argv.items() for part in item),
-                     "--points", "5"])
-        out = capsys.readouterr()
-        assert code == 2
-        assert out.out == ""
-        name = flag[2:].replace("-", "_")
-        assert f"argument {flag}: {name} must be in (-inf, inf), got {value}" in out.err
 
     def test_align_requires_mlp(self, tmp_path, capsys):
         assert main(["align", "--config", self.write(tmp_path, MINIMAL)]) == 3

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from flatopt.linalg import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
-    check_array,
     frobenius,
     qr_decompose,
     svd_oracle,
@@ -107,27 +106,6 @@ class TestSvdOracle:
         _, s, _ = svd_oracle(a)
         evals, _ = sym_eig(a.T @ a)
         assert np.abs(s - np.sqrt(np.clip(evals, 0.0, None))).max() < 1e-8
-
-
-class TestCheckArray:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="^a must be finite, got inf$"):
-            check_array("a", np.array([[1.0, np.inf]]), (None, None))
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match=r"^a must have shape \(>=1, >=1\), got \(3,\)$"):
-            check_array("a", np.ones(3), (None, None))
-
-    def test_rejects_a_wrong_or_empty_axis(self):
-        with pytest.raises(ValueError, match=r"^w must have shape \(3,\), got \(2,\)$"):
-            check_array("w", np.ones(2), (3,))
-        with pytest.raises(ValueError, match=r"^w must have shape \(>=1, 2\), got \(0, 2\)$"):
-            check_array("w", np.ones((0, 2)), (None, 2))
-
-    def test_float64_input_is_not_copied(self):
-        a = np.ones((2, 3))
-        assert check_array("a", a, (2, None)) is a
-        assert check_array("a", [[1, 2]], (1, 2)).dtype == np.float64
 
 
 @settings(max_examples=30, deadline=None)

@@ -34,10 +34,9 @@ from flatopt.optim import (
     step_n_adamw,
     step_soap,
 )
-from flatopt.dynamics import AdemamixFlowConfig, FlowParams
-from flatopt.harness import ExperimentConfig, parse_config, run_experiment
-from flatopt.landscapes import BlockLayout, Landscape, MlpSpec, RiverValleySpec
-from flatopt.linalg import check_fields, qr_decompose, sym_eig
+from flatopt.harness import parse_config, run_experiment
+from flatopt.landscapes import BlockLayout, Landscape
+from flatopt.linalg import qr_decompose, sym_eig
 from flatopt.polar import RankController, composite_sharp_projection, ns_polar
 from flatopt.rng import SplitMix64
 from flatopt.subspace import SoapMaskController, coverage_score
@@ -983,38 +982,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="family 'sgd' is unknown"):
             OptimizerConfig(family="sgd")
 
-    @pytest.mark.parametrize("field,value", [
-        ("theta", 1.0), ("theta", -0.1), ("beta_v", 1.0), ("theta_shampoo", 2.0),
-    ])
-    def test_ema_decays_must_lie_in_unit_interval(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            OptimizerConfig(family="adamw", **{field: value})
-
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            OptimizerConfig(family="adamw", epsilon=0.0)
-
-    def test_weight_decay_nonnegative(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(family="adamw", weight_decay=-0.1)
-
-    def test_clip_positive(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(family="adamw", clip_norm=0.0)
-
-    def test_refresh_interval_at_least_one(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(family="soap", qr_refresh_every=0)
-
-    @pytest.mark.parametrize("field,value", [
-        ("alpha_fast", 0.0), ("alpha_fast", -0.5), ("alpha_fast", 1.5), ("alpha_slow", 0.0),
-        ("ademamix_kappa", -1.0),
-    ])
-    def test_ademamix_knob_ranges(self, field, value):
-        # the bounds AdemamixFlowConfig puts on the same flow
-        with pytest.raises(ValueError, match=field):
-            OptimizerConfig(family="ademamix", **{field: value})
-
     def test_lite_families_require_policy(self):
         with pytest.raises(ValueError, match="requires a lite policy"):
             OptimizerConfig(family="muon_lite")
@@ -1025,10 +992,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="takes no lite policy"):
             OptimizerConfig(family=family, lite=LitePolicy(chi=4.0))
 
-    def test_policy_chi_at_least_one(self):
-        with pytest.raises(ValueError, match="chi"):
-            LitePolicy(chi=0.5)
-
     def test_policy_beta_ordering(self):
         with pytest.raises(ValueError, match="beta2 must be ≥ beta1"):
             LitePolicy(beta1=0.5, beta2=0.25)
@@ -1037,17 +1000,9 @@ class TestConfigValidation:
         pol = LitePolicy(beta1=-0.5, beta2=0.0)
         assert pol.beta1 == -0.5
 
-    def test_policy_ratio_ranges(self):
-        with pytest.raises(ValueError, match="r_s"):
-            LitePolicy(r_s=0.0)
-        with pytest.raises(ValueError, match="d_smooth_ratio"):
-            LitePolicy(d_smooth_ratio=1.0)
-
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="kind 'linear' is not a schedule kind"):
             ScheduleSpec("linear", 1.0, 0, 10)
-        with pytest.raises(ValueError):
-            ScheduleSpec("constant", -1.0, 0, 10)
         with pytest.raises(ValueError):
             ScheduleSpec("constant", 1.0, 11, 10)
         with pytest.raises(ValueError, match="warmup_steps < total_steps"):
@@ -1068,76 +1023,3 @@ class TestConfigValidation:
             "muon", "soap", "muon_lite", "soap_lite",
         }
 
-
-def checked_config_bases():
-    """(type, field, a valid instance) for every field of the eight types that
-    call check_fields; an OptimizerConfig field gets a family that reads it."""
-    spec = MlpSpec((6, 8, 8, 4))
-    schedule = ScheduleSpec("constant", 0.1, 0, 10)
-    bases = [LitePolicy(), schedule, spec, RiverValleySpec(2, 2, 10.0), FlowParams(alpha=0.1),
-             AdemamixFlowConfig(0.1, 1e-3, 2.0, 0.05),
-             ExperimentConfig(1, 10, spec, OptimizerConfig("adamw"), schedule)]
-    for base in bases:
-        for field in dataclasses.fields(base):
-            yield type(base), field, base
-    for field in dataclasses.fields(OptimizerConfig):
-        yield OptimizerConfig, field, OptimizerConfig(FAMILY_KEYS.get(field.name, ("adamw",))[0])
-
-
-# bad values per number annotation, less any [...]; a tuple[int, ...] field
-# gets them as its first item
-BAD_VALUES = {"int": (2.5, "3"), "tuple": (2.5, "3"),
-              "float": (math.nan, math.inf, -math.inf, "0.5")}
-
-FIELD_CASES = [pytest.param(base, field.name, value,
-                            id=f"{cls.__name__}.{field.name}={value!r}")
-               for cls, field, base in checked_config_bases()
-               for value in BAD_VALUES.get(field.type.partition("[")[0], ())]
-
-
-class TestCheckFields:
-    @pytest.mark.parametrize("base,name,value", FIELD_CASES)
-    def test_number_field_rejects_wrong_type_or_non_finite(self, base, name, value):
-        if isinstance(getattr(base, name), tuple):
-            value = (value,) + getattr(base, name)[1:]
-        if (name, value) == ("clip_norm", math.inf):  # inf turns clipping off
-            assert dataclasses.replace(base, clip_norm=value).clip_norm == math.inf
-            return
-        with pytest.raises(ValueError, match=f"^{name} must be "):
-            dataclasses.replace(base, **{name: value})
-
-    def test_cases_cover_the_eight_checked_types(self):
-        assert len({type(param.values[0]) for param in FIELD_CASES}) == 8
-        annotations = {field.type for _, field, _ in checked_config_bases()}
-        assert annotations >= {"int", "float", "tuple[int, ...]"}
-
-    def test_real_field_rejects_an_int_no_float_holds(self):
-        # 10**400 lay in [0, inf) by comparison, and the run died with
-        # OverflowError at its first step
-        with pytest.raises(ValueError, match="^lr_max must fit in a float"):
-            dataclasses.replace(ScheduleSpec("constant", 0.1, 0, 10), lr_max=10**400)
-        with pytest.raises(ValueError, match="^weight_decay must fit in a float"):
-            OptimizerConfig("adamw", weight_decay=-10**400)
-        # an int field still judges an int of any size exactly
-        spec, schedule = MlpSpec((6, 8, 8, 4)), ScheduleSpec("constant", 0.1, 0, 10)
-        assert ExperimentConfig(2**64 - 1, 10, spec, OptimizerConfig("adamw"), schedule).seed \
-            == 2**64 - 1
-        with pytest.raises(ValueError, match=r"^seed must be in \[0, 18446744073709551616\), got 1"):
-            ExperimentConfig(10**400, 10, spec, OptimizerConfig("adamw"), schedule)
-
-    @pytest.mark.parametrize("key", ["chii", "kind"])
-    def test_interval_key_must_be_a_number_field(self, key):
-        # a misspelled key would otherwise drop its check silently
-        with pytest.raises(TypeError, match=rf"ScheduleSpec has no number field \['{key}'\]"):
-            check_fields(ScheduleSpec("constant", 0.1, 0, 10), {key: "[1, inf)"})
-
-    @pytest.mark.parametrize("value,ok", [
-        (0.0, False), (1e-300, True), (1.0, True), (math.inf, True), (-math.inf, False),
-    ])
-    def test_interval_bounds(self, value, ok):
-        # clip_norm lies in (0, inf]: open at 0, closed at inf
-        if ok:
-            assert OptimizerConfig("adamw", clip_norm=value).clip_norm == value
-        else:
-            with pytest.raises(ValueError, match=rf"^clip_norm must be in \(0, inf\], got {value}$"):
-                OptimizerConfig("adamw", clip_norm=value)

@@ -1,7 +1,9 @@
 """The README's examples and the harness docstring's config are live: each
-config parses and runs, each ``flatopt`` command line parses, and the count
-of golden runs the README states is the record's."""
+config parses and runs, each ``flatopt`` command line parses, the count
+of golden runs the README states is the record's, and every test the
+claims table cites exists."""
 
+import ast
 import dataclasses
 import json
 import re
@@ -58,3 +60,17 @@ def test_readme_golden_count_matches_the_record():
     assert len(stated) == 1
     entries = json.loads((ROOT / "tools" / "golden.json").read_text())["entries"]
     assert int(stated[0]) == len(entries)
+
+
+def test_claims_table_cites_collected_tests():
+    section = README.read_text().split("## What reproduces", 1)[1].split("\n## ", 1)[0]
+    cited = re.findall(r"`(tests/test_\w+\.py)::([\w:]+)`", section)
+    assert cited
+    for path, test_id in cited:
+        nodes = ast.parse((ROOT / path).read_text()).body
+        for name in test_id.split("::"):  # a test function, or a Test class with tests
+            node = next((n for n in nodes if getattr(n, "name", None) == name), None)
+            assert node is not None and name.startswith(("test_", "Test")), (path, test_id)
+            nodes = node.body
+        if isinstance(node, ast.ClassDef):
+            assert any(getattr(n, "name", "").startswith("test_") for n in nodes), (path, test_id)
